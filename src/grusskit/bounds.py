@@ -675,8 +675,11 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         tier1 = abs_rs_against(dnum, f) / width
         dfn = _delta_fn(u)
 
-        splits = [t for lo, hi, N in _delta_pieces(u)
-                  for t in poly.proots(N, lo, hi)]
+        # delta' jumps at u's breakpoints and |delta| kinks at the roots of
+        # N: split there so every Gauss segment sees a smooth integrand.
+        bp = dnum.breakpoints
+        splits = list(bp) + [t for lo, hi, N in zip(bp, bp[1:], dnum.pieces)
+                             for t in poly.proots(N, lo, hi)]
         int_absdelta_df = _rs_fn_against(lambda ts: np.abs(dfn(ts)),
                                          f, splits)
         tiers = [("weighted", tier1),

@@ -74,11 +74,13 @@ def _endpoint_ramp(a: float, b: float) -> PiecewiseFunction:
     """0 on [a, b - eps], then a steep linear climb near 1 at b; continuous
     with total variation within rounding of 1.
 
-    The slope intercept is written as -knee * c1 so that Horner evaluation
-    cancels exactly at the knee; the top value is whatever the float climb
-    reaches, and the certificate below uses the computed variation.
+    The ramp width is the power of two at or below RAMP_FRACTION * (b - a),
+    so c1 = 1/eps and the products knee * c1 and c1 * t are exact and the
+    intercept -knee * c1 cancels exactly at the knee; the top value is
+    whatever the float climb reaches, and the certificate below uses the
+    computed variation.
     """
-    eps = RAMP_FRACTION * (b - a)
+    eps = 2.0 ** math.floor(math.log2(RAMP_FRACTION * (b - a)))
     knee = b - eps
     c1 = 1.0 / eps
     return PiecewiseFunction.build((a, knee, b), ((0.0,), (-knee * c1, c1)))

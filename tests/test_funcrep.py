@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from grusskit import funcrep
 from grusskit.errors import DomainError, MalformedCertificate
 from grusskit.funcrep import (PiecewiseFunction, RegularityCertificate,
                               eval_sided, inf_sup_on, p_norm, sup_norm_on,
@@ -134,6 +135,31 @@ class TestCertificates:
         assert not verify_certificate(
             steep, RegularityCertificate.holder(1.0, 0.5),
             holder_grid=64).ok
+
+    def test_holder_fractional_closed_form_detail(self, tsq):
+        # t^2 on [0, 1]: L = 2, osc = 1, so L^r osc^(1-r) = sqrt(2)
+        chk = verify_certificate(tsq, RegularityCertificate.holder(1.5, 0.5))
+        assert chk.ok
+        assert chk.detail.startswith("certified")
+
+    def test_holder_fractional_identity_threshold(self, ident):
+        # the 1/2-Holder constant of t on [0, 1] is exactly 1
+        assert verify_certificate(
+            ident, RegularityCertificate.holder(1.0, 0.5)).ok
+        assert not verify_certificate(
+            ident, RegularityCertificate.holder(1.0 - 1e-6, 0.5)).ok
+
+    def test_holder_fractional_jump_rejected_first(self, step_at_mid,
+                                                   monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("continuity is checked first")
+        monkeypatch.setattr(funcrep, "_holder_upper_bound", unreachable)
+        monkeypatch.setattr(funcrep, "_holder_sample_check", unreachable)
+        chk = verify_certificate(step_at_mid,
+                                 RegularityCertificate.holder(1e6, 0.5))
+        assert not chk.ok
+        assert chk.witness == 0.5
+        assert "jump" in chk.detail
 
     def test_malformed(self):
         with pytest.raises(MalformedCertificate):

@@ -10,7 +10,8 @@ from grusskit import instances
 from grusskit.bounds import beta_int, bound_T_bv
 from grusskit.errors import DomainError
 from grusskit.funcrep import (Enclosure, PiecewiseFunction,
-                              RegularityCertificate, eval_sided, inf_sup_on,
+                              RegularityCertificate, _holder_sample_check,
+                              _holder_upper_bound, eval_sided, inf_sup_on,
                               sup_norm_on, total_variation,
                               verify_certificate)
 from grusskit.functionals import cheby_T
@@ -161,3 +162,18 @@ def test_window_splitting_of_stieltjes_integral(seed):
     whole = rs_integral(f, u).value
     parts = rs_integral(f, u, a, mid).value + rs_integral(f, u, mid, b).value
     assert whole == pytest.approx(parts, abs=1e-9 * (1.0 + abs(whole)))
+
+
+@given(seeds, st.floats(min_value=0.05, max_value=0.95),
+       st.floats(min_value=1.0, max_value=2.0))
+@settings(max_examples=60, deadline=None)
+def test_holder_closed_form_pass_implies_grid_pass(seed, r, factor):
+    """The closed-form r < 1 test never accepts what the 512-point grid
+    rejects, so the grid stays the reference for every verdict."""
+    rng = _rng(seed)
+    a, b = instances.rand_interval(rng)
+    f = instances.rand_continuous(rng, a, b)
+    H = _holder_upper_bound(f, r) * factor
+    chk = verify_certificate(f, RegularityCertificate.holder(H, r))
+    assert chk.ok and chk.detail.startswith("certified")
+    assert _holder_sample_check(f, H, r, 512).ok

@@ -19,6 +19,13 @@ class TestCatalogue:
         for wid in base:
             assert moved[wid] == pytest.approx(base[wid], abs=1e-9)
 
+    @pytest.mark.parametrize("a, b", [(-1.2, 0.73), (0.1, 0.35),
+                                      (-2.0, 1.0), (0.3, 2.9),
+                                      (-7.5, -2.25), (1e-3, 1.0)])
+    def test_every_witness_saturates_off_unit_interval(self, a, b):
+        for wid, tid, ratio, expected, ok in run_catalogue(a, b):
+            assert ok, f"{wid} on [{a}, {b}]: ratio {ratio!r}"
+
     def test_specific_targets(self):
         assert sharpness_ratio(witness("thm_2_1a")) \
             == pytest.approx(1.0, abs=1e-9)
