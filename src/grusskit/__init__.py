@@ -1,6 +1,8 @@
 """Certified Riemann-Stieltjes integration and Gruss-type inequality
 verification for piecewise-polynomial functions."""
 
+import types
+
 __version__ = "0.1.0"
 
 from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
@@ -31,4 +33,8 @@ from .sharpness import (WITNESS_IDS, Witness, evaluate_witness,
                         p_branch_constant_estimate, run_catalogue,
                         sharpness_ratio, witness)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# submodules become package attributes as they are imported; they are not
+# part of the star-import surface
+__all__ = [name for name, value in globals().items()
+           if not (name.startswith("_")
+                   or isinstance(value, types.ModuleType))]

@@ -13,21 +13,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import bounds as bnd
-from . import instances as gen
-from .errors import GrussKitError, UnknownWitness
-from .funcrep import PiecewiseFunction, RegularityCertificate
-from .quadrature import (Partition, _cell_state, composite_S,
-                         remainder_bound_osc)
-from .stieltjes import rs_product_integral
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    index: int
-    ratio: float
-    holds: bool
-    detail: str = ""
+from .errors import UnknownWitness
+from .theorems import THEOREMS as REGISTRY
 
 
 @dataclass
@@ -64,217 +51,9 @@ class VerifySummary:
         }
 
 
-def _f_continuous_pair(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f = gen.rand_continuous(rng, a, b)
-    g = gen.rand_continuous(rng, a, b)
-    return a, b, f, g
-
-
-def _trial_thm_2_1a(rng: random.Random):
-    a, b, f, g = _f_continuous_pair(rng)
-    u = gen.ensure_span(rng, lambda: gen.rand_piecewise(rng, a, b, jumps=True))
-    return [bnd.bound_T_bv(f, g, u, gen.rand_bounds_cert(f))]
-
-
-def _trial_thm_2_2(rng: random.Random):
-    a, b, f, g = _f_continuous_pair(rng)
-    u = gen.ensure_span(rng, lambda: gen.rand_monotone(rng, a, b))
-    return [bnd.bound_T_monotone(f, g, u, gen.rand_bounds_cert(f))]
-
-
-def _trial_thm_2_3a(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f = gen.rand_piecewise(rng, a, b, jumps=True)
-    g = gen.rand_piecewise(rng, a, b, jumps=True)
-    u, lip = _lipschitz_with_span(rng, a, b)
-    return [bnd.bound_T_lipschitz_u(f, g, u, gen.rand_bounds_cert(f), lip)]
-
-
-def _lipschitz_with_span(rng: random.Random, a: float, b: float):
-    for _ in range(60):
-        u, lip = gen.rand_lipschitz(rng, a, b)
-        if abs(u(b) - u(a)) >= 0.1:
-            return u, lip
-    ident = PiecewiseFunction.from_coeffs((0.0, 1.0), a, b)
-    return ident, RegularityCertificate.lipschitz(1.0)
-
-
-def _trial_thm_2_1(rng: random.Random, r_one: bool = False):
-    a, b, f_unused, g = _f_continuous_pair(rng)
-    f, cert = gen.rand_holder(rng, a, b, allow_fractional=not r_one)
-    u = gen.ensure_span(rng, lambda: gen.rand_piecewise(rng, a, b, jumps=True))
-    return [bnd.bound_T_holder_bv(f, g, u, cert)]
-
-
-def _trial_thm_2_3(rng: random.Random, r_one: bool = False):
-    a, b, f_unused, g = _f_continuous_pair(rng)
-    f, cert = gen.rand_holder(rng, a, b, allow_fractional=not r_one)
-    u = gen.ensure_span(rng, lambda: gen.rand_monotone(rng, a, b))
-    return [bnd.bound_T_holder_monotone(f, g, u, cert)]
-
-
-def _trial_thm_2_5(rng: random.Random, r_one: bool = False):
-    a, b = gen.rand_interval(rng)
-    f, cert = gen.rand_holder(rng, a, b, allow_fractional=not r_one)
-    g = gen.rand_piecewise(rng, a, b, jumps=True)
-    u, lip = _lipschitz_with_span(rng, a, b)
-    p = rng.choice((1.5, 2.0, 3.0))
-    return [bnd.bound_T_holder_lipschitz(f, g, u, cert, lip, p=p)]
-
-
-def _trial_item(which: str):
-    def run(rng: random.Random):
-        a, b = gen.rand_interval(rng)
-        g = gen.rand_continuous(rng, a, b)
-        if which in {"item2", "item5"}:
-            w = gen.rand_nonneg_weight(rng, a, b)
-        else:
-            w = gen.rand_signed_weight(rng, a, b)
-        if which in {"item1", "item2", "item3"}:
-            f = gen.rand_piecewise(rng, a, b, jumps=(which == "item3")) \
-                if which == "item3" else gen.rand_continuous(rng, a, b)
-            return [bnd.weighted_bounds(f, g, w, which,
-                                        f_bounds=gen.rand_bounds_cert(f))]
-        f, cert = gen.rand_holder(rng, a, b)
-        p = rng.choice((1.5, 2.0, 3.0)) if which == "item6" else None
-        return [bnd.weighted_bounds(f, g, w, which, f_holder=cert, p=p)]
-    return run
-
-
-def _trial_thm_a_1(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f = gen.rand_piecewise(rng, a, b, jumps=True)
-    u, lip = gen.rand_lipschitz(rng, a, b)
-    return bnd.bound_D_prior(f, u, f_bounds=gen.rand_bounds_cert(f),
-                             u_lipschitz=lip)
-
-
-def _trial_thm_a_2(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f, lip = gen.rand_lipschitz(rng, a, b)
-    u = gen.rand_piecewise(rng, a, b, jumps=True)
-    return bnd.bound_D_prior(f, u, f_lipschitz=lip)
-
-
-def _trial_a6(case: str):
-    def run(rng: random.Random):
-        a, b = gen.rand_interval(rng)
-        if case == "i":
-            f = gen.rand_piecewise(rng, a, b, jumps=True)
-            u = gen.rand_continuous(rng, a, b)
-            return [bnd.bound_D_kernel(f, u, "bv")]
-        if case == "ii":
-            f, lip = gen.rand_lipschitz(rng, a, b)
-            u = gen.rand_piecewise(rng, a, b, jumps=True)
-            return [bnd.bound_D_kernel(f, u, "lipschitz", lip)]
-        f = gen.rand_monotone(rng, a, b)
-        u = gen.rand_continuous(rng, a, b)
-        return [bnd.bound_D_kernel(f, u, "monotone")]
-    return run
-
-
-def _trial_cor_a7(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f = gen.rand_piecewise(rng, a, b, jumps=True)
-    u = gen.rand_continuous(rng, a, b)
-    return [bnd.bound_D_corollaries(f, u, "a12")]
-
-
-def _trial_cor_a8(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f, lip = gen.rand_lipschitz(rng, a, b)
-    u = gen.rand_continuous(rng, a, b)
-    p = rng.choice((1.5, 2.0, 4.0))
-    return [bnd.bound_D_corollaries(f, u, "a13", p=p, f_lipschitz=lip)]
-
-
-def _trial_cor_a9(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f = gen.rand_monotone(rng, a, b)
-    u = gen.rand_continuous(rng, a, b)
-    p = rng.choice((2.0, 3.0))
-    return [bnd.bound_D_corollaries(f, u, "a14", p=p)]
-
-
-def _trial_thm_a_11(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f = gen.rand_monotone(rng, a, b)
-    u = gen.rand_convex(rng, a, b)
-    return [bnd.positivity_check_D(f, u)]
-
-
-def _trial_thm_b_1(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f, lip = gen.rand_lipschitz(rng, a, b)
-    u = gen.rand_monotone(rng, a, b)
-    return [bnd.bound_D_monotone_K(f, u, lip)]
-
-
-def _trial_thm_b_2(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f = gen.rand_piecewise(rng, a, b, jumps=True)
-    u = gen.rand_monotone(rng, a, b,
-                          avoid=set(f.discontinuity_points()))
-    if set(f.discontinuity_points()) & set(u.discontinuity_points()):
-        u = gen.rand_monotone(rng, a, b, with_jumps=False)
-    return [bnd.bound_D_monotone_Q(f, u, gen.rand_bv_cert(f))]
-
-
-def _trial_thm_3_2a(rng: random.Random):
-    a, b = gen.rand_interval(rng)
-    f = gen.rand_continuous(rng, a, b)
-    g = gen.rand_continuous(rng, a, b)
-    u = gen.ensure_span(rng, lambda: gen.rand_monotone(rng, a, b))
-    n = rng.randint(1, 6)
-    part = Partition.uniform(a, b, n)
-    for _ in range(40):
-        if all(_cell_state(u, lo, hi) != "degenerate"
-               for lo, hi in part.cells()):
-            break
-        n += 1
-        part = Partition.uniform(a, b, n)
-    exact = rs_product_integral([f, g], u).value
-    approx = composite_S(f, g, u, part)
-    rb = remainder_bound_osc(f, g, u, part)
-    lhs = abs(exact - approx)
-    tol = 1e-9 * max(1.0, rb.stated)
-    holds = lhs <= rb.tight + tol and rb.tight <= rb.stated + tol
-    ratio = lhs / rb.stated if rb.stated > tol else 0.0
-    return [bnd.BoundReport("thm_3_2a", lhs, rb.stated, ratio, holds,
-                            (("f", "continuous"), ("g", "continuous")),
-                            (("stated", rb.stated), ("tight", rb.tight)))]
-
-
+# theorem id -> one seeded trial (a list of reports); a view of the registry
 THEOREMS: dict[str, Callable[[random.Random], list]] = {
-    "thm_2_1a": _trial_thm_2_1a,
-    "thm_2_2": _trial_thm_2_2,
-    "thm_2_3a": _trial_thm_2_3a,
-    "thm_2_1": _trial_thm_2_1,
-    "cor_2_2": lambda rng: _trial_thm_2_1(rng, r_one=True),
-    "thm_2_3": _trial_thm_2_3,
-    "cor_2_4": lambda rng: _trial_thm_2_3(rng, r_one=True),
-    "thm_2_5": _trial_thm_2_5,
-    "cor_2_6": lambda rng: _trial_thm_2_5(rng, r_one=True),
-    "item_1": _trial_item("item1"),
-    "item_2": _trial_item("item2"),
-    "item_3": _trial_item("item3"),
-    "item_4": _trial_item("item4"),
-    "item_5": _trial_item("item5"),
-    "item_6": _trial_item("item6"),
-    "thm_a_1": _trial_thm_a_1,
-    "thm_a_2": _trial_thm_a_2,
-    "thm_a_6_i": _trial_a6("i"),
-    "thm_a_6_ii": _trial_a6("ii"),
-    "thm_a_6_iii": _trial_a6("iii"),
-    "cor_a_7": _trial_cor_a7,
-    "cor_a_8": _trial_cor_a8,
-    "cor_a_9": _trial_cor_a9,
-    "thm_a_11": _trial_thm_a_11,
-    "thm_b_1": _trial_thm_b_1,
-    "thm_b_2": _trial_thm_b_2,
-    "thm_3_2a": _trial_thm_3_2a,
-}
+    tid: entry.trial for tid, entry in REGISTRY.items()}
 
 THEOREM_IDS = tuple(THEOREMS)
 
@@ -296,7 +75,7 @@ def verify_theorem(theorem_id: str, trials: int = 1000,
         rng = random.Random(f"{seed}:{theorem_id}:{k}")
         try:
             reports = make(rng)
-        except GrussKitError as exc:
+        except Exception as exc:  # recorded, so one crash cannot end the run
             summary.violations.append(
                 dict(_reproducer(seed, theorem_id, k),
                      error=type(exc).__name__, message=str(exc)))

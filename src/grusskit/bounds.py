@@ -12,7 +12,7 @@ by doubled Gauss panels with the residual folded into the report tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -27,10 +27,11 @@ from .funcrep import (PiecewiseFunction, RegularityCertificate,
                       extremum_point, gauss_integral, inf_sup_on,
                       merge_grids, p_norm, require_certificate, sup_norm_on,
                       total_variation, verify_certificate)
-from .functionals import (cheby_T, delta_numerator, functional_D,
-                          gamma_kernel, integrator_span, mean_against,
-                          phi_kernel)
-from .stieltjes import riemann_integral, riemann_product_integral, rs_integral
+from .functionals import (cheby_T, functional_D, gamma_kernel,
+                          integrator_span, mean_against, phi_kernel)
+from .quadrature import Partition, composite_S, remainder_bound_osc
+from .stieltjes import (riemann_integral, riemann_product_integral,
+                        rs_integral, rs_product_integral)
 
 _EPS = 2.220446049250313e-16
 
@@ -112,20 +113,6 @@ def _centered(g: PiecewiseFunction, u: PiecewiseFunction) \
     return g - mean, mean
 
 
-def _jump_masses(u: PiecewiseFunction) -> list[tuple[float, float]]:
-    out = []
-    for t, left, v, right in u.jumps():
-        if t == u.a:
-            mass = right - v
-        elif t == u.b:
-            mass = v - left
-        else:
-            mass = right - left
-        if mass != 0.0:
-            out.append((t, mass))
-    return out
-
-
 def abs_rs_integral(h: PiecewiseFunction, u: PiecewiseFunction) -> float:
     """integral of |h| du for monotone nondecreasing u, closed form."""
     grid = merge_grids(h.breakpoints, u.breakpoints)
@@ -141,7 +128,7 @@ def abs_rs_integral(h: PiecewiseFunction, u: PiecewiseFunction) -> float:
                 continue
             sgn = 1.0 if poly.pvalue(hc, 0.5 * (x0 + x1)) >= 0 else -1.0
             total += sgn * poly.pintegrate(poly.pmul(hc, duc), x0, x1)
-    for t, mass in _jump_masses(u):
+    for t, mass in u.jump_masses():
         total += abs(h(t)) * mass
     return total
 
@@ -206,14 +193,9 @@ def weighted_abs_integral(h: PiecewiseFunction, r: float, m0: float,
             sgn = 1.0 if poly.pvalue(hc, 0.5 * (x0 + x1)) >= 0 else -1.0
             total += sgn * _weighted_abs_segment(q, r, m0, x0, x1)
     if u is not None:
-        for t, mass in _jump_masses(u):
+        for t, mass in u.jump_masses():
             total += abs(t - m0) ** r * abs(h(t)) * mass
     return total
-
-
-def abs_rs_against(h: PiecewiseFunction, f: PiecewiseFunction) -> float:
-    """integral of |h| df for monotone nondecreasing integrator f."""
-    return abs_rs_integral(h, f)
 
 
 # -- divided-difference kernel norms ---------------------------------------
@@ -221,22 +203,9 @@ def abs_rs_against(h: PiecewiseFunction, f: PiecewiseFunction) -> float:
 def _delta_pieces(u: PiecewiseFunction):
     """Per piece of u: (lo, hi, numerator coeffs) with
     delta(t) = N(t) / ((t-a)(b-t))."""
-    N = delta_numerator(u)
+    N = gamma_kernel(u)
     return [(N.breakpoints[i], N.breakpoints[i + 1], N.pieces[i])
             for i in range(len(N.pieces))]
-
-
-def delta_at(u: PiecewiseFunction, t: float) -> float:
-    """delta(t), extended to the interval ends by the one-sided limits
-    N'(a)/(b-a) and -N'(b)/(b-a); u must be continuous at a touched end."""
-    a, b = u.domain
-    if t == a or t == b:
-        N = delta_numerator(u)
-        c = N.pieces[0] if t == a else N.pieces[-1]
-        sign = 1.0 if t == a else -1.0
-        return sign * poly.pvalue(poly.pderiv(c), t) / (b - a)
-    ut = u(t)
-    return (u(b) - ut) / (b - t) - (ut - u(a)) / (t - a)
 
 
 def sup_abs_delta(u: PiecewiseFunction) -> float:
@@ -264,7 +233,7 @@ def _delta_fn(u: PiecewiseFunction):
     """Vectorised delta evaluator with the kernel numerator built once;
     the interval ends get their one-sided limits."""
     a, b = u.domain
-    N = delta_numerator(u)
+    N = gamma_kernel(u)
     lim_a = poly.pvalue(poly.pderiv(N.pieces[0]), a) / (b - a)
     lim_b = -poly.pvalue(poly.pderiv(N.pieces[-1]), b) / (b - a)
 
@@ -280,11 +249,6 @@ def _delta_fn(u: PiecewiseFunction):
         out[ts == b] = lim_b
         return out
     return fn
-
-
-def delta_values(u: PiecewiseFunction, ts: np.ndarray) -> np.ndarray:
-    """Vectorised delta; the interval ends get their one-sided limits."""
-    return _delta_fn(u)(ts)
 
 
 def delta_norm(u: PiecewiseFunction, p: float) -> float:
@@ -325,7 +289,7 @@ def _rs_fn_against(fun, f: PiecewiseFunction, splits=()) -> float:
             lambda ts, dc=dc: fun(ts) * nppoly.polyval(ts, np.asarray(dc)),
             lo, hi, tol=1e-10)
         total += val
-    for t, mass in _jump_masses(f):
+    for t, mass in f.jump_masses():
         total += float(fun(np.array([t]))[0]) * mass
     return total
 
@@ -520,9 +484,8 @@ def weighted_bounds(f: PiecewiseFunction, g: PiecewiseFunction,
     else:
         lip = RegularityCertificate.lipschitz(sup_norm_on(w).hi)
         rep = bound_T_holder_lipschitz(f, g, u, f_holder, lip, p=p)
-    digest = rep.inputs_digest + (("w", "weight"),)
-    return BoundReport(which, rep.lhs, rep.rhs, rep.ratio, rep.holds,
-                       digest, rep.tiers, rep.extras, rep.lhs_error)
+    return replace(rep, theorem_id=which,
+                   inputs_digest=rep.inputs_digest + (("w", "weight"),))
 
 
 # ---------------------------------------------------------------------------
@@ -574,14 +537,14 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
     'monotone' (u continuous)."""
     width = f.b - f.a
     phi = phi_kernel(u)
+    # gamma is also the divided-difference numerator (t-a)(b-t) delta, so
+    # the "gamma" and "delta" tiers share one value
     gam = gamma_kernel(u)
-    dnum = delta_numerator(u)
     if f_class == "bv":
         _require_continuous(u)
         V = total_variation(f).hi
-        tiers = [("phi", sup_norm_on(phi).hi * V),
-                 ("gamma", sup_norm_on(gam).hi / width * V),
-                 ("delta", sup_norm_on(dnum).hi / width * V)]
+        phi_tier = sup_norm_on(phi).hi * V
+        gam_tier = sup_norm_on(gam).hi / width * V
         tid = "thm_a_6_i"
         digest = [("f", "bv(var)"), ("u", "continuous")]
     elif f_class == "lipschitz":
@@ -589,9 +552,8 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
             raise ClassMismatch("lipschitz class needs a certificate")
         require_certificate(f, f_lipschitz, "f")
         (L,) = f_lipschitz.params
-        tiers = [("phi", L * abs_riemann_integral(phi)),
-                 ("gamma", L / width * abs_riemann_integral(gam)),
-                 ("delta", L / width * abs_riemann_integral(dnum))]
+        phi_tier = L * abs_riemann_integral(phi)
+        gam_tier = L / width * abs_riemann_integral(gam)
         tid = "thm_a_6_ii"
         digest = [("f", f_lipschitz.describe()), ("u", "integrable")]
     elif f_class == "monotone":
@@ -599,14 +561,14 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
         if not chk.ok:
             raise ClassMismatch(f"f is not monotone: {chk.detail}")
         _require_continuous(u)
-        tiers = [("phi", abs_rs_against(phi, f)),
-                 ("gamma", abs_rs_against(gam, f) / width),
-                 ("delta", abs_rs_against(dnum, f) / width)]
+        phi_tier = abs_rs_integral(phi, f)
+        gam_tier = abs_rs_integral(gam, f) / width
         tid = "thm_a_6_iii"
         digest = [("f", "monotone()"), ("u", "continuous")]
     else:
         raise ClassMismatch(f"unknown class {f_class!r}")
-    tiers.sort(key=lambda kv: kv[1])
+    tiers = sorted([("phi", phi_tier), ("gamma", gam_tier),
+                    ("delta", gam_tier)], key=lambda kv: kv[1])
     D = functional_D(f, u)
     return _mk_report(tid, abs(D.value), D.abs_error, tiers, digest,
                       mode="min")
@@ -640,7 +602,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
     a, b = f.domain
     width = b - a
     _require_continuous(u)
-    dnum = delta_numerator(u)
+    dnum = gamma_kernel(u)
     D = functional_D(f, u)
     if which == "a12":
         V = total_variation(f).hi
@@ -672,7 +634,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         chk = verify_certificate(f, RegularityCertificate.monotone())
         if not chk.ok:
             raise CertificateInvalid(f"a14 needs monotone f: {chk.detail}")
-        tier1 = abs_rs_against(dnum, f) / width
+        tier1 = abs_rs_integral(dnum, f) / width
         dfn = _delta_fn(u)
 
         # delta' jumps at u's breakpoints and |delta| kinks at the roots of
@@ -767,7 +729,7 @@ def _is_convex(u: PiecewiseFunction) -> bool:
 def _grid_delta_negative(u: PiecewiseFunction) -> float | None:
     a, b = u.domain
     ts = np.linspace(a, b, 2049)[1:-1]
-    N = delta_numerator(u)
+    N = gamma_kernel(u)
     vals = N.values_at(ts)
     scale = 1.0 + float(np.max(np.abs(vals)))
     bad = vals < -1e-10 * scale
@@ -800,7 +762,7 @@ def _signed_gap_integral(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
                 poly.pmul((-a, 1.0), poly.pscale(poly.psub((ub,), uc), s1)),
                 poly.pmul((b, -1.0), poly.pscale(poly.psub(uc, (ua,)), s2)))
             total += poly.pintegrate(poly.pmul(g2, dc), x0, x1)
-    for t, mass in _jump_masses(f):
+    for t, mass in f.jump_masses():
         ut = u(t)
         val = (t - a) * abs(ub - ut) - (b - t) * abs(ut - ua)
         total += val * mass
@@ -829,9 +791,7 @@ def bound_D_monotone_K(f: PiecewiseFunction, u: PiecewiseFunction,
                      [("f", f_lipschitz.describe()), ("u", "monotone()")],
                      extras=(("K", K),))
     if K < -1e-9 * (1.0 + abs(span)):
-        rep = BoundReport(rep.theorem_id, rep.lhs, rep.rhs, rep.ratio, False,
-                          rep.inputs_digest, rep.tiers, rep.extras,
-                          rep.lhs_error)
+        rep = replace(rep, holds=False)
     return rep
 
 
@@ -857,10 +817,25 @@ def bound_D_monotone_Q(f: PiecewiseFunction, u: PiecewiseFunction,
                      [("f", f_bv.describe()), ("u", "monotone()")],
                      extras=(("Q", Q),))
     if Q < -1e-9 * (1.0 + abs(span)):
-        rep = BoundReport(rep.theorem_id, rep.lhs, rep.rhs, rep.ratio, False,
-                          rep.inputs_digest, rep.tiers, rep.extras,
-                          rep.lhs_error)
+        rep = replace(rep, holds=False)
     return rep
+
+
+def bound_quadrature_remainder(f: PiecewiseFunction, g: PiecewiseFunction,
+                               u: PiecewiseFunction,
+                               partition: Partition) -> BoundReport:
+    """|integral of f g du - composite_S| <= the oscillation-form remainder
+    estimate; holds also requires the per-cell sum not to exceed it."""
+    exact = rs_product_integral([f, g], u).value
+    approx = composite_S(f, g, u, partition)
+    rb = remainder_bound_osc(f, g, u, partition)
+    lhs = abs(exact - approx)
+    tol = 1e-9 * max(1.0, rb.stated)
+    holds = lhs <= rb.tight + tol and rb.tight <= rb.stated + tol
+    ratio = lhs / rb.stated if rb.stated > tol else 0.0
+    return BoundReport("thm_3_2a", lhs, rb.stated, ratio, holds,
+                       (("f", "continuous"), ("g", "continuous")),
+                       (("stated", rb.stated), ("tight", rb.tight)))
 
 
 def ostrowski_pointwise(f: PiecewiseFunction, x: float, kind: str,

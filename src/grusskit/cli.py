@@ -13,11 +13,6 @@ import os
 import sys
 
 from . import __version__, battery, jsonio
-from .bounds import (bound_D_corollaries, bound_D_kernel, bound_D_monotone_K,
-                     bound_D_monotone_Q, bound_D_prior, bound_T_bv,
-                     bound_T_holder_bv, bound_T_holder_lipschitz,
-                     bound_T_holder_monotone, bound_T_lipschitz_u,
-                     bound_T_monotone, weighted_bounds)
 from .errors import GrussKitError, SchemaError
 from .functionals import (cheby_T, functional_D, identity_residual_D,
                           weighted_Tw)
@@ -25,6 +20,7 @@ from .quadrature import (Partition, adaptive_quadrature, composite_S,
                          remainder_bound_holder, remainder_bound_osc)
 from .sharpness import run_catalogue
 from .stieltjes import riemann_integral, rs_integral, rs_product_integral
+from .theorems import THEOREMS
 
 
 def _load_spec(args) -> jsonio.ParsedSpec:
@@ -86,65 +82,12 @@ def _cmd_dfunc(args) -> int:
     return 0
 
 
-def _run_bound(theorem: str, spec: jsonio.ParsedSpec, p: float | None):
-    f = spec.functions.get("f")
-    g = spec.functions.get("g")
-    u = spec.functions.get("u")
-    w = spec.functions.get("w")
-    if theorem == "thm_2_1a":
-        return bound_T_bv(f, g, u, spec.cert("f", "bounds"))
-    if theorem == "thm_2_2":
-        return bound_T_monotone(f, g, u, spec.cert("f", "bounds"))
-    if theorem == "thm_2_3a":
-        return bound_T_lipschitz_u(f, g, u, spec.cert("f", "bounds"),
-                                   spec.cert("u", "lipschitz"))
-    if theorem in {"thm_2_1", "cor_2_2"}:
-        return bound_T_holder_bv(f, g, u, spec.cert("f", "holder"))
-    if theorem in {"thm_2_3", "cor_2_4"}:
-        return bound_T_holder_monotone(f, g, u, spec.cert("f", "holder"))
-    if theorem in {"thm_2_5", "cor_2_6"}:
-        return bound_T_holder_lipschitz(f, g, u, spec.cert("f", "holder"),
-                                        spec.cert("u", "lipschitz"), p=p)
-    if theorem.startswith("item_"):
-        which = "item" + theorem.split("_")[1]
-        if which in {"item1", "item2", "item3"}:
-            return weighted_bounds(f, g, w, which,
-                                   f_bounds=spec.cert("f", "bounds"))
-        return weighted_bounds(f, g, w, which,
-                               f_holder=spec.cert("f", "holder"), p=p)
-    if theorem == "thm_a_1":
-        return bound_D_prior(f, u, f_bounds=spec.cert("f", "bounds"),
-                             u_lipschitz=spec.cert("u", "lipschitz"))
-    if theorem == "thm_a_2":
-        return bound_D_prior(f, u, f_lipschitz=spec.cert("f", "lipschitz"))
-    if theorem == "thm_a_6_i":
-        return bound_D_kernel(f, u, "bv")
-    if theorem == "thm_a_6_ii":
-        return bound_D_kernel(f, u, "lipschitz",
-                              spec.cert("f", "lipschitz"))
-    if theorem == "thm_a_6_iii":
-        return bound_D_kernel(f, u, "monotone")
-    if theorem == "cor_a_7":
-        return bound_D_corollaries(f, u, "a12")
-    if theorem == "cor_a_8":
-        return bound_D_corollaries(f, u, "a13", p=p,
-                                   f_lipschitz=spec.cert("f", "lipschitz"))
-    if theorem == "cor_a_9":
-        return bound_D_corollaries(f, u, "a14", p=p)
-    if theorem == "thm_a_11":
-        from .bounds import positivity_check_D
-        return positivity_check_D(f, u)
-    if theorem == "thm_b_1":
-        return bound_D_monotone_K(f, u, spec.cert("f", "lipschitz"))
-    if theorem == "thm_b_2":
-        return bound_D_monotone_Q(f, u, spec.cert("f", "bv"))
-    raise SchemaError("theorem", f"unknown theorem id {theorem!r}")
-
-
 def _cmd_bound(args) -> int:
     spec = _load_spec(args)
-    out = _run_bound(args.theorem, spec, args.p)
-    reports = out if isinstance(out, list) else [out]
+    theorem = THEOREMS.get(args.theorem)
+    if theorem is None or theorem.takes_partition:
+        raise SchemaError("theorem", f"unknown theorem id {args.theorem!r}")
+    reports = theorem.evaluate(spec, args.p)
     _emit(args, {"bounds": [jsonio.bound_report_to_jsonable(r)
                             for r in reports]})
     return 0

@@ -317,8 +317,16 @@ class PiecewiseFunction:
             vals.append(offset)
         return PiecewiseFunction(bp, tuple(pcs), tuple(vals))
 
-    def derivative_pieces(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(poly.pderiv(c) for c in self.pieces)
+    def _sided_values(self):
+        """(t, left, value, right, noise tolerance) at every breakpoint; the
+        left slot at a and the right slot at b repeat the point value."""
+        last = len(self.breakpoints) - 1
+        for i, t in enumerate(self.breakpoints):
+            v = self.point_values[i]
+            left = v if i == 0 else poly.pvalue(self.pieces[i - 1], t)
+            right = v if i == last else poly.pvalue(self.pieces[i], t)
+            yield (t, left, v, right,
+                   1e-12 * (1.0 + max(abs(left), abs(v), abs(right))))
 
     def jumps(self) -> list[tuple[float, float, float, float]]:
         """All discontinuities as (t, left, value, right); the left slot at a
@@ -327,27 +335,32 @@ class PiecewiseFunction:
         Gaps below 1e-12 of the local scale are treated as rounding noise
         from float-constructed continuous functions, not as jumps.
         """
+        return [(t, left, v, right)
+                for t, left, v, right, tol in self._sided_values()
+                if abs(v - left) > tol or abs(right - v) > tol]
+
+    def jump_masses(self) -> list[tuple[float, float]]:
+        """(t, mass) for every jump with nonzero mass, under the endpoint
+        half-jump convention: the mass is right - value at a, value - left
+        at b, and right - left inside (the point value itself carries no
+        mass there)."""
         out = []
-        for i, t in enumerate(self.breakpoints):
-            v = self.point_values[i]
-            left = v if i == 0 else poly.pvalue(self.pieces[i - 1], t)
-            right = v if i == len(self.breakpoints) - 1 else \
-                poly.pvalue(self.pieces[i], t)
-            tol = 1e-12 * (1.0 + max(abs(left), abs(v), abs(right)))
-            if abs(v - left) > tol or abs(right - v) > tol:
-                out.append((t, left, v, right))
+        for t, left, v, right in self.jumps():
+            if t == self.a:
+                mass = right - v
+            elif t == self.b:
+                mass = v - left
+            else:
+                mass = right - left
+            if mass != 0.0:
+                out.append((t, mass))
         return out
 
     def jump_slack(self) -> float:
         """Total magnitude of sub-threshold gaps written off as rounding
         noise; a certified-error contribution for variation and integrals."""
         slack = 0.0
-        for i, t in enumerate(self.breakpoints):
-            v = self.point_values[i]
-            left = v if i == 0 else poly.pvalue(self.pieces[i - 1], t)
-            right = v if i == len(self.breakpoints) - 1 else \
-                poly.pvalue(self.pieces[i], t)
-            tol = 1e-12 * (1.0 + max(abs(left), abs(v), abs(right)))
+        for t, left, v, right, tol in self._sided_values():
             if abs(v - left) <= tol and abs(right - v) <= tol:
                 slack += abs(v - left) + abs(right - v)
         return slack
@@ -396,11 +409,6 @@ def merge_grids(*grids) -> list[float]:
         if not out or t > out[-1]:
             out.append(t)
     return out
-
-
-def product(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
-    """Pointwise product; may exceed the public degree cap internally."""
-    return f * g
 
 
 # ---------------------------------------------------------------------------

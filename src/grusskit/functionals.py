@@ -164,7 +164,10 @@ def phi_kernel(u: PiecewiseFunction) -> PiecewiseFunction:
 
 
 def gamma_kernel(u: PiecewiseFunction) -> PiecewiseFunction:
-    """gamma as a piecewise function."""
+    """gamma as a piecewise function.  It is also the numerator
+    (t-a)(b-t) * delta(t) of the divided-difference form;
+    ``_delta_form_numeric`` rebuilds that form from pointwise values of u,
+    independently of this assembly."""
     a, b = u.domain
     pieces = []
     for c in u.pieces:
@@ -174,21 +177,6 @@ def gamma_kernel(u: PiecewiseFunction) -> PiecewiseFunction:
     values = tuple((t - a) * (u(b) - v) - (b - t) * (v - u(a))
                    for t, v in zip(u.breakpoints, u.point_values))
     return PiecewiseFunction(u.breakpoints, tuple(pieces), values)
-
-
-def delta_numerator(u: PiecewiseFunction) -> PiecewiseFunction:
-    """(t-a)(b-t) * delta(t) assembled directly from the divided-difference
-    form; coincides with gamma pointwise."""
-    a, b = u.domain
-    pieces = []
-    for c in u.pieces:
-        left = poly.pmul((-a, 1.0), poly.psub((u(b),), c))
-        right = poly.pmul((b, -1.0), poly.psub(c, (u(a),)))
-        pieces.append(poly.psub(left, right))
-    values = []
-    for t, v in zip(u.breakpoints, u.point_values):
-        values.append((t - a) * (u(b) - v) - (b - t) * (v - u(a)))
-    return PiecewiseFunction(u.breakpoints, tuple(pieces), tuple(values))
 
 
 def identity_residual_D(f: PiecewiseFunction,
@@ -236,12 +224,6 @@ def _delta_form_numeric(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
 
         val, _ = gauss_integral(integrand, lo, hi, tol=1e-13)
         total += val
-    for t, left, v, right in f.jumps():
-        if t == a:
-            mass = right - v
-        elif t == b:
-            mass = v - left
-        else:
-            mass = right - left
+    for t, mass in f.jump_masses():
         total += float(weighted_delta(np.array([t]))[0]) * mass
     return total

@@ -19,6 +19,7 @@ digits).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, MalformedCertificate, SchemaError
@@ -226,5 +227,20 @@ def quadrature_to_jsonable(res) -> dict:
     }
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def dumps_report(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=True)
+    """Standard JSON: a non-finite float (a ratio of inf, the statistics of
+    an empty ratio list) is written as null."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)

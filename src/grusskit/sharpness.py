@@ -14,23 +14,25 @@ ramp realises it to 5e-11.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from .bounds import (BoundReport, bound_D_monotone_K, bound_D_monotone_Q,
-                     bound_T_bv, bound_T_holder_bv, bound_T_holder_lipschitz,
-                     bound_T_holder_monotone, bound_T_lipschitz_u,
-                     bound_T_monotone)
+from .bounds import BoundReport
 from .errors import UnknownWitness
-from .funcrep import PiecewiseFunction, RegularityCertificate
-from .quadrature import (Partition, composite_S, remainder_bound_osc)
-from .stieltjes import rs_product_integral
+from .funcrep import PiecewiseFunction, RegularityCertificate, total_variation
+from .jsonio import ParsedSpec
+from .quadrature import Partition
+from .theorems import THEOREMS
 
 RAMP_FRACTION = 1e-10  # width of the near-extremal ramp, relative to b - a
 
 
 @dataclass(frozen=True)
 class Witness:
+    """An extremal instance of one registered theorem.  ``p`` is what the
+    theorem's evaluator takes besides the functions: the L^p exponent (or
+    None), or the Partition for ``thm_3_2a``."""
+
     id: str
     theorem_id: str
     interval: tuple[float, float]
@@ -39,7 +41,7 @@ class Witness:
     u: PiecewiseFunction
     certificates: tuple[tuple[str, RegularityCertificate], ...]
     expected_ratio: float
-    evaluate: Callable[["Witness"], BoundReport]
+    p: float | Partition | None = None
 
     def cert(self, slot: str) -> RegularityCertificate:
         for name, c in self.certificates:
@@ -92,100 +94,56 @@ def _ratio_vs(report: BoundReport, label: str) -> float:
 
 
 def _make_catalogue() -> dict[str, Callable[[float, float], Witness]]:
-    cat: dict[str, Callable[[float, float], Witness]] = {}
+    Cert = RegularityCertificate
 
-    def thm_2_1a(a, b):
-        f = _identity(a, b)
-        cb = RegularityCertificate.bounds(a, b)
-        return Witness("thm_2_1a", "thm_2_1a", (a, b), f, f,
-                       _endpoint_jump(a, b), (("f", cb),), 1.0,
-                       lambda w: bound_T_bv(w.f, w.g, w.u, w.cert("f")))
-    cat["thm_2_1a"] = thm_2_1a
-
-    def thm_2_2(a, b):
-        f = _identity(a, b)
-        cb = RegularityCertificate.bounds(a, b)
-        return Witness("thm_2_2", "thm_2_2", (a, b), f, f,
-                       _endpoint_jump(a, b), (("f", cb),), 1.0,
-                       lambda w: bound_T_monotone(w.f, w.g, w.u, w.cert("f")))
-    cat["thm_2_2"] = thm_2_2
+    def endpoint_jump_t(tid, holder):
+        """f = g = t against the pure endpoint-jump integrator, with a
+        Lipschitz (Holder r = 1) or a bounds certificate on f."""
+        def build(a, b):
+            f = _identity(a, b)
+            cert = Cert.holder(1.0, 1.0) if holder else Cert.bounds(a, b)
+            return Witness(tid, tid, (a, b), f, f, _endpoint_jump(a, b),
+                           (("f", cert),), 1.0)
+        return build
 
     def thm_2_3a(a, b):
         f = _pm_step(a, b)
-        certs = (("f", RegularityCertificate.bounds(-1.0, 1.0)),
-                 ("u", RegularityCertificate.lipschitz(1.0)))
-        return Witness("thm_2_3a", "thm_2_3a", (a, b), f, f,
-                       _identity(a, b), certs, 1.0,
-                       lambda w: bound_T_lipschitz_u(w.f, w.g, w.u,
-                                                     w.cert("f"),
-                                                     w.cert("u")))
-    cat["thm_2_3a"] = thm_2_3a
-
-    def cor_2_2(a, b):
-        f = _identity(a, b)
-        ch = RegularityCertificate.holder(1.0, 1.0)
-        return Witness("cor_2_2", "cor_2_2", (a, b), f, f,
-                       _endpoint_jump(a, b), (("f", ch),), 1.0,
-                       lambda w: bound_T_holder_bv(w.f, w.g, w.u,
-                                                   w.cert("f")))
-    cat["cor_2_2"] = cor_2_2
-
-    def cor_2_4(a, b):
-        f = _identity(a, b)
-        ch = RegularityCertificate.holder(1.0, 1.0)
-        return Witness("cor_2_4", "cor_2_4", (a, b), f, f,
-                       _endpoint_jump(a, b), (("f", ch),), 1.0,
-                       lambda w: bound_T_holder_monotone(w.f, w.g, w.u,
-                                                         w.cert("f")))
-    cat["cor_2_4"] = cor_2_4
+        certs = (("f", Cert.bounds(-1.0, 1.0)), ("u", Cert.lipschitz(1.0)))
+        return Witness("thm_2_3a", "thm_2_3a", (a, b), f, f, _identity(a, b),
+                       certs, 1.0)
 
     def cor_2_6(a, b):
-        f = _centred_line(a, b)
-        certs = (("f", RegularityCertificate.holder(1.0, 1.0)),
-                 ("u", RegularityCertificate.lipschitz(1.0)))
-        return Witness("cor_2_6", "cor_2_6", (a, b), f, _pm_step(a, b),
-                       _identity(a, b), certs, 1.0,
-                       lambda w: bound_T_holder_lipschitz(w.f, w.g, w.u,
-                                                          w.cert("f"),
-                                                          w.cert("u"), p=2.0))
-    cat["cor_2_6"] = cor_2_6
+        certs = (("f", Cert.holder(1.0, 1.0)), ("u", Cert.lipschitz(1.0)))
+        return Witness("cor_2_6", "cor_2_6", (a, b), _centred_line(a, b),
+                       _pm_step(a, b), _identity(a, b), certs, 1.0, p=2.0)
 
     def thm_b_1(a, b):
-        f = _centred_line(a, b)
-        cl = RegularityCertificate.lipschitz(1.0)
-        return Witness("thm_b_1", "thm_b_1", (a, b), f, None,
-                       _step_at_right_end(a, b), (("f", cl),), 1.0,
-                       lambda w: bound_D_monotone_K(w.f, w.u, w.cert("f")))
-    cat["thm_b_1"] = thm_b_1
+        return Witness("thm_b_1", "thm_b_1", (a, b), _centred_line(a, b),
+                       None, _step_at_right_end(a, b),
+                       (("f", Cert.lipschitz(1.0)),), 1.0)
 
     def thm_b_2(a, b):
         f = _endpoint_ramp(a, b)
-        from .funcrep import total_variation
-        cv = RegularityCertificate.bounded_variation(total_variation(f).hi)
+        cv = Cert.bounded_variation(total_variation(f).hi)
         return Witness("thm_b_2", "thm_b_2", (a, b), f, None,
-                       _step_at_right_end(a, b), (("f", cv),), 1.0,
-                       lambda w: bound_D_monotone_Q(w.f, w.u, w.cert("f")))
-    cat["thm_b_2"] = thm_b_2
+                       _step_at_right_end(a, b), (("f", cv),), 1.0)
 
     def thm_3_2a(a, b):
         f = _identity(a, b)
-
-        def run(w: Witness) -> BoundReport:
-            part = Partition((a, b))
-            exact = rs_product_integral([w.f, w.g], w.u).value
-            approx = composite_S(w.f, w.g, w.u, part)
-            rb = remainder_bound_osc(w.f, w.g, w.u, part)
-            lhs = abs(exact - approx)
-            ratio = lhs / rb.stated if rb.stated > 0 else 0.0
-            return BoundReport("thm_3_2a", lhs, rb.stated, ratio,
-                               lhs <= rb.stated + 1e-9 * (1.0 + rb.stated),
-                               (("f", "continuous"), ("u", "bv(var)")),
-                               (("stated", rb.stated), ("tight", rb.tight)))
         return Witness("thm_3_2a", "thm_3_2a", (a, b), f, f,
-                       _endpoint_jump(a, b), (), 1.0, run)
-    cat["thm_3_2a"] = thm_3_2a
+                       _endpoint_jump(a, b), (), 1.0, p=Partition((a, b)))
 
-    return cat
+    return {
+        "thm_2_1a": endpoint_jump_t("thm_2_1a", holder=False),
+        "thm_2_2": endpoint_jump_t("thm_2_2", holder=False),
+        "thm_2_3a": thm_2_3a,
+        "cor_2_2": endpoint_jump_t("cor_2_2", holder=True),
+        "cor_2_4": endpoint_jump_t("cor_2_4", holder=True),
+        "cor_2_6": cor_2_6,
+        "thm_b_1": thm_b_1,
+        "thm_b_2": thm_b_2,
+        "thm_3_2a": thm_3_2a,
+    }
 
 
 _CATALOGUE = _make_catalogue()
@@ -204,12 +162,19 @@ def witness(witness_id: str, a: float = 0.0, b: float = 1.0) -> Witness:
     return builder(float(a), float(b))
 
 
-def sharpness_ratio(w: Witness) -> float:
-    return w.evaluate(w).ratio
-
-
 def evaluate_witness(w: Witness) -> BoundReport:
-    return w.evaluate(w)
+    """The witness's report from its theorem's registry evaluator."""
+    functions = {slot: fn for slot, fn in (("f", w.f), ("g", w.g), ("u", w.u))
+                 if fn is not None}
+    certificates: dict[str, list[RegularityCertificate]] = {}
+    for slot, cert in w.certificates:
+        certificates.setdefault(slot, []).append(cert)
+    spec = ParsedSpec(w.interval, functions, certificates)
+    return THEOREMS[w.theorem_id].evaluate(spec, w.p)[0]
+
+
+def sharpness_ratio(w: Witness) -> float:
+    return evaluate_witness(w).ratio
 
 
 def p_branch_constant_estimate(q: float, a: float = 0.0,
@@ -220,11 +185,8 @@ def p_branch_constant_estimate(q: float, a: float = 0.0,
     if q <= 1.0:
         raise UnknownWitness("q must exceed 1")
     p = q / (q - 1.0)
-    w = witness("cor_2_6", a, b)
-    rep = bound_T_holder_lipschitz(w.f, w.g, w.u, w.cert("f"), w.cert("u"),
-                                   p=p)
-    ratio_p = _ratio_vs(rep, "p_norm")
-    return 0.5 * ratio_p
+    rep = evaluate_witness(replace(witness("cor_2_6", a, b), p=p))
+    return 0.5 * _ratio_vs(rep, "p_norm")
 
 
 def run_catalogue(a: float = 0.0, b: float = 1.0) \

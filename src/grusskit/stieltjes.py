@@ -59,21 +59,6 @@ def _check_shared_jumps(fs: list[PiecewiseFunction],
                 raise SharedDiscontinuity(t)
 
 
-def _jump_terms(u: PiecewiseFunction) -> list[tuple[float, float]]:
-    """(t, jump mass) pairs with the endpoint half-jump convention."""
-    out = []
-    for t, left, v, right in u.jumps():
-        if t == u.a:
-            mass = right - v
-        elif t == u.b:
-            mass = v - left
-        else:
-            mass = right - left
-        if mass != 0.0:
-            out.append((t, mass))
-    return out
-
-
 def _rs_product_core(factors: list[PiecewiseFunction], u: PiecewiseFunction,
                      c: float | None, d: float | None) -> tuple[float, float]:
     """Closed-form integral of (prod factors) du over [c, d]; returns
@@ -99,7 +84,7 @@ def _rs_product_core(factors: list[PiecewiseFunction], u: PiecewiseFunction,
         value += term
         scale += abs(term)
     fv_worst = 1.0
-    for t, mass in _jump_terms(ru):
+    for t, mass in ru.jump_masses():
         fv = 1.0
         for f in rf:
             fv *= f(t)
@@ -189,7 +174,7 @@ def _continuous_part_values(u: PiecewiseFunction,
         if m.any():
             base[m] = nppoly.polyval(ts[m], np.asarray(coeffs))
     cum = np.zeros_like(ts)
-    for t, mass in _jump_terms(u):
+    for t, mass in u.jump_masses():
         if t == u.b:
             continue  # base already holds the left limit at b
         cum += np.where(ts >= t, mass, 0.0)
@@ -210,7 +195,7 @@ def rs_oracle(f: PiecewiseFunction, u: PiecewiseFunction,
     ru = u.restrict(c, d)
     _check_shared_jumps([rf], ru)
     jump_total = 0.0
-    for t, mass in _jump_terms(ru):
+    for t, mass in ru.jump_masses():
         jump_total += rf(t) * mass
 
     def sum_at(m: int) -> float:

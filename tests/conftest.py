@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from grusskit.funcrep import PiecewiseFunction
@@ -63,3 +65,16 @@ def vee():
     """|t - 1/2| as two linear pieces."""
     return PiecewiseFunction.build((0.0, 0.5, 1.0),
                                    ((0.5, -1.0), (-0.5, 1.0)))
+
+
+@pytest.fixture
+def sqrt_surrogate():
+    """Chordal interpolant of sqrt on [0, 1] at the nodes (k/16)^2: a
+    genuine (1, 1/2)-Holder test function."""
+    nodes = [(k / 16) ** 2 for k in range(17)]
+    bps, pieces = [0.0], []
+    for lo, hi in zip(nodes, nodes[1:]):
+        slope = (math.sqrt(hi) - math.sqrt(lo)) / (hi - lo)
+        pieces.append((math.sqrt(lo) - slope * lo, slope))
+        bps.append(hi)
+    return PiecewiseFunction.build(bps, pieces)

@@ -8,7 +8,6 @@ one.
 import contextlib
 import io
 import json
-import math
 import random
 import time
 
@@ -135,7 +134,7 @@ def test_criterion_6_positivity():
     _report(6, "positivity chain nonnegative on 100 convex/monotone pairs")
 
 
-def test_criterion_7_quadrature_soundness_and_rate():
+def test_criterion_7_quadrature_soundness_and_rate(sqrt_surrogate):
     rng = random.Random(707)
     for _ in range(500):
         a, b = instances.rand_interval(rng)
@@ -151,16 +150,7 @@ def test_criterion_7_quadrature_soundness_and_rate():
 
     ident = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 1.0)
     for r in (0.5, 1.0):
-        if r == 1.0:
-            f = ident
-        else:
-            nodes = [(k / 16) ** 2 for k in range(17)]
-            bps, pieces = [0.0], []
-            for lo, hi in zip(nodes, nodes[1:]):
-                slope = (math.sqrt(hi) - math.sqrt(lo)) / (hi - lo)
-                pieces.append((math.sqrt(lo) - slope * lo, slope))
-                bps.append(hi)
-            f = PiecewiseFunction.build(bps, pieces)
+        f = ident if r == 1.0 else sqrt_surrogate
         cert = RegularityCertificate.holder(1.0, r)
         meshes, bounds = [], []
         n = 4

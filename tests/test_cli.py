@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from grusskit import jsonio
+from grusskit.bounds import BoundReport
 from grusskit.cli import run
 from grusskit.errors import SchemaError
 
@@ -83,6 +85,32 @@ class TestSchema:
         with pytest.raises(SchemaError) as exc:
             jsonio.parse_document(doc)
         assert "f.values.5" in str(exc.value)
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStrictJson:
+    def test_verify_without_trials(self, capsys):
+        code = run(["verify", "--theorem", "thm_2_1a", "--trials", "0"])
+        doc = _strict_loads(capsys.readouterr().out)
+        summary = doc["results"]["verify"][0]
+        assert code == 0
+        assert summary["min_ratio"] is None
+        assert summary["mean_ratio"] is None
+        assert summary["max_ratio"] is None
+
+    def test_infinite_ratio(self):
+        rep = BoundReport("thm_2_1a", 1.0, 0.0, math.inf, False, (),
+                          (("bv", 0.0),))
+        text = jsonio.dumps_report(
+            {"bounds": [jsonio.bound_report_to_jsonable(rep)]})
+        parsed = _strict_loads(text)["bounds"][0]
+        assert parsed["ratio"] is None
+        assert parsed["lhs"] == 1.0
 
 
 class TestCommands:

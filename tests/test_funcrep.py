@@ -89,6 +89,22 @@ class TestTotalVariation:
         assert total_variation(step_at_mid).mid == pytest.approx(1.0)
 
 
+class TestJumpMasses:
+    def test_endpoint_half_jumps_and_interior_jump(self):
+        # -1 at 0, 0 on (0, 1/2), 5 at 1/2, 2 on (1/2, 1), 3 at 1; the
+        # removable value 7 at 1/4 is a jump of zero mass
+        f = PiecewiseFunction((0.0, 0.25, 0.5, 1.0), ((0.0,), (0.0,), (2.0,)),
+                              (-1.0, 7.0, 5.0, 3.0))
+        assert 0.25 in [t for t, *_ in f.jumps()]
+        assert f.jump_masses() == [(0.0, 1.0), (0.5, 2.0), (1.0, 1.0)]
+
+    def test_pure_endpoint_jumps(self, u_jump):
+        assert u_jump.jump_masses() == [(0.0, 1.0), (1.0, 1.0)]
+
+    def test_continuous_has_none(self, vee):
+        assert vee.jump_masses() == []
+
+
 class TestCertificates:
     def test_lipschitz_pass(self, ident):
         assert verify_certificate(

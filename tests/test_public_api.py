@@ -1,0 +1,37 @@
+"""The public star-import surface of the package."""
+
+import types
+
+import grusskit
+
+PUBLIC = [
+    'BadExponent', 'BoundReport', 'CertificateInvalid', 'ClassMismatch',
+    'DegenerateCell', 'DegenerateIntegrator', 'DegenerateWeight',
+    'DomainError', 'Enclosure', 'FunctionalValue', 'GeneratorExhausted',
+    'GrussKitError', 'HypothesisFailed', 'IntegralResult',
+    'MalformedCertificate', 'NegativeWeight', 'NotMonotone', 'Partition',
+    'PiecewiseFunction', 'QuadratureResult', 'RegularityCertificate',
+    'SchemaError', 'SharedDiscontinuity', 'ToleranceUnreachable',
+    'UnknownWitness', 'WITNESS_IDS', 'Witness', 'adaptive_quadrature',
+    'beta_int', 'bound_D_corollaries', 'bound_D_kernel',
+    'bound_D_monotone_K', 'bound_D_monotone_Q', 'bound_D_prior',
+    'bound_T_bv', 'bound_T_holder_bv', 'bound_T_holder_lipschitz',
+    'bound_T_holder_monotone', 'bound_T_lipschitz_u', 'bound_T_monotone',
+    'cheby_T', 'composite_S', 'eval_sided', 'evaluate_witness',
+    'functional_D', 'functional_E', 'identity_residual_D', 'inf_sup_on',
+    'kernel_delta', 'kernel_gamma', 'kernel_phi', 'oscillation_v',
+    'ostrowski_pointwise', 'p_branch_constant_estimate', 'p_norm',
+    'positivity_check_D', 'remainder_bound_holder', 'remainder_bound_osc',
+    'riemann_integral', 'rs_integral', 'rs_oracle', 'run_catalogue',
+    'sharpness_ratio', 'sup_norm_on', 'total_variation',
+    'verify_certificate', 'weighted_Tw', 'weighted_bounds', 'witness',
+]
+
+
+def test_all_is_pinned():
+    assert sorted(grusskit.__all__) == PUBLIC
+
+
+def test_all_lists_no_modules():
+    assert not [name for name in grusskit.__all__
+                if isinstance(getattr(grusskit, name), types.ModuleType)]

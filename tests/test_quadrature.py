@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -216,20 +215,9 @@ class TestAdaptive:
 
 class TestConvergenceRate:
     @pytest.mark.parametrize("r", [0.5, 1.0])
-    def test_holder_bound_rate(self, r, ident):
-        if r == 1.0:
-            f = ident
-            cert = RegularityCertificate.holder(1.0, 1.0)
-        else:
-            # chordal interpolant of sqrt: genuinely (1, 1/2)-Holder
-            nodes = [(k / 16) ** 2 for k in range(17)]
-            bps, pieces = [0.0], []
-            for lo, hi in zip(nodes, nodes[1:]):
-                slope = (math.sqrt(hi) - math.sqrt(lo)) / (hi - lo)
-                pieces.append((math.sqrt(lo) - slope * lo, slope))
-                bps.append(hi)
-            f = PiecewiseFunction.build(bps, pieces)
-            cert = RegularityCertificate.holder(1.0, 0.5)
+    def test_holder_bound_rate(self, r, ident, sqrt_surrogate):
+        f = ident if r == 1.0 else sqrt_surrogate
+        cert = RegularityCertificate.holder(1.0, r)
         g = ident
         u = ident
         meshes, bounds = [], []

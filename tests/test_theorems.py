@@ -1,0 +1,106 @@
+"""The theorem registry and the three views of it: ``grusskit bound``,
+the soundness battery and the sharpness witnesses."""
+
+import json
+import pathlib
+
+import pytest
+
+from grusskit import battery
+from grusskit.cli import run
+from grusskit.sharpness import WITNESS_IDS, witness
+from grusskit.theorems import THEOREMS
+from test_cli import THEOREM_SPECS
+
+DATA = pathlib.Path(__file__).parent / "data"
+REL_TOL = 1e-12
+
+
+def _close(a, b) -> bool:
+    return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
+
+
+def _cli_results(argv, capsys):
+    code = run(argv)
+    return code, json.loads(capsys.readouterr().out)["results"]
+
+
+def _golden_results(name: str):
+    return json.loads((DATA / name).read_text())["results"]
+
+
+class TestIds:
+    def test_battery_runs_every_registered_theorem(self):
+        assert battery.THEOREM_IDS == tuple(THEOREMS)
+
+    def test_cli_offers_all_but_the_quadrature_remainder(self):
+        assert set(THEOREMS) == set(THEOREM_SPECS) | {"thm_3_2a"}
+        assert [t.id for t in THEOREMS.values() if t.takes_partition] \
+            == ["thm_3_2a"]
+
+    def test_witnesses_name_registered_theorems(self):
+        assert {witness(w).theorem_id for w in WITNESS_IDS} <= set(THEOREMS)
+
+    @pytest.mark.parametrize("theorem", ["thm_3_2a", "no_such_id"])
+    def test_bound_refuses_ids_it_cannot_run(self, theorem, capsys):
+        argv = ["bound", "--theorem", theorem, "--json",
+                json.dumps({"domain": [0.0, 1.0]})]
+        assert run(argv) == 1
+        assert "input error" in capsys.readouterr().err
+
+
+class TestGolden:
+    """Reports recorded before the registry existed: verdicts and
+    violations must match exactly, ratios to 1e-12 relative."""
+
+    def test_verify_all(self, capsys):
+        code, results = _cli_results(
+            ["verify", "--theorem", "all", "--trials", "20", "--seed", "0"],
+            capsys)
+        want = _golden_results("verify_all_trials20_seed0.json")["verify"]
+        assert code == 0
+        assert [s["theorem"] for s in results["verify"]] \
+            == [s["theorem"] for s in want]
+        for got, ref in zip(results["verify"], want):
+            assert got["trials"] == ref["trials"]
+            assert got["violations"] == ref["violations"]
+            for key in ("min_ratio", "mean_ratio", "max_ratio"):
+                assert _close(got[key], ref[key]), (got["theorem"], key)
+
+    def test_sharpness(self, capsys):
+        code, results = _cli_results(["sharpness"], capsys)
+        want = _golden_results("sharpness.json")["sharpness"]
+        assert code == 0
+        assert [(r["id"], r["theorem"], r["expected"], r["pass"])
+                for r in results["sharpness"]] \
+            == [(r["id"], r["theorem"], r["expected"], r["pass"])
+                for r in want]
+        for got, ref in zip(results["sharpness"], want):
+            assert _close(got["ratio"], ref["ratio"]), got["id"]
+
+
+def test_unexpected_exception_is_recorded_and_the_run_goes_on(monkeypatch,
+                                                              capsys):
+    trial = battery.THEOREMS["thm_b_1"]
+    calls = []
+
+    def flaky(rng):
+        calls.append(rng)
+        if len(calls) == 2:
+            raise ZeroDivisionError("float division by zero")
+        return trial(rng)
+
+    monkeypatch.setitem(battery.THEOREMS, "thm_b_1", flaky)
+    summary = battery.verify_theorem("thm_b_1", trials=4, seed=0)
+    assert len(calls) == 4
+    assert summary.violations == [
+        {"theorem": "thm_b_1", "seed": 0, "trial": 1,
+         "error": "ZeroDivisionError", "message": "float division by zero"}]
+    assert len(summary.ratios) == 3
+
+    calls.clear()
+    code, results = _cli_results(
+        ["verify", "--theorem", "thm_b_1", "--trials", "4", "--seed", "0"],
+        capsys)
+    assert code == 2
+    assert len(results["verify"][0]["violations"]) == 1
