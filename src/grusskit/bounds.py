@@ -12,6 +12,7 @@ by doubled Gauss panels with the residual folded into the report tolerance.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -24,16 +25,14 @@ from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
                      GrussKitError, HypothesisFailed, NegativeWeight,
                      NotMonotone)
 from .funcrep import (PiecewiseFunction, RegularityCertificate,
-                      extremum_point, gauss_integral, inf_sup_on,
-                      merge_grids, p_norm, require_certificate, sup_norm_on,
-                      total_variation, verify_certificate)
+                      aligned_pieces, extremum_point, gauss_integral,
+                      inf_sup_on, p_norm, require_certificate, sign_segments,
+                      sup_norm_on, total_variation, verify_certificate)
 from .functionals import (cheby_T, functional_D, gamma_kernel,
                           integrator_span, mean_against, phi_kernel)
 from .quadrature import Partition, composite_S, remainder_bound_osc
 from .stieltjes import (riemann_integral, riemann_product_integral,
                         rs_integral, rs_product_integral)
-
-_EPS = 2.220446049250313e-16
 
 
 @dataclass(frozen=True)
@@ -113,40 +112,6 @@ def _centered(g: PiecewiseFunction, u: PiecewiseFunction) \
     return g - mean, mean
 
 
-def abs_rs_integral(h: PiecewiseFunction, u: PiecewiseFunction) -> float:
-    """integral of |h| du for monotone nondecreasing u, closed form."""
-    grid = merge_grids(h.breakpoints, u.breakpoints)
-    total = 0.0
-    for lo, hi in zip(grid, grid[1:]):
-        mid = 0.5 * (lo + hi)
-        hc = h.pieces[h._piece_index(mid)]
-        duc = poly.pderiv(u.pieces[u._piece_index(mid)])
-        cuts = [lo] + poly.proots(hc, lo, hi) + [hi]
-        cuts = sorted(set(cuts))
-        for x0, x1 in zip(cuts, cuts[1:]):
-            if x1 <= x0:
-                continue
-            sgn = 1.0 if poly.pvalue(hc, 0.5 * (x0 + x1)) >= 0 else -1.0
-            total += sgn * poly.pintegrate(poly.pmul(hc, duc), x0, x1)
-    for t, mass in u.jump_masses():
-        total += abs(h(t)) * mass
-    return total
-
-
-def abs_riemann_integral(h: PiecewiseFunction) -> float:
-    """integral of |h| dt, closed form."""
-    total = 0.0
-    for i, hc in enumerate(h.pieces):
-        lo, hi = h.breakpoints[i], h.breakpoints[i + 1]
-        cuts = sorted(set([lo] + poly.proots(hc, lo, hi) + [hi]))
-        for x0, x1 in zip(cuts, cuts[1:]):
-            if x1 <= x0:
-                continue
-            sgn = 1.0 if poly.pvalue(hc, 0.5 * (x0 + x1)) >= 0 else -1.0
-            total += sgn * poly.pintegrate(hc, x0, x1)
-    return total
-
-
 def _weighted_abs_segment(q: tuple[float, ...], r: float, m0: float,
                           x0: float, x1: float) -> float:
     """integral of |t-m0|^r q(t) dt over [x0, x1] lying on one side of m0."""
@@ -164,49 +129,37 @@ def _weighted_abs_segment(q: tuple[float, ...], r: float, m0: float,
     return total
 
 
-def weighted_abs_integral(h: PiecewiseFunction, r: float, m0: float,
-                          u: PiecewiseFunction | None = None) -> float:
-    """integral of |t-m0|^r |h(t)| dmu, with dmu = du (u monotone) or dt.
+def abs_integral(h: PiecewiseFunction, u: PiecewiseFunction | None = None,
+                 weight: tuple[float, float] | None = None) -> float:
+    """integral of |h| du for monotone nondecreasing u, or of |h| dt when u
+    is None; weight = (r, m0) puts |t-m0|^r into the integrand.
 
-    Closed form: pieces are split at sign changes of h and at m0, then each
-    segment is an exact fractional-power moment of a recentred polynomial.
+    Closed form: each cell is split at the certified sign changes of h (and
+    at m0); a segment is then an exact polynomial integral, or an exact
+    fractional-power moment of a recentred polynomial.
     """
-    if u is None:
-        grids = [h.breakpoints]
-    else:
-        grids = [h.breakpoints, u.breakpoints]
-    grid = merge_grids(*grids)
+    segment, splits, weight_at = poly.pintegrate, (), lambda t: 1.0
+    if weight is not None:
+        r, m0 = weight
+        splits = (m0,)
+
+        def segment(q, x0, x1):
+            return _weighted_abs_segment(q, r, m0, x0, x1)
+
+        def weight_at(t):
+            return abs(t - m0) ** r
     total = 0.0
-    for lo, hi in zip(grid, grid[1:]):
-        mid = 0.5 * (lo + hi)
-        hc = h.pieces[h._piece_index(mid)]
-        q = hc if u is None else \
-            poly.pmul(hc, poly.pderiv(u.pieces[u._piece_index(mid)]))
-        cuts = set([lo, hi])
-        cuts.update(poly.proots(hc, lo, hi))
-        if lo < m0 < hi:
-            cuts.add(m0)
-        cuts = sorted(cuts)
-        for x0, x1 in zip(cuts, cuts[1:]):
-            if x1 <= x0:
-                continue
-            sgn = 1.0 if poly.pvalue(hc, 0.5 * (x0 + x1)) >= 0 else -1.0
-            total += sgn * _weighted_abs_segment(q, r, m0, x0, x1)
+    for lo, hi, hc, *uc in aligned_pieces(h, *([] if u is None else [u])):
+        q = hc if u is None else poly.pmul(hc, poly.pderiv(uc[0]))
+        for x0, x1, sgn in sign_segments(hc, lo, hi, splits):
+            total += sgn * segment(q, x0, x1)
     if u is not None:
         for t, mass in u.jump_masses():
-            total += abs(t - m0) ** r * abs(h(t)) * mass
+            total += weight_at(t) * abs(h(t)) * mass
     return total
 
 
 # -- divided-difference kernel norms ---------------------------------------
-
-def _delta_pieces(u: PiecewiseFunction):
-    """Per piece of u: (lo, hi, numerator coeffs) with
-    delta(t) = N(t) / ((t-a)(b-t))."""
-    N = gamma_kernel(u)
-    return [(N.breakpoints[i], N.breakpoints[i + 1], N.pieces[i])
-            for i in range(len(N.pieces))]
-
 
 def sup_abs_delta(u: PiecewiseFunction) -> float:
     """sup over (a, b) of |delta|; requires u continuous."""
@@ -215,12 +168,10 @@ def sup_abs_delta(u: PiecewiseFunction) -> float:
     dpoly = (-a * b, a + b, -1.0)  # (t-a)(b-t)
     dprime = (a + b, -2.0)
     worst = 0.0
-    for lo, hi, N in _delta_pieces(u):
-        cand = []
+    # delta(t) = N(t) / ((t-a)(b-t)) with N the gamma kernel
+    for lo, hi, N in aligned_pieces(gamma_kernel(u)):
         q = poly.psub(poly.pmul(poly.pderiv(N), dpoly), poly.pmul(N, dprime))
-        cand.extend(poly.proots(q, lo, hi))
-        cand.extend([lo, hi])
-        for t in cand:
+        for t in poly.proots(q, lo, hi) + [lo, hi]:
             if t == a or t == b:
                 val = abs(poly.pvalue(poly.pderiv(N), t)) / (b - a)
             else:
@@ -261,9 +212,8 @@ def delta_norm(u: PiecewiseFunction, p: float) -> float:
     dfn = _delta_fn(u)
     tiny = 1e-14 * (u.b - u.a)
     total = 0.0
-    for lo, hi, N in _delta_pieces(u):
-        cuts = sorted(set([lo] + poly.proots(N, lo, hi) + [hi]))
-        for x0, x1 in zip(cuts, cuts[1:]):
+    for lo, hi, N in aligned_pieces(gamma_kernel(u)):
+        for x0, x1, _ in sign_segments(N, lo, hi):
             if x1 - x0 <= tiny:
                 continue
             val, _ = gauss_integral(
@@ -275,14 +225,12 @@ def delta_norm(u: PiecewiseFunction, p: float) -> float:
 def _rs_fn_against(fun, f: PiecewiseFunction, splits=()) -> float:
     """integral of fun(t) df(t) for a continuous vectorised fun and a
     piecewise-polynomial integrator f (numeric drift + exact jump terms)."""
-    grid = merge_grids(f.breakpoints, splits)
     tiny = 1e-14 * (f.b - f.a)
     total = 0.0
-    for lo, hi in zip(grid, grid[1:]):
+    for lo, hi, fc in aligned_pieces(f, splits=splits):
         if hi - lo <= tiny:
             continue
-        mid = 0.5 * (lo + hi)
-        dc = poly.pderiv(f.pieces[f._piece_index(mid)])
+        dc = poly.pderiv(fc)
         if poly.is_zero_poly(dc):
             continue
         val, _ = gauss_integral(
@@ -324,7 +272,7 @@ def bound_T_monotone(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DegenerateIntegrator("need u(b) > u(a)")
     m, M = f_bounds.params
     G, _ = _centered(g, u)
-    rhs = 0.5 * (M - m) / span * abs_rs_integral(G, u)
+    rhs = 0.5 * (M - m) / span * abs_integral(G, u)
     T = cheby_T(f, g, u)
     return _mk_report("thm_2_2", abs(T.value), T.abs_error,
                       [("monotone", rhs)],
@@ -342,7 +290,7 @@ def bound_T_lipschitz_u(f: PiecewiseFunction, g: PiecewiseFunction,
     m, M = f_bounds.params
     (L,) = u_lipschitz.params
     G, _ = _centered(g, u)
-    rhs = 0.5 * L * (M - m) / abs(span) * abs_riemann_integral(G)
+    rhs = 0.5 * L * (M - m) / abs(span) * abs_integral(G)
     T = cheby_T(f, g, u)
     return _mk_report("thm_2_3a", abs(T.value), T.abs_error,
                       [("lipschitz_u", rhs)],
@@ -383,8 +331,8 @@ def bound_T_holder_monotone(f: PiecewiseFunction, g: PiecewiseFunction,
     a, b = f.domain
     m0 = 0.5 * (a + b)
     G, _ = _centered(g, u)
-    rhs1 = H / span * weighted_abs_integral(G, r, m0, u)
-    rhs2 = H * (b - a) ** r / (2.0 ** r * span) * abs_rs_integral(G, u)
+    rhs1 = H / span * abs_integral(G, u, (r, m0))
+    rhs2 = H * (b - a) ** r / (2.0 ** r * span) * abs_integral(G, u)
     T = cheby_T(f, g, u)
     tid = "cor_2_4" if r == 1.0 else "thm_2_3"
     return _mk_report(tid, abs(T.value), T.abs_error,
@@ -407,7 +355,7 @@ def bound_T_holder_lipschitz(f: PiecewiseFunction, g: PiecewiseFunction,
     width = b - a
     m0 = 0.5 * (a + b)
     G, _ = _centered(g, u)
-    tier1 = H * K / abs(span) * weighted_abs_integral(G, r, m0, None)
+    tier1 = H * K / abs(span) * abs_integral(G, weight=(r, m0))
     tiers = [("pointwise", tier1)]
     sup_g = sup_norm_on(G).hi
     tiers.append(("sup", H * K * width ** (r + 1.0)
@@ -466,7 +414,7 @@ def weighted_bounds(f: PiecewiseFunction, g: PiecewiseFunction,
     u = w.antiderivative()
     if which in {"item1", "item4"}:
         var_u = total_variation(u).mid
-        abs_w = abs_riemann_integral(w)
+        abs_w = abs_integral(w)
         if abs(var_u - abs_w) > 1e-9 * (1.0 + abs_w):
             raise GrussKitError("variation of the weight antiderivative "
                                 "does not match integral |w|")
@@ -552,8 +500,8 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
             raise ClassMismatch("lipschitz class needs a certificate")
         require_certificate(f, f_lipschitz, "f")
         (L,) = f_lipschitz.params
-        phi_tier = L * abs_riemann_integral(phi)
-        gam_tier = L / width * abs_riemann_integral(gam)
+        phi_tier = L * abs_integral(phi)
+        gam_tier = L / width * abs_integral(gam)
         tid = "thm_a_6_ii"
         digest = [("f", f_lipschitz.describe()), ("u", "integrable")]
     elif f_class == "monotone":
@@ -561,8 +509,8 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
         if not chk.ok:
             raise ClassMismatch(f"f is not monotone: {chk.detail}")
         _require_continuous(u)
-        phi_tier = abs_rs_integral(phi, f)
-        gam_tier = abs_rs_integral(gam, f) / width
+        phi_tier = abs_integral(phi, f)
+        gam_tier = abs_integral(gam, f) / width
         tid = "thm_a_6_iii"
         digest = [("f", "monotone()"), ("u", "continuous")]
     else:
@@ -576,8 +524,7 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
 
 def beta_int(x: float, y: float) -> float:
     """Euler beta.  Integer arguments use the exact factorial formula;
-    anything else goes through certified quadrature of the defining
-    integral."""
+    anything else exp(lgamma(x) + lgamma(y) - lgamma(x + y))."""
     if float(x).is_integer() and float(y).is_integer():
         xi, yi = int(x), int(y)
         if xi < 1 or yi < 1:
@@ -586,10 +533,18 @@ def beta_int(x: float, y: float) -> float:
                               math.factorial(xi + yi - 1)))
     if x <= 0 or y <= 0:
         raise BadExponent("beta needs positive arguments")
-    val, _ = gauss_integral(
-        lambda ts: ts ** (x - 1.0) * (1.0 - ts) ** (y - 1.0), 0.0, 1.0,
-        tol=1e-13)
-    return val
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
+
+
+def _beta_root(q: float) -> float:
+    """B(q+1, q+1)^(1/q): exact for integer q while B is a normal float,
+    otherwise in log space, since B underflows as q grows (p -> 1)."""
+    if float(q).is_integer():
+        beta = beta_int(q + 1.0, q + 1.0)
+        if beta >= sys.float_info.min:
+            return beta ** (1.0 / q)
+    return math.exp((2.0 * math.lgamma(q + 1.0)
+                     - math.lgamma(2.0 * q + 2.0)) / q)
 
 
 def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
@@ -616,7 +571,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
             raise CertificateInvalid("a13 needs a Lipschitz certificate")
         require_certificate(f, f_lipschitz, "f")
         (L,) = f_lipschitz.params
-        tier1 = L / width * abs_riemann_integral(dnum)
+        tier1 = L / width * abs_integral(dnum)
         tiers = [("weighted_l1", tier1),
                  ("sup", L * width ** 2 / 6.0 * sup_abs_delta(u))]
         if p is not None:
@@ -624,7 +579,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
                 raise BadExponent("p-branch needs p > 1")
             q = p / (p - 1.0)
             tiers.append(("p_norm", L * width ** (1.0 + 1.0 / q)
-                          * beta_int(q + 1.0, q + 1.0) ** (1.0 / q)
+                          * _beta_root(q)
                           * delta_norm(u, p)))
         tiers.append(("one_norm", L * width / 4.0 * delta_norm(u, 1.0)))
         return _mk_report("cor_a_8", abs(D.value), D.abs_error, tiers,
@@ -634,14 +589,14 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         chk = verify_certificate(f, RegularityCertificate.monotone())
         if not chk.ok:
             raise CertificateInvalid(f"a14 needs monotone f: {chk.detail}")
-        tier1 = abs_rs_integral(dnum, f) / width
+        tier1 = abs_integral(dnum, f) / width
         dfn = _delta_fn(u)
 
         # delta' jumps at u's breakpoints and |delta| kinks at the roots of
         # N: split there so every Gauss segment sees a smooth integrand.
-        bp = dnum.breakpoints
-        splits = list(bp) + [t for lo, hi, N in zip(bp, bp[1:], dnum.pieces)
-                             for t in poly.proots(N, lo, hi)]
+        splits = list(dnum.breakpoints) + [
+            t for lo, hi, N in aligned_pieces(dnum)
+            for t in poly.proots(N, lo, hi)]
         int_absdelta_df = _rs_fn_against(lambda ts: np.abs(dfn(ts)),
                                          f, splits)
         tiers = [("weighted", tier1),
@@ -703,14 +658,9 @@ def _is_convex(u: PiecewiseFunction) -> bool:
     no interior jumps; endpoint values may only sit above the curve."""
     jtol = 1e-12
     for t, left, v, right in u.jumps():
-        if t == u.a:
-            if v < right - jtol * (1.0 + abs(v)):
-                return False  # value below the curve at a; use grid check
-        elif t == u.b:
-            if v < left - jtol * (1.0 + abs(v)):
-                return False
-        else:
-            return False  # interior jumps break convexity
+        # an interior jump, or an end value below the curve: grid check
+        if u.a < t < u.b or v < max(left, right) - jtol * (1.0 + abs(v)):
+            return False
     tol = 1e-10
     for i, c in enumerate(u.pieces):
         c2 = poly.pderiv(poly.pderiv(c))
@@ -743,12 +693,9 @@ def _signed_gap_integral(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
     form by splitting at the level crossings of u."""
     a, b = u.domain
     ub, ua = u(b), u(a)
-    grid = merge_grids(f.breakpoints, u.breakpoints)
     total = 0.0
-    for lo, hi in zip(grid, grid[1:]):
-        mid = 0.5 * (lo + hi)
-        uc = u.pieces[u._piece_index(mid)]
-        dc = poly.pderiv(f.pieces[f._piece_index(mid)])
+    for lo, hi, fc, uc in aligned_pieces(f, u):
+        dc = poly.pderiv(fc)
         cuts = set([lo, hi])
         cuts.update(poly.proots(poly.psub((ub,), uc), lo, hi))
         cuts.update(poly.proots(poly.psub(uc, (ua,)), lo, hi))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import os
 import sys
 
 from . import __version__, battery, jsonio
@@ -87,7 +86,7 @@ def _cmd_bound(args) -> int:
     theorem = THEOREMS.get(args.theorem)
     if theorem is None or theorem.takes_partition:
         raise SchemaError("theorem", f"unknown theorem id {args.theorem!r}")
-    reports = theorem.evaluate(spec, args.p)
+    reports = theorem.run(spec, args.p)
     _emit(args, {"bounds": [jsonio.bound_report_to_jsonable(r)
                             for r in reports]})
     return 0
@@ -226,14 +225,6 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args.argv_echo = list(argv)
-    env_seed = os.environ.get("STIELTJES_SEED")
-    seed = None
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    if env_seed is not None:
-        seed = int(env_seed)
-    if seed is None:
-        seed = 0
     try:
         if args.cmd == "integrate":
             return _cmd_integrate(args)
@@ -248,7 +239,7 @@ def run(argv: list[str]) -> int:
         if args.cmd == "sharpness":
             return _cmd_sharpness(args)
         if args.cmd == "verify":
-            return _cmd_verify(args, seed)
+            return _cmd_verify(args, 0 if args.seed is None else args.seed)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ returned as tight :class:`Enclosure` intervals.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,21 +216,17 @@ class PiecewiseFunction:
         return (self.breakpoints[0], self.breakpoints[-1])
 
     def _piece_index(self, t: float, prefer_left: bool = False) -> int:
+        """The piece holding t in [a, b]: at a breakpoint the one to its
+        right (the last at b), or with ``prefer_left`` the one to its left
+        (the first at a)."""
         bp = self.breakpoints
-        if prefer_left:
-            for i in range(len(bp) - 1):
-                if bp[i] < t <= bp[i + 1]:
-                    return i
-            return 0
-        for i in range(len(bp) - 1):
-            if bp[i] <= t < bp[i + 1]:
-                return i
-        return len(bp) - 2
+        i = (bisect_left if prefer_left else bisect_right)(bp, t) - 1
+        return min(max(i, 0), len(bp) - 2)
 
     def _bp_index(self, t: float) -> int | None:
-        for i, x in enumerate(self.breakpoints):
-            if x == t:
-                return i
+        j = bisect_left(self.breakpoints, t)
+        if j < len(self.breakpoints) and self.breakpoints[j] == t:
+            return j
         return None
 
     def __call__(self, t: float) -> float:
@@ -248,15 +245,11 @@ class PiecewiseFunction:
             other = PiecewiseFunction.constant(float(other), self.a, self.b)
         if other.domain != self.domain:
             raise DomainError("operands live on different intervals")
-        grid = merge_grids(self.breakpoints, other.breakpoints)
-        pcs = []
-        for i in range(len(grid) - 1):
-            mid = 0.5 * (grid[i] + grid[i + 1])
-            ca = self.pieces[self._piece_index(mid)]
-            cb = other.pieces[other._piece_index(mid)]
-            pcs.append(op(ca, cb))
+        cells = aligned_pieces(self, other)
+        grid = tuple([cell[0] for cell in cells] + [self.b])
+        pcs = tuple([op(ca, cb) for _, _, ca, cb in cells])
         vals = tuple(_scalar_op(op, self(t), other(t)) for t in grid)
-        return PiecewiseFunction(tuple(grid), tuple(pcs), vals)
+        return PiecewiseFunction(grid, pcs, vals)
 
     def __add__(self, other):
         return self._binary(other, poly.padd)
@@ -294,13 +287,14 @@ class PiecewiseFunction:
         if not (self.a <= c < d <= self.b):
             raise DomainError(f"[{c!r}, {d!r}] is not a subinterval of "
                               f"{self.domain!r}")
-        grid = [c] + [t for t in self.breakpoints if c < t < d] + [d]
-        pcs = []
-        for i in range(len(grid) - 1):
-            mid = 0.5 * (grid[i] + grid[i + 1])
-            pcs.append(self.pieces[self._piece_index(mid)])
-        vals = tuple(self(t) for t in grid)
-        return PiecewiseFunction(tuple(grid), tuple(pcs), vals)
+        # breakpoints first + 1 .. last - 1 lie strictly inside (c, d), and
+        # pieces first .. last - 1 cover it
+        first = bisect_right(self.breakpoints, c) - 1
+        last = bisect_left(self.breakpoints, d)
+        return PiecewiseFunction(
+            (c,) + self.breakpoints[first + 1:last] + (d,),
+            self.pieces[first:last],
+            (self(c),) + self.point_values[first + 1:last] + (self(d),))
 
     def antiderivative(self) -> "PiecewiseFunction":
         """Continuous F with F(a) = 0 and F' = f off the breakpoints."""
@@ -340,21 +334,12 @@ class PiecewiseFunction:
                 if abs(v - left) > tol or abs(right - v) > tol]
 
     def jump_masses(self) -> list[tuple[float, float]]:
-        """(t, mass) for every jump with nonzero mass, under the endpoint
-        half-jump convention: the mass is right - value at a, value - left
-        at b, and right - left inside (the point value itself carries no
-        mass there)."""
-        out = []
-        for t, left, v, right in self.jumps():
-            if t == self.a:
-                mass = right - v
-            elif t == self.b:
-                mass = v - left
-            else:
-                mass = right - left
-            if mass != 0.0:
-                out.append((t, mass))
-        return out
+        """(t, right - left) for every jump with nonzero mass.  With the
+        endpoint slots of ``_sided_values`` this is the half-jump
+        convention: right - value at a, value - left at b; inside, the
+        point value itself carries no mass."""
+        return [(t, right - left) for t, left, _, right in self.jumps()
+                if right != left]
 
     def jump_slack(self) -> float:
         """Total magnitude of sub-threshold gaps written off as rounding
@@ -402,13 +387,42 @@ def _scalar_op(op, x: float, y: float) -> float:
     return poly.pvalue(op((x,), (y,)), 0.0)
 
 
-def merge_grids(*grids) -> list[float]:
-    seen = sorted({float(t) for g in grids for t in g})
-    out: list[float] = []
-    for t in seen:
-        if not out or t > out[-1]:
-            out.append(t)
-    return out
+def aligned_pieces(*fns: PiecewiseFunction, splits=()) -> list[tuple]:
+    """(lo, hi, piece of fns[0], piece of fns[1], ...) for every cell of
+    the common refinement of the breakpoints of ``fns`` (which share one
+    domain) and the cut points ``splits`` inside that domain.
+
+    Each function's piece index moves forward through its own breakpoints
+    with the cells; no lookup at a cell midpoint, which can round onto the
+    next breakpoint when the cell is one ulp wide."""
+    if splits:
+        a, b = fns[0].domain
+        splits = [s for s in splits if a < s < b]
+    if len(fns) == 1 and not splits:
+        bp = fns[0].breakpoints
+        return list(zip(bp, bp[1:], fns[0].pieces))
+    grid = sorted({float(t) for f in fns for t in f.breakpoints}
+                  .union(map(float, splits)))
+    columns = []
+    for f in fns:
+        bp, i, column = f.breakpoints, 0, []
+        for lo in grid[:-1]:
+            while bp[i + 1] <= lo:
+                i += 1
+            column.append(f.pieces[i])
+        columns.append(column)
+    return list(zip(grid, grid[1:], *columns))
+
+
+def sign_segments(c, lo: float, hi: float, splits=()) -> list[tuple]:
+    """(x0, x1, sign of c on (x0, x1)) for the segments of [lo, hi] cut at
+    the certified roots of c and at the ``splits`` inside (lo, hi); the
+    sign is taken at the segment midpoint."""
+    cuts = {lo, hi, *poly.proots(c, lo, hi)}
+    cuts.update(s for s in splits if lo < s < hi)
+    cuts = sorted(cuts)
+    return [(x0, x1, 1.0 if poly.pvalue(c, 0.5 * (x0 + x1)) >= 0 else -1.0)
+            for x0, x1 in zip(cuts, cuts[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +458,8 @@ def inf_sup_on(f: PiecewiseFunction, c: float | None = None,
     g = f.restrict(c, d)
     lo = math.inf
     hi = -math.inf
-    for i, coeffs in enumerate(g.pieces):
-        mn, mx = poly.pminmax_on(coeffs, g.breakpoints[i], g.breakpoints[i + 1])
+    for x0, x1, coeffs in aligned_pieces(g):
+        mn, mx = poly.pminmax_on(coeffs, x0, x1)
         lo = min(lo, mn)
         hi = max(hi, mx)
     for v in g.point_values:
@@ -466,21 +480,16 @@ def total_variation(u: PiecewiseFunction, c: float | None = None,
                     d: float | None = None) -> Enclosure:
     """Total variation over [c, d]: per-piece polynomial variation plus both
     half-jumps (left-limit -> value and value -> right-limit) at every
-    breakpoint, only the inward half at the window ends."""
+    breakpoint; at the window ends the outward half is zero by the
+    ``_sided_values`` convention."""
     c = u.a if c is None else c
     d = u.b if d is None else d
     g = u.restrict(c, d)
     total = 0.0
-    for i, coeffs in enumerate(g.pieces):
-        total += poly.pvariation_on(coeffs, g.breakpoints[i],
-                                    g.breakpoints[i + 1])
-    for t, left, v, right in g.jumps():
-        if t == g.a:
-            total += abs(right - v)
-        elif t == g.b:
-            total += abs(v - left)
-        else:
-            total += abs(v - left) + abs(right - v)
+    for lo, hi, coeffs in aligned_pieces(g):
+        total += poly.pvariation_on(coeffs, lo, hi)
+    for _, left, v, right in g.jumps():
+        total += abs(v - left) + abs(right - v)
     pad = 64.0 * _EPS * (1.0 + total) + g.jump_slack()
     return Enclosure(total - pad, total + pad)
 
@@ -498,14 +507,8 @@ def p_norm(f: PiecewiseFunction, p: float, c: float | None = None,
     total = 0.0
     err = 0.0
     int_p = float(p).is_integer()
-    for i, coeffs in enumerate(g.pieces):
-        lo, hi = g.breakpoints[i], g.breakpoints[i + 1]
-        cuts = [lo] + poly.proots(coeffs, lo, hi) + [hi]
-        cuts = sorted(set(cuts))
-        for x0, x1 in zip(cuts, cuts[1:]):
-            if x1 - x0 <= 0:
-                continue
-            sgn = 1.0 if poly.pvalue(coeffs, 0.5 * (x0 + x1)) >= 0 else -1.0
+    for lo, hi, coeffs in aligned_pieces(g):
+        for x0, x1, sgn in sign_segments(coeffs, lo, hi):
             if int_p:
                 powp = poly.ppow(poly.pscale(coeffs, sgn), int(p))
                 total += poly.pintegrate(powp, x0, x1)
@@ -569,8 +572,7 @@ def _sup_abs_derivative(f: PiecewiseFunction,
     is raised by a bound on the rounding error of forming and evaluating
     its derivative by Horner's rule (Higham, ASNA 2nd ed., 5.1)."""
     worst = 0.0
-    for i, c in enumerate(f.pieces):
-        lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
+    for lo, hi, c in aligned_pieces(f):
         dc = poly.pderiv(c)
         mn, mx = poly.pminmax_on(dc, lo, hi)
         pad = 0.0
@@ -593,15 +595,8 @@ def _monotone_check(f: PiecewiseFunction) -> CertCheck:
                              f"derivative {mn!r} < 0 inside piece {i}")
     vtol = 1e-12 * (1.0 + max(abs(v) for v in f.point_values))
     for t, left, v, right in f.jumps():
-        if t == f.a:
-            if right < v - vtol:
-                return CertCheck(False, t, "downward jump at a")
-        elif t == f.b:
-            if v < left - vtol:
-                return CertCheck(False, t, "downward jump at b")
-        else:
-            if v < left - vtol or right < v - vtol:
-                return CertCheck(False, t, f"downward jump at {t!r}")
+        if v < left - vtol or right < v - vtol:
+            return CertCheck(False, t, f"downward jump at {t!r}")
     return CertCheck(True)
 
 
@@ -614,8 +609,7 @@ def _holder_sample_check(f: PiecewiseFunction, H: float, r: float,
                          grid: int) -> CertCheck:
     slack = 1e-9 * max(1.0, H)
     samples = []
-    for i in range(len(f.pieces)):
-        lo, hi = f.breakpoints[i], f.breakpoints[i + 1]
+    for lo, hi, _ in aligned_pieces(f):
         ts = np.linspace(lo, hi, grid)
         samples.append((ts, f.values_at(ts)))
     for i in range(len(samples)):
@@ -712,8 +706,8 @@ def _witness_extremum(f: PiecewiseFunction, want_min: bool) -> float:
     best_t = f.a
     best_v = f(f.a)
     cand: list[float] = list(f.breakpoints)
-    for i, c in enumerate(f.pieces):
-        cand.extend(poly.pcritical(c, f.breakpoints[i], f.breakpoints[i + 1]))
+    for lo, hi, c in aligned_pieces(f):
+        cand.extend(poly.pcritical(c, lo, hi))
     for t in cand:
         v = f(t)
         if (v < best_v) == want_min and v != best_v:

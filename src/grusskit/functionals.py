@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as nppoly
 
 from . import poly
 from .errors import DegenerateIntegrator, DegenerateWeight, DomainError
-from .funcrep import PiecewiseFunction, gauss_integral, merge_grids
+from .funcrep import PiecewiseFunction, aligned_pieces, gauss_integral
 from .stieltjes import (riemann_integral, riemann_product_integral,
                         rs_integral, rs_product_integral)
 
@@ -213,11 +213,9 @@ def _delta_form_numeric(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
         ua = u(a)
         return (ts - a) * (ub - uv) - (b - ts) * (uv - ua)
 
-    grid = merge_grids(f.breakpoints, u.breakpoints)
     total = 0.0
-    for lo, hi in zip(grid, grid[1:]):
-        mid = 0.5 * (lo + hi)
-        dc = poly.pderiv(f.pieces[f._piece_index(mid)])
+    for lo, hi, fc, _ in aligned_pieces(f, u):
+        dc = poly.pderiv(fc)
 
         def integrand(ts, dc=dc):
             return weighted_delta(ts) * nppoly.polyval(ts, np.asarray(dc))

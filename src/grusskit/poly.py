@@ -14,8 +14,6 @@ from collections.abc import Sequence
 
 Coeffs = Sequence[float]
 
-_EPS = 2.220446049250313e-16
-
 
 def pvalue(c: Coeffs, x: float) -> float:
     acc = 0.0

@@ -170,7 +170,7 @@ def evaluate_witness(w: Witness) -> BoundReport:
     for slot, cert in w.certificates:
         certificates.setdefault(slot, []).append(cert)
     spec = ParsedSpec(w.interval, functions, certificates)
-    return THEOREMS[w.theorem_id].evaluate(spec, w.p)[0]
+    return THEOREMS[w.theorem_id].run(spec, w.p)[0]
 
 
 def sharpness_ratio(w: Witness) -> float:

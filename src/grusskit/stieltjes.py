@@ -1,23 +1,26 @@
 """Riemann-Stieltjes integrals of piecewise-polynomial pairs.
 
-``rs_integral`` evaluates the integral in closed form: the smooth part is
-the piecewise polynomial integral of f * u' and every jump of the
-integrator contributes f(t) times the jump.  Jump bookkeeping at the window
-ends follows the one-sided convention: at c only the (value -> right-limit)
-half counts, at d only (left-limit -> value).  ``rs_oracle`` is a slow
-independent check based on midpoint-tagged Stieltjes sums with the jump
-part split off exactly.
+``rs_integral``, ``rs_product_integral``, ``riemann_integral`` and
+``riemann_product_integral`` share one closed-form core: the smooth part is
+the piecewise polynomial integral of f * u' (of f alone for dt) and every
+jump of the integrator contributes f(t) times the jump.  Jump bookkeeping
+at the window ends follows the one-sided convention: at c only the
+(value -> right-limit) half counts, at d only (left-limit -> value).
+``rs_oracle`` is a slow independent check based on midpoint-tagged
+Stieltjes sums with the jump part split off exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import poly
 from .errors import DomainError, SharedDiscontinuity
-from .funcrep import PiecewiseFunction, merge_grids
+from .funcrep import PiecewiseFunction, aligned_pieces
 
 _EPS = 2.220446049250313e-16
 
@@ -59,41 +62,47 @@ def _check_shared_jumps(fs: list[PiecewiseFunction],
                 raise SharedDiscontinuity(t)
 
 
-def _rs_product_core(factors: list[PiecewiseFunction], u: PiecewiseFunction,
-                     c: float | None, d: float | None) -> tuple[float, float]:
-    """Closed-form integral of (prod factors) du over [c, d]; returns
-    (value, error)."""
-    for f in factors:
-        _same_domain(f, u)
-    c, d = _window(u, c, d)
-    rf = [f.restrict(c, d) for f in factors]
-    ru = u.restrict(c, d)
-    _check_shared_jumps(rf, ru)
+def _product_core(factors: list[PiecewiseFunction],
+                  u: PiecewiseFunction | None,
+                  c: float | None, d: float | None) -> IntegralResult:
+    """Closed-form integral of (prod factors) du over [c, d], or of
+    (prod factors) dt when u is None: the product is formed on the
+    coefficients of each aligned cell and integrated exactly, and every
+    jump of u adds the factors' point values times its mass.
 
-    grid = merge_grids(*(f.breakpoints for f in rf), ru.breakpoints)
+    Raises DomainError when the value or its error bound is not finite."""
+    ref = factors[0] if u is None else u
+    for f in factors:
+        _same_domain(f, ref)
+    c, d = _window(ref, c, d)
+    rf = [f.restrict(c, d) for f in factors]
+    ru = None if u is None else u.restrict(c, d)
+    if ru is not None:
+        _check_shared_jumps(rf, ru)
     value = 0.0
     scale = 0.0
-    for i in range(len(grid) - 1):
-        lo, hi = grid[i], grid[i + 1]
-        mid = 0.5 * (lo + hi)
-        prod: tuple[float, ...] = (1.0,)
-        for f in rf:
-            prod = poly.pmul(prod, f.pieces[f._piece_index(mid)])
-        du = poly.pderiv(ru.pieces[ru._piece_index(mid)])
-        term = poly.pintegrate(poly.pmul(prod, du), lo, hi)
+    for lo, hi, *pcs in aligned_pieces(*rf, *([] if ru is None else [ru])):
+        if ru is not None:
+            pcs[-1] = poly.pderiv(pcs[-1])
+        term = poly.pintegrate(reduce(poly.pmul, pcs), lo, hi)
         value += term
         scale += abs(term)
     fv_worst = 1.0
-    for t, mass in ru.jump_masses():
-        fv = 1.0
-        for f in rf:
-            fv *= f(t)
-        fv_worst = max(fv_worst, abs(fv))
-        value += fv * mass
-        scale += abs(fv * mass)
-    err = 64.0 * _EPS * (scale + abs(value) + 1.0) \
-        + fv_worst * ru.jump_slack()
-    return value, err
+    slack = 0.0
+    if ru is not None:
+        for t, mass in ru.jump_masses():
+            fv = 1.0
+            for f in rf:
+                fv *= f(t)
+            fv_worst = max(fv_worst, abs(fv))
+            value += fv * mass
+            scale += abs(fv * mass)
+        slack = ru.jump_slack()
+    err = 64.0 * _EPS * (scale + abs(value) + 1.0) + fv_worst * slack
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise DomainError(f"integral is not finite (value {value!r}, "
+                          f"error {err!r}): the inputs overflow")
+    return IntegralResult(value, err, "closed_form")
 
 
 def rs_integral(f: PiecewiseFunction, u: PiecewiseFunction,
@@ -103,56 +112,27 @@ def rs_integral(f: PiecewiseFunction, u: PiecewiseFunction,
     Raises SharedDiscontinuity when f and u jump at the same point, which
     signals that the integral need not exist.
     """
-    value, err = _rs_product_core([f], u, c, d)
-    return IntegralResult(value, err, "closed_form")
+    return _product_core([f], u, c, d)
 
 
 def rs_product_integral(factors: list[PiecewiseFunction], u: PiecewiseFunction,
                         c: float | None = None,
                         d: float | None = None) -> IntegralResult:
     """Integral of (f1 * f2 * ...) du without forming the product function."""
-    value, err = _rs_product_core(list(factors), u, c, d)
-    return IntegralResult(value, err, "closed_form")
+    return _product_core(list(factors), u, c, d)
 
 
 def riemann_integral(f: PiecewiseFunction, c: float | None = None,
                      d: float | None = None) -> IntegralResult:
     """Exact piecewise antiderivative evaluation of the Riemann integral."""
-    c, d = _window(f, c, d)
-    g = f.restrict(c, d)
-    value = 0.0
-    scale = 0.0
-    for i, coeffs in enumerate(g.pieces):
-        term = poly.pintegrate(coeffs, g.breakpoints[i], g.breakpoints[i + 1])
-        value += term
-        scale += abs(term)
-    err = 64.0 * _EPS * (scale + abs(value) + 1.0)
-    return IntegralResult(value, err, "closed_form")
+    return _product_core([f], None, c, d)
 
 
 def riemann_product_integral(factors: list[PiecewiseFunction],
                              c: float | None = None,
                              d: float | None = None) -> IntegralResult:
     """Riemann integral of a pointwise product, formed on coefficients."""
-    base = factors[0]
-    for f in factors[1:]:
-        _same_domain(base, f)
-    c, d = _window(base, c, d)
-    rf = [f.restrict(c, d) for f in factors]
-    grid = merge_grids(*(f.breakpoints for f in rf))
-    value = 0.0
-    scale = 0.0
-    for i in range(len(grid) - 1):
-        lo, hi = grid[i], grid[i + 1]
-        mid = 0.5 * (lo + hi)
-        prod: tuple[float, ...] = (1.0,)
-        for f in rf:
-            prod = poly.pmul(prod, f.pieces[f._piece_index(mid)])
-        term = poly.pintegrate(prod, lo, hi)
-        value += term
-        scale += abs(term)
-    err = 64.0 * _EPS * (scale + abs(value) + 1.0)
-    return IntegralResult(value, err, "closed_form")
+    return _product_core(list(factors), None, c, d)
 
 
 def _continuous_part_values(u: PiecewiseFunction,
@@ -163,16 +143,8 @@ def _continuous_part_values(u: PiecewiseFunction,
     Evaluation uses the right-limit basis (left limit at b), so subtracting
     the running jump total makes the result continuous across breakpoints.
     """
-    from numpy.polynomial import polynomial as nppoly
     ts = np.asarray(ts, dtype=float)
-    bp = np.asarray(u.breakpoints)
-    idx = np.clip(np.searchsorted(bp, ts, side="right") - 1,
-                  0, len(u.pieces) - 1)
-    base = np.empty_like(ts)
-    for i, coeffs in enumerate(u.pieces):
-        m = idx == i
-        if m.any():
-            base[m] = nppoly.polyval(ts[m], np.asarray(coeffs))
+    base = u.piece_values(ts)
     cum = np.zeros_like(ts)
     for t, mass in u.jump_masses():
         if t == u.b:

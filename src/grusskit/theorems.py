@@ -4,8 +4,9 @@ Each entry pairs a hypothesis-class **sampler**, ``rng -> (ParsedSpec, p)``,
 which draws a seeded instance of the family's class for the soundness
 battery, with an **evaluator**, ``(ParsedSpec, p) -> list[BoundReport]``,
 which runs the family's bound operation on a function-spec document for
-``grusskit bound``, the battery and the sharpness witnesses.  ``p`` is the
-exponent of the L^p branches or None; the quadrature remainder
+``grusskit bound``, the battery and the sharpness witnesses; all three call
+it through ``Theorem.run``, which labels every report with the entry's id.
+``p`` is the exponent of the L^p branches or None; the quadrature remainder
 ``thm_3_2a`` takes the Partition there instead, so ``grusskit bound`` does
 not offer it.
 
@@ -18,11 +19,12 @@ call, which it would not if this table held the function objects.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 from . import bounds as bnd
 from . import instances as gen
+from .errors import SchemaError
 from .funcrep import PiecewiseFunction, RegularityCertificate
 from .jsonio import ParsedSpec
 from .quadrature import Partition, _cell_state
@@ -35,9 +37,16 @@ class Theorem:
     evaluate: Callable[[ParsedSpec, Any], list]
     takes_partition: bool = False
 
+    def run(self, spec: ParsedSpec, p) -> list:
+        """The evaluator's reports, each labelled with this entry's id (a
+        bound operation names its report after the certificate, e.g.
+        ``cor_2_2`` for an r = 1 Holder certificate)."""
+        return [replace(rep, theorem_id=self.id)
+                for rep in self.evaluate(spec, p)]
+
     def trial(self, rng: random.Random) -> list:
         """One soundness trial: evaluate a freshly sampled instance."""
-        return self.evaluate(*self.sample(rng))
+        return self.run(*self.sample(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +207,18 @@ def _weighted_eval(which: str):
     return evaluate
 
 
+def _lipschitz_case(evaluate):
+    """A corollary's evaluator: its theorem's, for r = 1 only."""
+    def checked(s: ParsedSpec, p):
+        r = s.cert("f", "holder").params[1]
+        if r != 1.0:
+            raise SchemaError("certificates.f",
+                              f"the corollary needs holder(H, 1), got r = "
+                              f"{r!r}; its theorem takes r < 1")
+        return evaluate(s, p)
+    return checked
+
+
 def _holder_bv(s, p):
     return [bnd.bound_T_holder_bv(*_fgu(s), s.cert("f", "holder"))]
 
@@ -224,12 +245,14 @@ _ENTRIES = (
             lambda s, p: [bnd.bound_T_lipschitz_u(
                 *_fgu(s), s.cert("f", "bounds"), s.cert("u", "lipschitz"))]),
     Theorem("thm_2_1", _holder_t(True, _bv_spanning), _holder_bv),
-    Theorem("cor_2_2", _holder_t(False, _bv_spanning), _holder_bv),
+    Theorem("cor_2_2", _holder_t(False, _bv_spanning),
+            _lipschitz_case(_holder_bv)),
     Theorem("thm_2_3", _holder_t(True, _monotone_spanning), _holder_monotone),
     Theorem("cor_2_4", _holder_t(False, _monotone_spanning),
-            _holder_monotone),
+            _lipschitz_case(_holder_monotone)),
     Theorem("thm_2_5", _holder_lipschitz_t(True), _holder_lipschitz),
-    Theorem("cor_2_6", _holder_lipschitz_t(False), _holder_lipschitz),
+    Theorem("cor_2_6", _holder_lipschitz_t(False),
+            _lipschitz_case(_holder_lipschitz)),
     *(Theorem(f"item_{k}", _weighted_sample(f"item{k}"),
               _weighted_eval(f"item{k}")) for k in range(1, 7)),
     Theorem("thm_a_1", _draw(("f", _bounded(_jumpy)), ("u", _lipschitz)),

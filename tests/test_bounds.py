@@ -380,6 +380,11 @@ class TestBeta:
     def test_fractional_matches_exact_at_integers(self):
         assert beta_int(2.0 + 1e-9, 2.0) == pytest.approx(1 / 6, abs=1e-7)
 
+    def test_fractional_matches_gamma(self):
+        x = 7.0 / 3.0
+        want = math.gamma(x) ** 2 / math.gamma(2.0 * x)
+        assert beta_int(x, x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
 
 class TestPositivity:
     def test_convex_square(self, ident, tsq):

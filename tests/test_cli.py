@@ -248,12 +248,25 @@ class TestCommands:
         assert summary["max_ratio"] <= 1.0 + 1e-9
 
     def test_env_seed_override(self, capsys, monkeypatch):
+        # the environment no longer overrides an explicit --seed
         monkeypatch.setenv("STIELTJES_SEED", "123")
         code, doc = run_capture(
             ["verify", "--theorem", "thm_2_2", "--trials", "3",
              "--seed", "7"], capsys)
         assert code == 0
-        assert doc["seed"] == 123
+        assert doc["seed"] == 7
+
+    def test_overflow_is_an_error(self, capsys):
+        # f = g = 1e200 + 1e200 t against u = 1e200 t
+        big = _slot([[1e200, 1e200]])
+        doc = json.dumps({"domain": [0.0, 1.0], "f": big, "g": big,
+                          "u": _slot([[0.0, 1e200]])})
+        for cmd in ("integrate", "cheby", "dfunc"):
+            code = run([cmd, "--json", doc])
+            captured = capsys.readouterr()
+            assert code == 1, cmd
+            assert captured.out == "", cmd
+            assert "DomainError" in captured.err, cmd
 
 
 def _slot(coeffs_list, values=None):
@@ -343,6 +356,33 @@ class TestBoundDispatch:
         assert code == 0
         assert report["results"]["bounds"], theorem
         assert all(rep["holds"] for rep in report["results"]["bounds"])
+        assert all(rep["theorem"] == theorem
+                   for rep in report["results"]["bounds"])
+
+    @pytest.mark.parametrize("theorem", ["cor_2_2", "cor_2_4", "cor_2_6"])
+    def test_corollaries_refuse_fractional_holder(self, theorem, capsys):
+        slots, certs, p = THEOREM_SPECS[theorem]
+        certs = [_cert("f", "holder", 1.0, 0.5)] + certs[1:]
+        doc = {"domain": [0.0, 1.0], **slots, "certificates": certs}
+        argv = ["bound", "--theorem", theorem, "--json", json.dumps(doc)]
+        if p is not None:
+            argv += ["--p", str(p)]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "input error: certificates.f" in captured.err
+
+    def test_cor_a_8_p_near_one_holds(self, capsys):
+        slots, certs, _ = THEOREM_SPECS["cor_a_8"]
+        doc = {"domain": [0.0, 1.0], **slots, "certificates": certs}
+        code, report = run_capture(
+            ["bound", "--theorem", "cor_a_8", "--p", "1.001",
+             "--json", json.dumps(doc)], capsys)
+        rep = report["results"]["bounds"][0]
+        assert code == 0
+        assert dict(rep["tiers"])["p_norm"] > 0.0
+        assert rep["holds"]
 
 
 class TestDeterminism:

@@ -105,6 +105,41 @@ class TestJumpMasses:
         assert vee.jump_masses() == []
 
 
+class TestAlignedPieces:
+    @pytest.mark.parametrize("x", [0.3, 0.6, 0.9])
+    def test_one_ulp_piece_keeps_its_polynomial(self, x):
+        # the midpoint of [x, nextafter(x, 1)] rounds up to its right end,
+        # so a midpoint lookup picked the right neighbour's piece
+        f = PiecewiseFunction((0.0, x, math.nextafter(x, 1.0), 1.0),
+                              ((0.0,), (5.0,), (1.0,)),
+                              (0.0, 5.0, 5.0, 1.0))
+        assert (f + 0.0).pieces == f.pieces
+        assert f.restrict(0.0, 1.0).pieces == f.pieces
+        assert [cell[2] for cell in funcrep.aligned_pieces(f, f)] \
+            == list(f.pieces)
+
+    def test_cells_of_the_merged_grid(self, vee, pm_step):
+        cells = funcrep.aligned_pieces(vee, pm_step, splits=(-1.0, 0.75, 2.0))
+        assert [(lo, hi) for lo, hi, *_ in cells] \
+            == [(0.0, 0.5), (0.5, 0.75), (0.75, 1.0)]
+        for lo, hi, pv, ps in cells:
+            mid = 0.5 * (lo + hi)
+            assert pv == vee.pieces[vee._piece_index(mid)]
+            assert ps == pm_step.pieces[pm_step._piece_index(mid)]
+
+
+class TestSignSegments:
+    def test_cut_at_roots_and_splits(self):
+        # (t - 0.25)(t - 0.5) on [0, 1], with an extra cut at 0.75
+        c = (0.125, -0.75, 1.0)
+        segs = funcrep.sign_segments(c, 0.0, 1.0, splits=(0.75, 1.5))
+        assert segs == [(0.0, 0.25, 1.0), (0.25, 0.5, -1.0),
+                        (0.5, 0.75, 1.0), (0.75, 1.0, 1.0)]
+
+    def test_zero_polynomial_is_one_nonnegative_segment(self):
+        assert funcrep.sign_segments((0.0,), 0.0, 1.0) == [(0.0, 1.0, 1.0)]
+
+
 class TestCertificates:
     def test_lipschitz_pass(self, ident):
         assert verify_certificate(

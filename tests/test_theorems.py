@@ -3,6 +3,7 @@ the soundness battery and the sharpness witnesses."""
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -20,6 +21,10 @@ def _close(a, b) -> bool:
     return abs(a - b) <= REL_TOL * max(1.0, abs(a), abs(b))
 
 
+def _same(a, b) -> bool:
+    return a == b or _close(a, b)
+
+
 def _cli_results(argv, capsys):
     code = run(argv)
     return code, json.loads(capsys.readouterr().out)["results"]
@@ -27,6 +32,32 @@ def _cli_results(argv, capsys):
 
 def _golden_results(name: str):
     return json.loads((DATA / name).read_text())["results"]
+
+
+TRIALS_GOLDEN = DATA / "trials_seed0.json"
+
+
+def trial_records(trials: int = 10, seed: int = 0) -> dict:
+    """Every report of trials 0..trials-1 of every registry id at ``seed``
+    (the battery's seeding), without the theorem id.  Regenerate with
+    ``PYTHONPATH=src:tests python -c "import test_theorems as t;
+    t.write_trial_records()"``."""
+    out = {}
+    for tid, entry in THEOREMS.items():
+        rows = []
+        for k in range(trials):
+            reports = entry.trial(random.Random(f"{seed}:{tid}:{k}"))
+            rows.append([{"lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio,
+                          "holds": r.holds,
+                          "tiers": [list(t) for t in r.tiers],
+                          "extras": [list(x) for x in r.extras]}
+                         for r in reports])
+        out[tid] = rows
+    return out
+
+
+def write_trial_records() -> None:
+    TRIALS_GOLDEN.write_text(json.dumps(trial_records(), indent=1) + "\n")
 
 
 class TestIds:
@@ -77,6 +108,26 @@ class TestGolden:
                 for r in want]
         for got, ref in zip(results["sharpness"], want):
             assert _close(got["ratio"], ref["ratio"]), got["id"]
+
+    def test_every_trial_report(self):
+        """Per-trial lhs, rhs, ratio, tiers and extras of every id (trials
+        0-9, seed 0): verdicts exact, values to 1e-12 relative."""
+        want = json.loads(TRIALS_GOLDEN.read_text())
+        got = trial_records()
+        assert list(got) == list(want)
+        for tid in want:
+            for k, (g_reps, w_reps) in enumerate(zip(got[tid], want[tid])):
+                where = (tid, k)
+                assert len(g_reps) == len(w_reps), where
+                for g, w in zip(g_reps, w_reps):
+                    assert g["holds"] == w["holds"], where
+                    for key in ("lhs", "rhs", "ratio"):
+                        assert _same(g[key], w[key]), where + (key,)
+                    for part in ("tiers", "extras"):
+                        assert [n for n, _ in g[part]] \
+                            == [n for n, _ in w[part]], where
+                        for (name, gv), (_, wv) in zip(g[part], w[part]):
+                            assert _same(gv, wv), where + (name,)
 
 
 def test_unexpected_exception_is_recorded_and_the_run_goes_on(monkeypatch,
