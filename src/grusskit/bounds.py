@@ -696,12 +696,10 @@ def _signed_gap_integral(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
     total = 0.0
     for lo, hi, fc, uc in aligned_pieces(f, u):
         dc = poly.pderiv(fc)
-        cuts = set([lo, hi])
-        cuts.update(poly.proots(poly.psub((ub,), uc), lo, hi))
-        cuts.update(poly.proots(poly.psub(uc, (ua,)), lo, hi))
-        for x0, x1 in zip(sorted(cuts), sorted(cuts)[1:]):
-            if x1 <= x0:
-                continue
+        roots = (*poly.proots(poly.psub((ub,), uc), lo, hi),
+                 *poly.proots(poly.psub(uc, (ua,)), lo, hi))
+        cuts = sorted({lo, hi, *(r for r in roots if lo < r < hi)})
+        for x0, x1 in zip(cuts, cuts[1:]):
             mm = 0.5 * (x0 + x1)
             s1 = 1.0 if ub - poly.pvalue(uc, mm) >= 0 else -1.0
             s2 = 1.0 if poly.pvalue(uc, mm) - ua >= 0 else -1.0

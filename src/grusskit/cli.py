@@ -92,13 +92,26 @@ def _cmd_bound(args) -> int:
     return 0
 
 
+def _counts(option: str, text: str, k: int, form: str) -> list[int]:
+    """``k`` colon-separated integers from an option value."""
+    try:
+        counts = [int(x) for x in text.split(":")]
+    except ValueError:
+        counts = []
+    if len(counts) != k:
+        raise SchemaError(option, f"expected {form}, got {text!r}")
+    return counts
+
+
 def _cmd_quad(args) -> int:
     spec = _load_spec(args)
     f, g, u = spec.require("f"), spec.require("g"), spec.require("u")
     a, b = spec.domain
     results: dict = {}
     if args.sweep:
-        lo_n, hi_n = (int(x) for x in args.sweep.split(":"))
+        lo_n, hi_n = _counts("sweep", args.sweep, 2, "<nmin>:<nmax>")
+        if lo_n > hi_n:
+            raise SchemaError("sweep", f"nmin {lo_n} exceeds nmax {hi_n}")
         holder = None
         for c in spec.certificates.get("f", []):
             if c.kind == "holder":
@@ -125,7 +138,8 @@ def _cmd_quad(args) -> int:
         kind, _, count = args.partition.partition(":")
         if kind != "uniform":
             raise SchemaError("partition", "expected uniform:<n>")
-        part = Partition.uniform(a, b, int(count))
+        (n,) = _counts("partition", count, 1, "uniform:<n>")
+        part = Partition.uniform(a, b, n)
         value = composite_S(f, g, u, part)
         rb = remainder_bound_osc(f, g, u, part)
         results["quadrature"] = {

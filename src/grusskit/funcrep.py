@@ -287,6 +287,8 @@ class PiecewiseFunction:
         if not (self.a <= c < d <= self.b):
             raise DomainError(f"[{c!r}, {d!r}] is not a subinterval of "
                               f"{self.domain!r}")
+        if c == self.a and d == self.b:
+            return self    # immutable, and equal to what the slicing builds
         # breakpoints first + 1 .. last - 1 lie strictly inside (c, d), and
         # pieces first .. last - 1 cover it
         first = bisect_right(self.breakpoints, c) - 1
@@ -417,9 +419,11 @@ def aligned_pieces(*fns: PiecewiseFunction, splits=()) -> list[tuple]:
 def sign_segments(c, lo: float, hi: float, splits=()) -> list[tuple]:
     """(x0, x1, sign of c on (x0, x1)) for the segments of [lo, hi] cut at
     the certified roots of c and at the ``splits`` inside (lo, hi); the
-    sign is taken at the segment midpoint."""
-    cuts = {lo, hi, *poly.proots(c, lo, hi)}
-    cuts.update(s for s in splits if lo < s < hi)
+    sign is taken at the segment midpoint.  Roots that ``poly.proots``
+    reports just outside (lo, hi) are dropped, so every segment lies in
+    [lo, hi]."""
+    cuts = {lo, hi}
+    cuts.update(t for t in (*poly.proots(c, lo, hi), *splits) if lo < t < hi)
     cuts = sorted(cuts)
     return [(x0, x1, 1.0 if poly.pvalue(c, 0.5 * (x0 + x1)) >= 0 else -1.0)
             for x0, x1 in zip(cuts, cuts[1:])]

@@ -223,7 +223,7 @@ def quadrature_to_jsonable(res) -> dict:
         "remainder_bound": res.remainder_bound,
         "tight_bound": res.tight_bound,
         "partition": list(res.partition.points),
-        "per_cell": [list(c) for c in res.per_cell],
+        "per_cell": res.per_cell.tolist(),
     }
 
 

@@ -4,7 +4,9 @@ The rule approximates the integral of f*g du over [a, b] by summing, per
 partition cell, the product of the two cell integrals normalised by the
 cell increment of u.  Certified remainder estimates come in an oscillation
 form (continuous f) and a Holder form; both also return the sharper
-per-cell sum that drives the adaptive partitioner.
+per-cell sum that drives the adaptive partitioner.  Every cell quantity is
+computed on the cell alone: f, g and u are restricted to it once, and the
+centred sup of g comes from g's restricted pieces.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
+from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
 from .funcrep import (PiecewiseFunction, RegularityCertificate,
                       inf_sup_on, require_certificate, sup_norm_on,
@@ -61,14 +66,32 @@ class RemainderBound(NamedTuple):
     per_cell: tuple[float, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureResult:
+    """An adaptive product-mean quadrature: the rule's value, the stated
+    (max-form) and tight (per-cell sum) oscillation remainder bounds, the
+    final partition, and ``per_cell``, a read-only (n, 3) float64 array
+    with one row per partition cell: (oscillation of f, sup |g - cell
+    mean| on the cell, variation of u).  Equality and hashing compare
+    ``per_cell`` by value, as for a tuple of row tuples."""
+
     value: float
     remainder_bound: float
     tight_bound: float
     partition: Partition
-    per_cell: tuple[tuple[float, float, float], ...]
-    # per cell: (oscillation of f, centred sup of g, variation of u)
+    per_cell: np.ndarray
+
+    def _key(self) -> tuple:
+        return (self.value, self.remainder_bound, self.tight_bound,
+                self.partition, tuple(map(tuple, self.per_cell.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, QuadratureResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def as_integral(self):
         """The certified enclosure as an IntegralResult (method 'refined')."""
@@ -115,22 +138,62 @@ def composite_S(f: PiecewiseFunction, g: PiecewiseFunction,
     return total
 
 
+class _Cell(NamedTuple):
+    """One cell of the adaptive loop, solved once when it is made."""
+    lo: float
+    hi: float
+    term: float    # 0.5 * osc * sup_g * var_u; inf forces a split
+    state: str     # as _cell_state
+    terms: tuple[float, float, float]    # (osc, sup_g, var_u)
+    i_g: float     # integral of g du over the cell
+    span: float    # u(hi) - u(lo)
+
+
+def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
+                 m: float) -> float:
+    """sup |g - m| over the domain of ``g_cell = g.restrict(lo, hi)``,
+    equal to ``sup_norm_on(g - m, lo, hi).hi`` without forming g - m over
+    the whole domain: a cell end that is not a breakpoint of g takes the
+    value of its shifted piece there."""
+    pieces = tuple(poly.psub(c, (m,)) for c in g_cell.pieces)
+    values = [v - m for v in g_cell.point_values]
+    lo, hi = g_cell.domain
+    if g._bp_index(lo) is None:
+        values[0] = poly.pvalue(pieces[0], lo)
+    if g._bp_index(hi) is None:
+        values[-1] = poly.pvalue(pieces[-1], hi)
+    shifted = PiecewiseFunction(g_cell.breakpoints, pieces, tuple(values))
+    return sup_norm_on(shifted).hi
+
+
+def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
+                u: PiecewiseFunction, lo: float, hi: float,
+                state: str) -> _Cell:
+    """Every quantity of the cell [lo, hi] whose ``_cell_state`` is
+    ``state``, from f, g and u restricted to the cell once; constant and
+    degenerate cells get zero terms."""
+    if state != "ok":
+        return _Cell(lo, hi, 0.0 if state == "constant" else math.inf,
+                     state, (0.0, 0.0, 0.0), 0.0, 0.0)
+    f_cell, g_cell, u_cell = (h.restrict(lo, hi) for h in (f, g, u))
+    var_u = total_variation(u_cell).hi
+    inf_e, sup_e = inf_sup_on(f_cell)
+    osc = sup_e.hi - inf_e.lo
+    span = u(hi) - u(lo)
+    i_g = rs_integral(g_cell, u_cell).value
+    sup_g = _centred_sup(g, g_cell, i_g / span)
+    return _Cell(lo, hi, 0.5 * osc * sup_g * var_u, state,
+                 (osc, sup_g, var_u), i_g, span)
+
+
 def _cell_terms(f: PiecewiseFunction, g: PiecewiseFunction,
                 u: PiecewiseFunction, lo: float, hi: float) \
         -> tuple[float, float, float]:
     """(oscillation of f, sup |g - cell mean|, variation of u) on a cell."""
-    state = _cell_state(u, lo, hi)
-    if state == "constant":
-        return 0.0, 0.0, 0.0
-    if state == "degenerate":
+    cell = _solve_cell(f, g, u, lo, hi, _cell_state(u, lo, hi))
+    if cell.state == "degenerate":
         raise DegenerateCell(-1, (lo, hi))
-    var_u = total_variation(u, lo, hi).hi
-    inf_e, sup_e = inf_sup_on(f, lo, hi)
-    osc = sup_e.hi - inf_e.lo
-    span = u(hi) - u(lo)
-    mean_g = rs_integral(g, u, lo, hi).value / span
-    sup_g = sup_norm_on(g - mean_g, lo, hi).hi
-    return osc, sup_g, var_u
+    return cell.terms
 
 
 def remainder_bound_osc(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -177,41 +240,43 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
 
     Bisection points where u would repeat a cell-end value are shifted by a
     quarter cell; cells on which u is constant are frozen with a zero term.
+    Each cell is solved once, when it is made, and keeps its terms and its
+    integral of g du; the result is built from the final cells' records, so
+    it equals ``composite_S``, ``remainder_bound_osc`` and ``_cell_terms``
+    on the final partition, with one more integral (of f du) per cell.
+
+    Raises DomainError unless ``tol > 0`` and ``max_cells >= 1``.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    if max_cells < 1:
+        raise DomainError(f"max_cells must be >= 1, got {max_cells!r}")
     a, b = u.domain
 
-    def term(lo: float, hi: float) -> float:
-        state = _cell_state(u, lo, hi)
-        if state == "constant":
-            return 0.0
-        if state == "degenerate":
-            return math.inf  # force a split of this cell first
-        osc, sup_g, var_u = _cell_terms(f, g, u, lo, hi)
-        return 0.5 * osc * sup_g * var_u
-
-    cells: list[tuple[float, float, float]] = [(a, b, term(a, b))]
+    cells = [_solve_cell(f, g, u, a, b, _cell_state(u, a, b))]
     while True:
-        tight = sum(t for _, _, t in cells if t != math.inf)
-        pending = any(t == math.inf for _, _, t in cells)
+        tight = sum(c.term for c in cells if c.term != math.inf)
+        pending = any(c.term == math.inf for c in cells)
         if not pending and tight <= tol:
             break
         if len(cells) >= max_cells and not pending:
             break
         if len(cells) >= max_cells + 64:
-            worst_cell = max(cells, key=lambda c: c[2])
-            raise ToleranceUnreachable((worst_cell[0], worst_cell[1]), tight)
-        idx = max(range(len(cells)), key=lambda i: cells[i][2])
-        lo, hi, worst = cells[idx]
+            worst_cell = max(cells, key=lambda c: c.term)
+            raise ToleranceUnreachable((worst_cell.lo, worst_cell.hi), tight)
+        idx = max(range(len(cells)), key=lambda i: cells[i].term)
+        lo, hi, worst = cells[idx][:3]
         width = hi - lo
         split = None
         for frac in (0.5, 0.25, 0.75, 0.375, 0.625):
             cand = lo + frac * width
             if not (lo < cand < hi):
                 continue
-            if _cell_state(u, lo, cand) != "degenerate" \
-                    and _cell_state(u, cand, hi) != "degenerate":
+            left = _cell_state(u, lo, cand)
+            if left == "degenerate":
+                continue
+            right = _cell_state(u, cand, hi)
+            if right != "degenerate":
                 split = cand
                 break
         if split is None or width < 1e-13 * (b - a):
@@ -220,13 +285,20 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                                            worst if worst != math.inf
                                            else tol)
             break
-        cells[idx] = (lo, split, term(lo, split))
-        cells.insert(idx + 1, (split, hi, term(split, hi)))
+        cells[idx] = _solve_cell(f, g, u, lo, split, left)
+        cells.insert(idx + 1, _solve_cell(f, g, u, split, hi, right))
 
-    points = tuple(sorted({lo for lo, _, _ in cells} | {b}))
-    partition = Partition(points)
-    value = composite_S(f, g, u, partition)
-    rb = remainder_bound_osc(f, g, u, partition)
-    per_cell = tuple(_cell_terms(f, g, u, lo, hi)
-                     for lo, hi in partition.cells())
-    return QuadratureResult(value, rb.stated, rb.tight, partition, per_cell)
+    # the loop ends with no degenerate cell left, so every final cell is
+    # "ok" or "constant"; sums run in cell order, as in composite_S and
+    # remainder_bound_osc
+    value = 0.0
+    for c in cells:
+        if c.state == "ok":
+            value += rs_integral(f, u, c.lo, c.hi).value * c.i_g / c.span
+    stated = 0.5 * max(c.terms[0] for c in cells) \
+        * max(c.terms[1] for c in cells) * total_variation(u).hi
+    per_cell = np.array([c.terms for c in cells], dtype=np.float64)
+    per_cell.setflags(write=False)
+    partition = Partition(tuple(c.lo for c in cells) + (b,))
+    return QuadratureResult(value, stated, sum(c.term for c in cells),
+                            partition, per_cell)

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -408,3 +411,84 @@ class TestDeterminism:
             run(argv)
             second = self._strip_timestamp(capsys.readouterr().out)
             assert first == second, argv
+
+
+# -- golden quadrature reports -----------------------------------------------
+
+QUAD_GOLDEN = pathlib.Path(__file__).parent / "data" / "quad_reports.json"
+
+# f, g continuous with interior breakpoints (0.5 is hit by bisection, 0.4
+# is not); u monotone with an interior jump at 0.6 and endpoint jumps
+QUAD_SPEC = {
+    "domain": [0.0, 1.0],
+    "f": {"breakpoints": [0.0, 0.4, 1.0],
+          "pieces": [{"coeffs": [1.0, 2.0]}, {"coeffs": [2.52, -2.0, 0.5]}]},
+    "g": {"breakpoints": [0.0, 0.5, 1.0],
+          "pieces": [{"coeffs": [0.0, 1.0, -1.0]}, {"coeffs": [0.75, -1.0]}]},
+    "u": {"breakpoints": [0.0, 0.6, 1.0],
+          "pieces": [{"coeffs": [0.0, 1.0]}, {"coeffs": [1.0, 0.5]}],
+          "values": {"0": -0.5, "1": 0.6, "2": 2.0}},
+}
+QUAD_SPEC_HOLDER = dict(QUAD_SPEC, certificates=[
+    {"slot": "f", "kind": "holder", "params": [2.0, 1.0]}])
+
+QUAD_CASES = {
+    "adaptive_tol1e-3": ["quad", "--tol", "1e-3"],
+    "adaptive_tol1e-5": ["quad", "--tol", "1e-5"],
+    "partition_uniform7": ["quad", "--partition", "uniform:7"],
+    "sweep_osc": ["quad", "--sweep", "4:256"],
+    "sweep_holder": ["quad", "--sweep", "4:256"],
+}
+
+
+def quad_reports() -> dict:
+    """Standard output of every ``QUAD_CASES`` command with its ``timestamp``
+    line removed, keyed by case name.  Regenerate with
+    ``PYTHONPATH=src:tests python -c "import test_cli as t;
+    t.write_quad_reports()"``."""
+    out = {}
+    for name, argv in QUAD_CASES.items():
+        spec = QUAD_SPEC_HOLDER if name == "sweep_holder" else QUAD_SPEC
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = run(argv + ["--json", json.dumps(spec)])
+        assert code == 0, name
+        out[name] = "".join(line for line in buf.getvalue()
+                            .splitlines(keepends=True)
+                            if not line.startswith('  "timestamp": '))
+    return out
+
+
+@pytest.mark.parametrize("option", [
+    ["--partition", "uniform:x"], ["--partition", "uniform:"],
+    ["--sweep", "4"], ["--sweep", "4:x"], ["--sweep", "8:4"],
+])
+def test_quad_rejects_malformed_counts(option, capsys):
+    code = run(["quad", *option, "--json", json.dumps(QUAD_SPEC)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("option", [
+    ["--tol", "nan"], ["--max-cells", "0"], ["--max-cells", "-3"],
+])
+def test_quad_rejects_a_bad_tolerance_or_budget(option, capsys):
+    code = run(["quad", *option, "--json", json.dumps(QUAD_SPEC)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: DomainError: ")
+
+
+def write_quad_reports() -> None:
+    QUAD_GOLDEN.write_text(json.dumps(quad_reports(), indent=1) + "\n")
+
+
+def test_quad_reports_byte_identical_to_golden():
+    want = json.loads(QUAD_GOLDEN.read_text())
+    got = quad_reports()
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name

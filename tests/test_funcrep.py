@@ -139,6 +139,15 @@ class TestSignSegments:
     def test_zero_polynomial_is_one_nonnegative_segment(self):
         assert funcrep.sign_segments((0.0,), 0.0, 1.0) == [(0.0, 1.0, 1.0)]
 
+    def test_roots_just_outside_the_window_are_dropped(self):
+        # proots reports the root 0.5 + 1e-13 of this line on [0, 0.5]
+        # (it keeps roots within 1e-12 of the window); a cut there made a
+        # second segment (0.5, 0.5000000000001) outside the window
+        assert funcrep.sign_segments((-0.5 - 1e-13, 1.0), 0.0, 0.5) \
+            == [(0.0, 0.5, -1.0)]
+        assert funcrep.sign_segments((0.5 + 1e-13, 1.0), -0.5, 1.0) \
+            == [(-0.5, 1.0, 1.0)]
+
 
 class TestCertificates:
     def test_lipschitz_pass(self, ident):

@@ -1,16 +1,46 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from grusskit import instances
+from grusskit import instances, quadrature
 from grusskit.errors import DegenerateCell, DomainError
 from grusskit.funcrep import PiecewiseFunction, RegularityCertificate
 from grusskit.functionals import cheby_T
-from grusskit.quadrature import (Partition, adaptive_quadrature, composite_S,
-                                 oscillation_v, remainder_bound_holder,
-                                 remainder_bound_osc)
+from grusskit.quadrature import (Partition, _cell_terms, adaptive_quadrature,
+                                 composite_S, oscillation_v,
+                                 remainder_bound_holder, remainder_bound_osc)
 from grusskit.stieltjes import rs_product_integral
+
+
+def _adaptive_problems():
+    """Seeded (f, g, u, tol) problems: monotone integrators, integrators
+    with interior jumps, and an integrator with an interior plateau."""
+    rng = random.Random(55)
+    out = []
+    for k in range(12):
+        a, b = instances.rand_interval(rng)
+        f = instances.rand_continuous(rng, a, b)
+        g = instances.rand_continuous(rng, a, b)
+        if k % 2:
+            u = instances.ensure_span(
+                rng, lambda: instances.rand_piecewise(rng, a, b, jumps=True))
+        else:
+            u = instances.ensure_span(
+                rng, lambda: instances.rand_monotone(rng, a, b))
+        out.append((f, g, u, 1e-3))
+    ident = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 1.0)
+    plateau = PiecewiseFunction.build(
+        (0.0, 0.4, 0.6, 1.0), ((0.0, 1.0), (0.4,), (-0.2, 1.0)))
+    jump = PiecewiseFunction((0.0, 0.5, 1.0), ((0.0, 1.0), (1.0, 1.0)),
+                             (0.0, 0.5, 2.0))
+    out.append((ident, ident, plateau, 1e-5))
+    out.append((ident, ident, jump, 1e-5))
+    return out
+
+
+ADAPTIVE_PROBLEMS = _adaptive_problems()
 
 
 class TestPartition:
@@ -194,8 +224,55 @@ class TestAdaptive:
                 prev = cur
 
     def test_bad_tolerance(self, ident):
+        for tol in (0.0, -1e-3, math.nan):
+            with pytest.raises(DomainError):
+                adaptive_quadrature(ident, ident, ident, tol=tol)
+
+    @pytest.mark.parametrize("max_cells", [0, -3])
+    def test_bad_cell_budget(self, ident, tsq, max_cells):
         with pytest.raises(DomainError):
-            adaptive_quadrature(ident, ident, ident, tol=0.0)
+            adaptive_quadrature(ident, ident, tsq, tol=1e-9,
+                                max_cells=max_cells)
+
+    @pytest.mark.parametrize("case", range(len(ADAPTIVE_PROBLEMS)))
+    def test_result_equals_the_fixed_partition_functions(self, case):
+        f, g, u, tol = ADAPTIVE_PROBLEMS[case]
+        res = adaptive_quadrature(f, g, u, tol, max_cells=128)
+        part = res.partition
+        rb = remainder_bound_osc(f, g, u, part)
+        assert res.value == composite_S(f, g, u, part)
+        assert res.remainder_bound == rb.stated
+        assert res.tight_bound == rb.tight
+        assert res.per_cell.shape == (part.n, 3)
+        assert res.per_cell.dtype == np.float64
+        assert not res.per_cell.flags.writeable
+        assert [tuple(row) for row in res.per_cell.tolist()] \
+            == [_cell_terms(f, g, u, lo, hi) for lo, hi in part.cells()]
+
+    def test_each_cell_integrates_g_once_and_f_once_at_the_end(
+            self, monkeypatch):
+        # every bisection replaces one cell by two, so a result with n
+        # cells evaluated 2n - 1 cells in the loop: one integral of g du
+        # per evaluated cell, then one of f du per final cell
+        calls = [0]
+        counted = quadrature.rs_integral
+
+        def rs_integral(*args, **kwargs):
+            calls[0] += 1
+            return counted(*args, **kwargs)
+        monkeypatch.setattr(quadrature, "rs_integral", rs_integral)
+        for f, g, u, tol in ADAPTIVE_PROBLEMS:
+            calls[0] = 0
+            n = adaptive_quadrature(f, g, u, tol, max_cells=128).partition.n
+            assert calls[0] <= (2 * n - 1) + n
+
+    def test_results_compare_and_hash_by_value(self, ident, tsq):
+        first = adaptive_quadrature(ident, ident, tsq, tol=1e-4)
+        second = adaptive_quadrature(ident, ident, tsq, tol=1e-4)
+        other = adaptive_quadrature(ident, ident, tsq, tol=1e-3)
+        assert first == second and hash(first) == hash(second)
+        assert first != other
+        assert first != "not a result"
 
     def test_result_converts_to_certified_integral(self, ident):
         res = adaptive_quadrature(ident, ident, ident, tol=1e-5)
