@@ -30,7 +30,7 @@ from .funcrep import (PiecewiseFunction, RegularityCertificate,
                       sup_norm_on, total_variation, verify_certificate)
 from .functionals import (cheby_T, functional_D, gamma_kernel,
                           integrator_span, mean_against, phi_kernel)
-from .quadrature import Partition, composite_S, remainder_bound_osc
+from .quadrature import Partition, partition_quadrature
 from .stieltjes import (riemann_integral, riemann_product_integral,
                         rs_integral, rs_product_integral)
 
@@ -772,15 +772,15 @@ def bound_quadrature_remainder(f: PiecewiseFunction, g: PiecewiseFunction,
     """|integral of f g du - composite_S| <= the oscillation-form remainder
     estimate; holds also requires the per-cell sum not to exceed it."""
     exact = rs_product_integral([f, g], u).value
-    approx = composite_S(f, g, u, partition)
-    rb = remainder_bound_osc(f, g, u, partition)
-    lhs = abs(exact - approx)
-    tol = 1e-9 * max(1.0, rb.stated)
-    holds = lhs <= rb.tight + tol and rb.tight <= rb.stated + tol
-    ratio = lhs / rb.stated if rb.stated > tol else 0.0
-    return BoundReport("thm_3_2a", lhs, rb.stated, ratio, holds,
+    res = partition_quadrature(f, g, u, partition)
+    stated, tight = res.remainder_bound, res.tight_bound
+    lhs = abs(exact - res.value)
+    tol = 1e-9 * max(1.0, stated)
+    holds = lhs <= tight + tol and tight <= stated + tol
+    ratio = lhs / stated if stated > tol else 0.0
+    return BoundReport("thm_3_2a", lhs, stated, ratio, holds,
                        (("f", "continuous"), ("g", "continuous")),
-                       (("stated", rb.stated), ("tight", rb.tight)))
+                       (("stated", stated), ("tight", tight)))
 
 
 def ostrowski_pointwise(f: PiecewiseFunction, x: float, kind: str,

@@ -15,8 +15,9 @@ from . import __version__, battery, jsonio
 from .errors import GrussKitError, SchemaError
 from .functionals import (cheby_T, functional_D, identity_residual_D,
                           weighted_Tw)
-from .quadrature import (Partition, adaptive_quadrature, composite_S,
-                         remainder_bound_holder, remainder_bound_osc)
+from .funcrep import require_certificate
+from .quadrature import (Partition, adaptive_quadrature, holder_remainder,
+                         partition_quadrature)
 from .sharpness import run_catalogue
 from .stieltjes import riemann_integral, rs_integral, rs_product_integral
 from .theorems import THEOREMS
@@ -121,12 +122,12 @@ def _cmd_quad(args) -> int:
         n = lo_n
         while n <= hi_n:
             part = Partition.uniform(a, b, n)
-            if holder is not None:
-                rb = remainder_bound_holder(f, g, u, part, holder)
-            else:
-                rb = remainder_bound_osc(f, g, u, part)
-            approx = composite_S(f, g, u, part)
-            rows.append((part.mesh, rb.stated, abs(exact - approx)))
+            if holder is not None and n == lo_n:
+                require_certificate(f, holder, "f")
+            res = partition_quadrature(f, g, u, part)
+            bound = res.remainder_bound if holder is None \
+                else holder_remainder(res, u, holder).stated
+            rows.append((part.mesh, bound, abs(exact - res.value)))
             n *= 2
         results["sweep"] = [list(r) for r in rows]
         if args.csv:
@@ -139,14 +140,12 @@ def _cmd_quad(args) -> int:
         if kind != "uniform":
             raise SchemaError("partition", "expected uniform:<n>")
         (n,) = _counts("partition", count, 1, "uniform:<n>")
-        part = Partition.uniform(a, b, n)
-        value = composite_S(f, g, u, part)
-        rb = remainder_bound_osc(f, g, u, part)
+        res = partition_quadrature(f, g, u, Partition.uniform(a, b, n))
         results["quadrature"] = {
-            "value": value,
-            "remainder_bound": rb.stated,
-            "tight_bound": rb.tight,
-            "partition": list(part.points),
+            "value": res.value,
+            "remainder_bound": res.remainder_bound,
+            "tight_bound": res.tight_bound,
+            "partition": list(res.partition.points),
         }
     else:
         res = adaptive_quadrature(f, g, u, args.tol, args.max_cells)

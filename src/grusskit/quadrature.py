@@ -2,11 +2,12 @@
 
 The rule approximates the integral of f*g du over [a, b] by summing, per
 partition cell, the product of the two cell integrals normalised by the
-cell increment of u.  Certified remainder estimates come in an oscillation
-form (continuous f) and a Holder form; both also return the sharper
-per-cell sum that drives the adaptive partitioner.  Every cell quantity is
-computed on the cell alone: f, g and u are restricted to it once, and the
-centred sup of g comes from g's restricted pieces.
+cell increment of u.  ``partition_quadrature`` (fixed partitions) and
+``adaptive_quadrature`` solve each cell once and return one
+``QuadratureResult``; ``composite_S`` and the oscillation and Holder
+remainder estimates are views of it.  Every cell quantity is computed on
+the cell alone: f, g and u are restricted to it once, and the centred sup
+of g comes from g's restricted pieces.
 """
 
 from __future__ import annotations
@@ -68,12 +69,13 @@ class RemainderBound(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class QuadratureResult:
-    """An adaptive product-mean quadrature: the rule's value, the stated
-    (max-form) and tight (per-cell sum) oscillation remainder bounds, the
-    final partition, and ``per_cell``, a read-only (n, 3) float64 array
-    with one row per partition cell: (oscillation of f, sup |g - cell
-    mean| on the cell, variation of u).  Equality and hashing compare
-    ``per_cell`` by value, as for a tuple of row tuples."""
+    """A product-mean quadrature on a fixed or adaptive partition: the
+    rule's value, the stated (max-form) and tight (per-cell sum)
+    oscillation remainder bounds, the partition, and ``per_cell``, a
+    read-only (n, 3) float64 array with one row per partition cell:
+    (oscillation of f, sup |g - cell mean| on the cell, variation of u).
+    Equality and hashing compare ``per_cell`` by value, as for a tuple of
+    row tuples."""
 
     value: float
     remainder_bound: float
@@ -117,25 +119,6 @@ def oscillation_v(f: PiecewiseFunction, partition: Partition) -> float:
         inf_e, sup_e = inf_sup_on(f, lo, hi)
         worst = max(worst, sup_e.hi - inf_e.lo)
     return worst
-
-
-def composite_S(f: PiecewiseFunction, g: PiecewiseFunction,
-                u: PiecewiseFunction, partition: Partition) -> float:
-    """Sum over cells of cell-integral(f du) * cell-integral(g du) divided
-    by the cell increment of u.  Cells on which u is constant contribute
-    zero; other zero-increment cells raise DegenerateCell."""
-    total = 0.0
-    for i, (lo, hi) in enumerate(partition.cells()):
-        state = _cell_state(u, lo, hi)
-        if state == "constant":
-            continue
-        if state == "degenerate":
-            raise DegenerateCell(i, (lo, hi))
-        span = u(hi) - u(lo)
-        i_f = rs_integral(f, u, lo, hi).value
-        i_g = rs_integral(g, u, lo, hi).value
-        total += i_f * i_g / span
-    return total
 
 
 class _Cell(NamedTuple):
@@ -186,14 +169,43 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
                  (osc, sup_g, var_u), i_g, span)
 
 
-def _cell_terms(f: PiecewiseFunction, g: PiecewiseFunction,
-                u: PiecewiseFunction, lo: float, hi: float) \
-        -> tuple[float, float, float]:
-    """(oscillation of f, sup |g - cell mean|, variation of u) on a cell."""
-    cell = _solve_cell(f, g, u, lo, hi, _cell_state(u, lo, hi))
-    if cell.state == "degenerate":
-        raise DegenerateCell(-1, (lo, hi))
-    return cell.terms
+def _result(f: PiecewiseFunction, u: PiecewiseFunction,
+            cells: list[_Cell]) -> QuadratureResult:
+    """The result of solved cells, none degenerate, summed in cell order;
+    the stated bound is (1/2) max osc * max sup_g * Var(u)."""
+    value = 0.0
+    for c in cells:
+        if c.state == "ok":
+            value += rs_integral(f, u, c.lo, c.hi).value * c.i_g / c.span
+    stated = 0.5 * max(c.terms[0] for c in cells) \
+        * max(c.terms[1] for c in cells) * total_variation(u).hi
+    per_cell = np.array([c.terms for c in cells], dtype=np.float64)
+    per_cell.setflags(write=False)
+    partition = Partition(tuple(c.lo for c in cells) + (cells[-1].hi,))
+    return QuadratureResult(value, stated, sum(c.term for c in cells),
+                            partition, per_cell)
+
+
+def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
+                         u: PiecewiseFunction,
+                         partition: Partition) -> QuadratureResult:
+    """The product-mean rule on a fixed partition, each cell solved once.
+    Cells on which u is constant contribute zero; any other cell whose u
+    increment vanishes raises DegenerateCell with its index."""
+    cells = []
+    for i, (lo, hi) in enumerate(partition.cells()):
+        state = _cell_state(u, lo, hi)
+        if state == "degenerate":
+            raise DegenerateCell(i, (lo, hi))
+        cells.append(_solve_cell(f, g, u, lo, hi, state))
+    return _result(f, u, cells)
+
+
+def composite_S(f: PiecewiseFunction, g: PiecewiseFunction,
+                u: PiecewiseFunction, partition: Partition) -> float:
+    """Sum over cells of cell-integral(f du) * cell-integral(g du) divided
+    by the cell increment of u (``partition_quadrature(...).value``)."""
+    return partition_quadrature(f, g, u, partition).value
 
 
 def remainder_bound_osc(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -201,35 +213,35 @@ def remainder_bound_osc(f: PiecewiseFunction, g: PiecewiseFunction,
                         partition: Partition) -> RemainderBound:
     """Oscillation-form remainder estimate
     (1/2) max_osc * max_cell_sup * Var(u), plus the per-cell tight sum."""
-    per = []
-    oscs = []
-    sups = []
-    for lo, hi in partition.cells():
-        osc, sup_g, var_u = _cell_terms(f, g, u, lo, hi)
-        per.append(0.5 * osc * sup_g * var_u)
-        oscs.append(osc)
-        sups.append(sup_g)
-    stated = 0.5 * max(oscs) * max(sups) * total_variation(u).hi
-    return RemainderBound(stated, sum(per), tuple(per))
+    res = partition_quadrature(f, g, u, partition)
+    per = tuple(0.5 * osc * sup_g * var_u
+                for osc, sup_g, var_u in res.per_cell.tolist())
+    return RemainderBound(res.remainder_bound, res.tight_bound, per)
+
+
+def holder_remainder(res: QuadratureResult, u: PiecewiseFunction,
+                     f_holder: RegularityCertificate) -> RemainderBound:
+    """Holder-form estimate (H/2^r) mesh^r * max_cell_sup * Var(u) of a
+    solved partition, plus the per-cell sum with the individual cell
+    widths.  ``f_holder`` is taken as given, not verified."""
+    H, r = f_holder.params
+    rows = res.per_cell.tolist()
+    per = tuple(H / (2.0 ** r) * width ** r * sup_g * var_u
+                for width, (_, sup_g, var_u)
+                in zip(res.partition.widths, rows))
+    stated = H / (2.0 ** r) * res.partition.mesh ** r \
+        * max(row[1] for row in rows) * total_variation(u).hi
+    return RemainderBound(stated, sum(per), per)
 
 
 def remainder_bound_holder(f: PiecewiseFunction, g: PiecewiseFunction,
                            u: PiecewiseFunction, partition: Partition,
                            f_holder: RegularityCertificate) -> RemainderBound:
-    """Holder-form estimate (H/2^r) mesh^r * max_cell_sup * Var(u), plus the
-    per-cell sum with the individual cell widths."""
+    """``holder_remainder`` of ``partition_quadrature``, after verifying
+    ``f_holder`` against f."""
     require_certificate(f, f_holder, "f")
-    H, r = f_holder.params
-    cells = partition.cells()
-    per = []
-    sups = []
-    for lo, hi in cells:
-        _, sup_g, var_u = _cell_terms(f, g, u, lo, hi)
-        sups.append(sup_g)
-        per.append(H / (2.0 ** r) * (hi - lo) ** r * sup_g * var_u)
-    stated = H / (2.0 ** r) * partition.mesh ** r * max(sups) \
-        * total_variation(u).hi
-    return RemainderBound(stated, sum(per), tuple(per))
+    return holder_remainder(partition_quadrature(f, g, u, partition), u,
+                            f_holder)
 
 
 def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -242,8 +254,8 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
     quarter cell; cells on which u is constant are frozen with a zero term.
     Each cell is solved once, when it is made, and keeps its terms and its
     integral of g du; the result is built from the final cells' records, so
-    it equals ``composite_S``, ``remainder_bound_osc`` and ``_cell_terms``
-    on the final partition, with one more integral (of f du) per cell.
+    it equals ``partition_quadrature`` on the final partition, with one
+    more integral (of f du) per cell.
 
     Raises DomainError unless ``tol > 0`` and ``max_cells >= 1``.
     """
@@ -288,17 +300,5 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         cells[idx] = _solve_cell(f, g, u, lo, split, left)
         cells.insert(idx + 1, _solve_cell(f, g, u, split, hi, right))
 
-    # the loop ends with no degenerate cell left, so every final cell is
-    # "ok" or "constant"; sums run in cell order, as in composite_S and
-    # remainder_bound_osc
-    value = 0.0
-    for c in cells:
-        if c.state == "ok":
-            value += rs_integral(f, u, c.lo, c.hi).value * c.i_g / c.span
-    stated = 0.5 * max(c.terms[0] for c in cells) \
-        * max(c.terms[1] for c in cells) * total_variation(u).hi
-    per_cell = np.array([c.terms for c in cells], dtype=np.float64)
-    per_cell.setflags(write=False)
-    partition = Partition(tuple(c.lo for c in cells) + (b,))
-    return QuadratureResult(value, stated, sum(c.term for c in cells),
-                            partition, per_cell)
+    # the loop ends with no degenerate cell left
+    return _result(f, u, cells)

@@ -3,10 +3,11 @@ import io
 import json
 import math
 import pathlib
+import sys
 
 import pytest
 
-from grusskit import jsonio
+from grusskit import funcrep, jsonio, quadrature, stieltjes
 from grusskit.bounds import BoundReport
 from grusskit.cli import run
 from grusskit.errors import SchemaError
@@ -480,6 +481,38 @@ def test_quad_rejects_a_bad_tolerance_or_budget(option, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: DomainError: ")
+
+
+def _count_calls(monkeypatch, *functions) -> dict:
+    """Wrap every binding of each function in the loaded grusskit modules
+    with a call counter; the counts are keyed by function name."""
+    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for name, mod in list(sys.modules.items()):
+            if name == "grusskit" or name.startswith("grusskit."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def test_quad_sweep_solves_each_cell_once(monkeypatch, capsys):
+    counts = _count_calls(monkeypatch, funcrep.require_certificate,
+                          stieltjes.rs_integral,
+                          stieltjes.rs_product_integral,
+                          quadrature._cell_state)
+    code = run(["quad", "--sweep", "4:256",
+                "--json", json.dumps(QUAD_SPEC_HOLDER)])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["results"]["sweep"]) == 7
+    cells = 4 + 8 + 16 + 32 + 64 + 128 + 256
+    assert counts["require_certificate"] == 1
+    assert counts["rs_product_integral"] == 1
+    assert counts["rs_integral"] <= 2 * cells
+    assert counts["_cell_state"] == cells
 
 
 def write_quad_reports() -> None:

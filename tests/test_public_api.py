@@ -1,8 +1,15 @@
-"""The public star-import surface of the package."""
+"""The public star-import surface of the package, and the names the
+benchmark tracer binds by name."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import grusskit
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 PUBLIC = [
     'BadExponent', 'BoundReport', 'CertificateInvalid', 'ClassMismatch',
@@ -35,3 +42,15 @@ def test_all_is_pinned():
 def test_all_lists_no_modules():
     assert not [name for name in grusskit.__all__
                 if isinstance(getattr(grusskit, name), types.ModuleType)]
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # perfbench/spans.py wraps grusskit functions by module and name and
+    # raises RuntimeError for any it cannot find
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; sys.path.insert(0, 'perfbench'); import spans; "
+            "spans.install(spans.Tracer())")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -8,10 +8,11 @@ from grusskit import instances, quadrature
 from grusskit.errors import DegenerateCell, DomainError
 from grusskit.funcrep import PiecewiseFunction, RegularityCertificate
 from grusskit.functionals import cheby_T
-from grusskit.quadrature import (Partition, _cell_terms, adaptive_quadrature,
+from grusskit.quadrature import (Partition, _cell_state, adaptive_quadrature,
                                  composite_S, oscillation_v,
+                                 partition_quadrature,
                                  remainder_bound_holder, remainder_bound_osc)
-from grusskit.stieltjes import rs_product_integral
+from grusskit.stieltjes import rs_integral, rs_product_integral
 
 
 def _adaptive_problems():
@@ -41,6 +42,42 @@ def _adaptive_problems():
 
 
 ADAPTIVE_PROBLEMS = _adaptive_problems()
+
+
+def _reference_composite_S(f, g, u, partition):
+    """composite_S as a plain cell loop over windowed integrals of the
+    whole functions, independent of the cell records."""
+    total = 0.0
+    for i, (lo, hi) in enumerate(partition.cells()):
+        state = _cell_state(u, lo, hi)
+        if state == "constant":
+            continue
+        if state == "degenerate":
+            raise DegenerateCell(i, (lo, hi))
+        span = u(hi) - u(lo)
+        i_f = rs_integral(f, u, lo, hi).value
+        i_g = rs_integral(g, u, lo, hi).value
+        total += i_f * i_g / span
+    return total
+
+
+def _composite_problems():
+    """200 seeded (f, g, u, partition) problems on uniform partitions of
+    1 to 40 cells; every other u has interior jumps."""
+    rng = random.Random(5)
+    out = []
+    for k in range(200):
+        a, b = instances.rand_interval(rng)
+        f = instances.rand_continuous(rng, a, b)
+        g = instances.rand_continuous(rng, a, b)
+        if k % 2:
+            u = instances.ensure_span(
+                rng, lambda: instances.rand_piecewise(rng, a, b, jumps=True))
+        else:
+            u = instances.ensure_span(
+                rng, lambda: instances.rand_monotone(rng, a, b))
+        out.append((f, g, u, Partition.uniform(a, b, 1 + k % 40)))
+    return out
 
 
 class TestPartition:
@@ -111,11 +148,21 @@ class TestCompositeRule:
         assert exact - s == pytest.approx(decomposed, abs=1e-10)
 
     def test_degenerate_cell_detected(self, ident, vee):
-        # u rises then falls back: equal endpoint values on [0, 1]
-        with pytest.raises(DegenerateCell):
-            composite_S(ident, ident, vee, Partition((0.0, 1.0)))
-        with pytest.raises(DegenerateCell):
-            remainder_bound_osc(ident, ident, vee, Partition((0.0, 1.0)))
+        # u rises then falls back: equal endpoint values on [0, 1], and on
+        # the middle cell [1, 2] of a three-cell partition of [0, 3]
+        ident3 = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 3.0)
+        vee3 = PiecewiseFunction.build(
+            (0.0, 1.5, 2.0, 3.0), ((0.0, 1.0), (3.0, -1.0), (-1.0, 1.0)))
+        lipschitz = RegularityCertificate.holder(1.0, 1.0)
+        for f, u, part, index in (
+                (ident, vee, Partition((0.0, 1.0)), 0),
+                (ident3, vee3, Partition((0.0, 1.0, 2.0, 3.0)), 1)):
+            for solve in (composite_S, remainder_bound_osc,
+                          lambda *fgup: remainder_bound_holder(*fgup,
+                                                               lipschitz)):
+                with pytest.raises(DegenerateCell) as err:
+                    solve(f, f, u, part)
+                assert err.value.index == index
 
     def test_flat_integrator_cell_skipped(self, ident):
         u = PiecewiseFunction.build((0.0, 0.5, 1.0), ((0.0,), (-1.0, 2.0)))
@@ -123,6 +170,11 @@ class TestCompositeRule:
         exact = rs_product_integral([ident, ident], u).value
         assert abs(exact - s) <= remainder_bound_osc(
             ident, ident, u, Partition((0.0, 0.5, 1.0))).stated + 1e-10
+
+    def test_equals_the_windowed_reference_loop(self):
+        for f, g, u, part in _composite_problems():
+            assert composite_S(f, g, u, part) \
+                == _reference_composite_S(f, g, u, part)
 
 
 class TestRemainderBounds:
@@ -246,8 +298,8 @@ class TestAdaptive:
         assert res.per_cell.shape == (part.n, 3)
         assert res.per_cell.dtype == np.float64
         assert not res.per_cell.flags.writeable
-        assert [tuple(row) for row in res.per_cell.tolist()] \
-            == [_cell_terms(f, g, u, lo, hi) for lo, hi in part.cells()]
+        assert res.per_cell.tolist() \
+            == partition_quadrature(f, g, u, part).per_cell.tolist()
 
     def test_each_cell_integrates_g_once_and_f_once_at_the_end(
             self, monkeypatch):
