@@ -1,9 +1,9 @@
 """Randomised soundness harness: every bound gets hammered with seeded
 instances of its hypothesis class and must hold on all of them.
 
-``verify_theorem`` runs one catalogue entry; ``run_battery`` sweeps any
-subset.  A violation carries a JSON-ready reproducer of the offending
-instance.
+``verify_theorem`` runs the seeded trials of one registry entry; the CLI
+``verify`` command calls it once per requested id.  A violation carries a
+JSON-ready reproducer of the offending instance.
 """
 
 from __future__ import annotations
@@ -90,8 +90,3 @@ def verify_theorem(theorem_id: str, trials: int = 1000,
                          tiers=list(map(list, rep.tiers))))
     return summary
 
-
-def run_battery(theorem_ids=None, trials: int = 1000,
-                seed: int = 0) -> list[VerifySummary]:
-    ids = list(theorem_ids) if theorem_ids else list(THEOREM_IDS)
-    return [verify_theorem(t, trials, seed) for t in ids]

@@ -6,7 +6,9 @@ lhs/rhs and a conservative ``holds`` verdict.  Certificates are re-verified
 against their functions before use; integrals with |.| factors are split at
 certified sign changes so that every bound value is a closed form wherever
 one exists.  Divided-difference norms that have no closed form are computed
-by doubled Gauss panels with the residual folded into the report tolerance.
+by doubled Gauss panels, and the panel residual is discarded: it does not
+enter the report tolerance.  Every divided-difference bound builds the
+kernel numerator ``gamma_kernel(u)`` once and hands it to the norms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .funcrep import (PiecewiseFunction, RegularityCertificate,
                       inf_sup_on, p_norm, require_certificate, sign_segments,
                       sup_norm_on, total_variation, verify_certificate)
 from .functionals import (cheby_T, functional_D, gamma_kernel,
-                          integrator_span, mean_against, phi_kernel)
+                          integrator_span, phi_kernel)
 from .quadrature import Partition, partition_quadrature
 from .stieltjes import (riemann_integral, riemann_product_integral,
                         rs_integral, rs_product_integral)
@@ -106,12 +108,6 @@ def _require_continuous(u: PiecewiseFunction, role: str = "u") -> None:
         raise ClassMismatch(f"{role} must be continuous; jump at {pts[0]!r}")
 
 
-def _centered(g: PiecewiseFunction, u: PiecewiseFunction) \
-        -> tuple[PiecewiseFunction, float]:
-    mean, _ = mean_against(g, u)
-    return g - mean, mean
-
-
 def _weighted_abs_segment(q: tuple[float, ...], r: float, m0: float,
                           x0: float, x1: float) -> float:
     """integral of |t-m0|^r q(t) dt over [x0, x1] lying on one side of m0."""
@@ -160,31 +156,30 @@ def abs_integral(h: PiecewiseFunction, u: PiecewiseFunction | None = None,
 
 
 # -- divided-difference kernel norms ---------------------------------------
+# delta(t) = N(t) / ((t-a)(b-t)) with N = gamma_kernel(u) for a continuous u;
+# callers check continuity and build N once per bound.
 
-def sup_abs_delta(u: PiecewiseFunction) -> float:
-    """sup over (a, b) of |delta|; requires u continuous."""
-    _require_continuous(u)
-    a, b = u.domain
+def sup_abs_delta(N: PiecewiseFunction) -> float:
+    """sup over (a, b) of |delta| from its numerator N."""
+    a, b = N.domain
     dpoly = (-a * b, a + b, -1.0)  # (t-a)(b-t)
     dprime = (a + b, -2.0)
     worst = 0.0
-    # delta(t) = N(t) / ((t-a)(b-t)) with N the gamma kernel
-    for lo, hi, N in aligned_pieces(gamma_kernel(u)):
-        q = poly.psub(poly.pmul(poly.pderiv(N), dpoly), poly.pmul(N, dprime))
+    for lo, hi, c in aligned_pieces(N):
+        q = poly.psub(poly.pmul(poly.pderiv(c), dpoly), poly.pmul(c, dprime))
         for t in poly.proots(q, lo, hi) + [lo, hi]:
             if t == a or t == b:
-                val = abs(poly.pvalue(poly.pderiv(N), t)) / (b - a)
+                val = abs(poly.pvalue(poly.pderiv(c), t)) / (b - a)
             else:
-                val = abs(poly.pvalue(N, t) / ((t - a) * (b - t)))
+                val = abs(poly.pvalue(c, t) / ((t - a) * (b - t)))
             worst = max(worst, val)
     return worst
 
 
-def _delta_fn(u: PiecewiseFunction):
-    """Vectorised delta evaluator with the kernel numerator built once;
-    the interval ends get their one-sided limits."""
-    a, b = u.domain
-    N = gamma_kernel(u)
+def _delta_fn(N: PiecewiseFunction):
+    """Vectorised delta evaluator from its numerator N; the interval ends
+    get their one-sided limits."""
+    a, b = N.domain
     lim_a = poly.pvalue(poly.pderiv(N.pieces[0]), a) / (b - a)
     lim_b = -poly.pvalue(poly.pderiv(N.pieces[-1]), b) / (b - a)
 
@@ -202,18 +197,18 @@ def _delta_fn(u: PiecewiseFunction):
     return fn
 
 
-def delta_norm(u: PiecewiseFunction, p: float) -> float:
-    """L^p norm (dt) of delta over (a, b); p = inf gives the sup."""
+def delta_norm(N: PiecewiseFunction, p: float) -> float:
+    """L^p norm (dt) of delta over (a, b) from its numerator N; p = inf
+    gives the sup."""
     if p == math.inf:
-        return sup_abs_delta(u)
+        return sup_abs_delta(N)
     if p < 1.0:
         raise BadExponent("p must be >= 1 or inf")
-    _require_continuous(u)
-    dfn = _delta_fn(u)
-    tiny = 1e-14 * (u.b - u.a)
+    dfn = _delta_fn(N)
+    tiny = 1e-14 * (N.b - N.a)
     total = 0.0
-    for lo, hi, N in aligned_pieces(gamma_kernel(u)):
-        for x0, x1, _ in sign_segments(N, lo, hi):
+    for lo, hi, c in aligned_pieces(N):
+        for x0, x1, _ in sign_segments(c, lo, hi):
             if x1 - x0 <= tiny:
                 continue
             val, _ = gauss_integral(
@@ -253,9 +248,9 @@ def bound_T_bv(f: PiecewiseFunction, g: PiecewiseFunction,
     require_certificate(f, f_bounds, "f")
     span = integrator_span(u)
     m, M = f_bounds.params
-    G, _ = _centered(g, u)
-    rhs = 0.5 * (M - m) / abs(span) * sup_norm_on(G).hi * total_variation(u).hi
     T = cheby_T(f, g, u)
+    G = g - T.components["mean_g"]
+    rhs = 0.5 * (M - m) / abs(span) * sup_norm_on(G).hi * total_variation(u).hi
     return _mk_report("thm_2_1a", abs(T.value), T.abs_error,
                       [("bv", rhs)],
                       [("f", f_bounds.describe()), ("u", "bv(var)")])
@@ -271,9 +266,9 @@ def bound_T_monotone(f: PiecewiseFunction, g: PiecewiseFunction,
     if span <= 0:
         raise DegenerateIntegrator("need u(b) > u(a)")
     m, M = f_bounds.params
-    G, _ = _centered(g, u)
-    rhs = 0.5 * (M - m) / span * abs_integral(G, u)
     T = cheby_T(f, g, u)
+    G = g - T.components["mean_g"]
+    rhs = 0.5 * (M - m) / span * abs_integral(G, u)
     return _mk_report("thm_2_2", abs(T.value), T.abs_error,
                       [("monotone", rhs)],
                       [("f", f_bounds.describe()), ("u", "monotone()")])
@@ -289,9 +284,9 @@ def bound_T_lipschitz_u(f: PiecewiseFunction, g: PiecewiseFunction,
     span = integrator_span(u)
     m, M = f_bounds.params
     (L,) = u_lipschitz.params
-    G, _ = _centered(g, u)
-    rhs = 0.5 * L * (M - m) / abs(span) * abs_integral(G)
     T = cheby_T(f, g, u)
+    G = g - T.components["mean_g"]
+    rhs = 0.5 * L * (M - m) / abs(span) * abs_integral(G)
     return _mk_report("thm_2_3a", abs(T.value), T.abs_error,
                       [("lipschitz_u", rhs)],
                       [("f", f_bounds.describe()),
@@ -306,10 +301,10 @@ def bound_T_holder_bv(f: PiecewiseFunction, g: PiecewiseFunction,
     span = integrator_span(u)
     H, r = f_holder.params
     width = f.b - f.a
-    G, _ = _centered(g, u)
+    T = cheby_T(f, g, u)
+    G = g - T.components["mean_g"]
     rhs = H * width ** r / (2.0 ** r) / abs(span) \
         * sup_norm_on(G).hi * total_variation(u).hi
-    T = cheby_T(f, g, u)
     tid = "cor_2_2" if r == 1.0 else "thm_2_1"
     return _mk_report(tid, abs(T.value), T.abs_error,
                       [("holder_bv", rhs)],
@@ -330,10 +325,10 @@ def bound_T_holder_monotone(f: PiecewiseFunction, g: PiecewiseFunction,
     H, r = f_holder.params
     a, b = f.domain
     m0 = 0.5 * (a + b)
-    G, _ = _centered(g, u)
+    T = cheby_T(f, g, u)
+    G = g - T.components["mean_g"]
     rhs1 = H / span * abs_integral(G, u, (r, m0))
     rhs2 = H * (b - a) ** r / (2.0 ** r * span) * abs_integral(G, u)
-    T = cheby_T(f, g, u)
     tid = "cor_2_4" if r == 1.0 else "thm_2_3"
     return _mk_report(tid, abs(T.value), T.abs_error,
                       [("pointwise", rhs1), ("uniform", rhs2)],
@@ -354,7 +349,8 @@ def bound_T_holder_lipschitz(f: PiecewiseFunction, g: PiecewiseFunction,
     a, b = f.domain
     width = b - a
     m0 = 0.5 * (a + b)
-    G, _ = _centered(g, u)
+    T = cheby_T(f, g, u)
+    G = g - T.components["mean_g"]
     tier1 = H * K / abs(span) * abs_integral(G, weight=(r, m0))
     tiers = [("pointwise", tier1)]
     sup_g = sup_norm_on(G).hi
@@ -369,7 +365,6 @@ def bound_T_holder_lipschitz(f: PiecewiseFunction, g: PiecewiseFunction,
                       * p_norm(G, p).hi))
     tiers.append(("one_norm", H * K * width ** r / (2.0 ** r * abs(span))
                   * p_norm(G, 1.0).hi))
-    T = cheby_T(f, g, u)
     tid = "cor_2_6" if r == 1.0 else "thm_2_5"
     return _mk_report(tid, abs(T.value), T.abs_error, tiers,
                       [("f", f_holder.describe()),
@@ -562,7 +557,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
     if which == "a12":
         V = total_variation(f).hi
         tier1 = sup_norm_on(dnum).hi / width * V
-        tier2 = width / 4.0 * sup_abs_delta(u) * V
+        tier2 = width / 4.0 * sup_abs_delta(dnum) * V
         return _mk_report("cor_a_7", abs(D.value), D.abs_error,
                           [("weighted_sup", tier1), ("plain_sup", tier2)],
                           [("f", "bv(var)"), ("u", "continuous")])
@@ -573,15 +568,15 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         (L,) = f_lipschitz.params
         tier1 = L / width * abs_integral(dnum)
         tiers = [("weighted_l1", tier1),
-                 ("sup", L * width ** 2 / 6.0 * sup_abs_delta(u))]
+                 ("sup", L * width ** 2 / 6.0 * sup_abs_delta(dnum))]
         if p is not None:
             if p <= 1.0:
                 raise BadExponent("p-branch needs p > 1")
             q = p / (p - 1.0)
             tiers.append(("p_norm", L * width ** (1.0 + 1.0 / q)
                           * _beta_root(q)
-                          * delta_norm(u, p)))
-        tiers.append(("one_norm", L * width / 4.0 * delta_norm(u, 1.0)))
+                          * delta_norm(dnum, p)))
+        tiers.append(("one_norm", L * width / 4.0 * delta_norm(dnum, 1.0)))
         return _mk_report("cor_a_8", abs(D.value), D.abs_error, tiers,
                           [("f", f_lipschitz.describe()),
                            ("u", "continuous")], mode="fan")
@@ -590,7 +585,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         if not chk.ok:
             raise CertificateInvalid(f"a14 needs monotone f: {chk.detail}")
         tier1 = abs_integral(dnum, f) / width
-        dfn = _delta_fn(u)
+        dfn = _delta_fn(dnum)
 
         # delta' jumps at u's breakpoints and |delta| kinks at the roots of
         # N: split there so every Gauss segment sees a smooth integrand.
@@ -614,7 +609,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
                           / width))
         dpf = PiecewiseFunction.from_coeffs((-a * b, a + b, -1.0), a, b)
         int_d_df = rs_integral(dpf, f).value
-        tiers.append(("sup", sup_abs_delta(u) * int_d_df / width))
+        tiers.append(("sup", sup_abs_delta(dnum) * int_d_df / width))
         return _mk_report("cor_a_9", abs(D.value), D.abs_error, tiers,
                           [("f", "monotone()"), ("u", "continuous")],
                           mode="fan")
@@ -625,8 +620,9 @@ def positivity_check_D(f: PiecewiseFunction,
                        u: PiecewiseFunction) -> BoundReport:
     """Lower-bound chain: D >= (1/(b-a)) |integral of
     (t-a)(b-t)(|[u;b,t]| - |[u;t,a]|) df| >= 0, for monotone nondecreasing f
-    and nonnegative divided-difference gap (convexity of u is the certified
-    sufficient condition; otherwise a dense grid check is used)."""
+    and nonnegative divided-difference gap delta.  delta >= 0 is decided on
+    its numerator N = gamma_kernel(u) from the exact piece minima and the
+    point values, within 1e-10 * (1 + max|N|)."""
     a, b = f.domain
     width = b - a
     chk = verify_certificate(f, RegularityCertificate.monotone())
@@ -634,11 +630,11 @@ def positivity_check_D(f: PiecewiseFunction,
         raise HypothesisFailed(chk.witness if chk.witness is not None else a,
                                f"f must be monotone nondecreasing: "
                                f"{chk.detail}")
-    if not _is_convex(u):
-        t_bad = _grid_delta_negative(u)
-        if t_bad is not None:
-            raise HypothesisFailed(t_bad, "divided-difference gap is "
-                                          "negative")
+    N = gamma_kernel(u)
+    inf_e, sup_e = inf_sup_on(N)
+    if inf_e.lo < -1e-10 * (1.0 + max(abs(inf_e.lo), abs(sup_e.hi))):
+        raise HypothesisFailed(extremum_point(N, want_min=True),
+                               "divided-difference gap is negative")
     inner = abs(_signed_gap_integral(f, u)) / width
     D = functional_D(f, u)
     tol = D.abs_error + 1e-9 * max(1.0, abs(D.value), inner)
@@ -648,44 +644,9 @@ def positivity_check_D(f: PiecewiseFunction,
     else:
         ratio = 0.0 if inner <= tol else math.inf
     return BoundReport("thm_a_11", inner, D.value, ratio, holds,
-                       (("f", "monotone()"), ("u", "convex-or-grid")),
+                       (("f", "monotone()"), ("u", "delta>=0")),
                        (("lower_bound", inner), ("functional", D.value)),
                        (), D.abs_error)
-
-
-def _is_convex(u: PiecewiseFunction) -> bool:
-    """Certified convexity check: convex pieces, nondecreasing slope chain,
-    no interior jumps; endpoint values may only sit above the curve."""
-    jtol = 1e-12
-    for t, left, v, right in u.jumps():
-        # an interior jump, or an end value below the curve: grid check
-        if u.a < t < u.b or v < max(left, right) - jtol * (1.0 + abs(v)):
-            return False
-    tol = 1e-10
-    for i, c in enumerate(u.pieces):
-        c2 = poly.pderiv(poly.pderiv(c))
-        mn, _ = poly.pminmax_on(c2, u.breakpoints[i], u.breakpoints[i + 1])
-        if mn < -tol * (1.0 + abs(mn)):
-            return False
-    for i in range(1, len(u.pieces)):
-        t = u.breakpoints[i]
-        sl = poly.pvalue(poly.pderiv(u.pieces[i - 1]), t)
-        sr = poly.pvalue(poly.pderiv(u.pieces[i]), t)
-        if sr < sl - tol * (1.0 + abs(sl)):
-            return False
-    return True
-
-
-def _grid_delta_negative(u: PiecewiseFunction) -> float | None:
-    a, b = u.domain
-    ts = np.linspace(a, b, 2049)[1:-1]
-    N = gamma_kernel(u)
-    vals = N.values_at(ts)
-    scale = 1.0 + float(np.max(np.abs(vals)))
-    bad = vals < -1e-10 * scale
-    if bad.any():
-        return float(ts[np.argmax(bad)])
-    return None
 
 
 def _signed_gap_integral(f: PiecewiseFunction, u: PiecewiseFunction) -> float:

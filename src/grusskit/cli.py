@@ -113,10 +113,8 @@ def _cmd_quad(args) -> int:
         lo_n, hi_n = _counts("sweep", args.sweep, 2, "<nmin>:<nmax>")
         if lo_n > hi_n:
             raise SchemaError("sweep", f"nmin {lo_n} exceeds nmax {hi_n}")
-        holder = None
-        for c in spec.certificates.get("f", []):
-            if c.kind == "holder":
-                holder = c
+        holder = next((c for c in spec.certificates.get("f", [])
+                       if c.kind == "holder"), None)
         rows = []
         exact = rs_product_integral([f, g], u).value
         n = lo_n

@@ -26,6 +26,7 @@ from .errors import CertificateInvalid, DomainError, MalformedCertificate
 MAX_DEGREE = 8          # public constructor cap; catalogue witnesses use <= 2
 _HARD_DEGREE = 40       # structural cap for internally formed products
 _EPS = 2.220446049250313e-16
+_HOLDER_GRID = 512      # points per piece of the sampled r < 1 Holder check
 
 Side = str  # "left" | "at" | "right"
 
@@ -48,9 +49,6 @@ class Enclosure:
     @property
     def rad(self) -> float:
         return 0.5 * (self.hi - self.lo)
-
-    def contains(self, x: float, slack: float = 0.0) -> bool:
-        return self.lo - slack <= x <= self.hi + slack
 
 
 def _tight(value: float, scale: float = 0.0) -> Enclosure:
@@ -609,12 +607,12 @@ def _argmin_poly(c, lo: float, hi: float) -> float:
     return min(xs, key=lambda x: poly.pvalue(c, x))
 
 
-def _holder_sample_check(f: PiecewiseFunction, H: float, r: float,
-                         grid: int) -> CertCheck:
+def _holder_sample_check(f: PiecewiseFunction, H: float,
+                         r: float) -> CertCheck:
     slack = 1e-9 * max(1.0, H)
     samples = []
     for lo, hi, _ in aligned_pieces(f):
-        ts = np.linspace(lo, hi, grid)
+        ts = np.linspace(lo, hi, _HOLDER_GRID)
         samples.append((ts, f.values_at(ts)))
     for i in range(len(samples)):
         xi, fi = samples[i]
@@ -641,8 +639,8 @@ def _holder_upper_bound(f: PiecewiseFunction, r: float) -> float:
     return L ** r * osc ** (1.0 - r) * (1.0 + 4.0 * _EPS)
 
 
-def verify_certificate(f: PiecewiseFunction, cert: RegularityCertificate,
-                       holder_grid: int = 512) -> CertCheck:
+def verify_certificate(f: PiecewiseFunction,
+                       cert: RegularityCertificate) -> CertCheck:
     """Check a certificate against its function.
 
     Bounds / Lipschitz / BV / monotone checks are certified through the
@@ -650,7 +648,7 @@ def verify_certificate(f: PiecewiseFunction, cert: RegularityCertificate,
     H >= L^r * osc^(1-r), from the Lipschitz constant L = sup|f'| and the
     oscillation osc = sup f - inf f, both rounded up; the pass carries a
     ``detail`` starting with "certified".  Otherwise it falls back to a
-    ``holder_grid``-point pair grid per piece pair, which is
+    ``_HOLDER_GRID``-point pair grid per piece pair, which is
     sampling-sound only: it can accept an H just below the true constant.
     """
     kind = cert.kind
@@ -659,10 +657,10 @@ def verify_certificate(f: PiecewiseFunction, cert: RegularityCertificate,
         inf_e, sup_e = inf_sup_on(f)
         tol = 1e-10 * (1.0 + abs(m) + abs(M))
         if inf_e.lo < m - tol:
-            return CertCheck(False, _witness_extremum(f, want_min=True),
+            return CertCheck(False, extremum_point(f, want_min=True),
                              f"inf {inf_e.lo!r} < m {m!r}")
         if sup_e.hi > M + tol:
-            return CertCheck(False, _witness_extremum(f, want_min=False),
+            return CertCheck(False, extremum_point(f, want_min=False),
                              f"sup {sup_e.hi!r} > M {M!r}")
         return CertCheck(True)
     if kind == "lipschitz":
@@ -689,7 +687,7 @@ def verify_certificate(f: PiecewiseFunction, cert: RegularityCertificate,
         if bound <= H:
             return CertCheck(True, detail=f"certified: H >= L^r*osc^(1-r) "
                                           f"= {bound!r}")
-        return _holder_sample_check(f, H, r, holder_grid)
+        return _holder_sample_check(f, H, r)
     if kind == "bv":
         (V,) = cert.params
         tv = total_variation(f)
@@ -703,10 +701,6 @@ def verify_certificate(f: PiecewiseFunction, cert: RegularityCertificate,
 
 def extremum_point(f: PiecewiseFunction, want_min: bool = True) -> float:
     """A point where f attains (or approaches) its minimum or maximum."""
-    return _witness_extremum(f, want_min)
-
-
-def _witness_extremum(f: PiecewiseFunction, want_min: bool) -> float:
     best_t = f.a
     best_v = f(f.a)
     cand: list[float] = list(f.breakpoints)

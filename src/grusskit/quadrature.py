@@ -191,7 +191,12 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                          partition: Partition) -> QuadratureResult:
     """The product-mean rule on a fixed partition, each cell solved once.
     Cells on which u is constant contribute zero; any other cell whose u
-    increment vanishes raises DegenerateCell with its index."""
+    increment vanishes raises DegenerateCell with its index; a partition
+    that does not span u's domain raises DomainError."""
+    if (partition.points[0], partition.points[-1]) != u.domain:
+        raise DomainError(f"partition spans [{partition.points[0]!r}, "
+                          f"{partition.points[-1]!r}], not u's domain "
+                          f"{list(u.domain)!r}")
     cells = []
     for i, (lo, hi) in enumerate(partition.cells()):
         state = _cell_state(u, lo, hi)

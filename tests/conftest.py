@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -78,3 +79,39 @@ def sqrt_surrogate():
         pieces.append((math.sqrt(lo) - slope * lo, slope))
         bps.append(hi)
     return PiecewiseFunction.build(bps, pieces)
+
+
+@pytest.fixture
+def tent_above_chord():
+    """t^2 on [0, 1] with a tent of half-width 1e-4 at t0 = 1000.5/2048
+    whose peak sits 0.01 above the chord u = t: the divided-difference gap
+    is negative only inside (t0 - 1e-4, t0 + 1e-4), which lies strictly
+    between two neighbouring points k/2048 of a uniform 2049-point grid."""
+    t0, h = 1000.5 / 2048, 1e-4
+    top = t0 + 0.01
+    lo, hi = t0 - h, t0 + h
+    up, down = (top - lo * lo) / h, (hi * hi - top) / h
+    return PiecewiseFunction.build(
+        (0.0, lo, t0, hi, 1.0),
+        ((0.0, 0.0, 1.0), (top - up * t0, up), (top - down * t0, down),
+         (0.0, 0.0, 1.0)))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(*functions)`` wraps every binding of each function in
+    the loaded grusskit modules with a call counter and returns the counts,
+    keyed by function name."""
+    def install(*functions) -> dict:
+        counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+        for fn in functions:
+            def counted(*args, _fn=fn, **kwargs):
+                counts[_fn.__name__] += 1
+                return _fn(*args, **kwargs)
+            for name, mod in list(sys.modules.items()):
+                if name == "grusskit" or name.startswith("grusskit."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is fn:
+                            monkeypatch.setattr(mod, attr, counted)
+        return counts
+    return install

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as nppoly
 
-from grusskit import battery, bounds, instances
+from grusskit import battery, bounds, instances, stieltjes
 from grusskit.errors import (BadExponent, CertificateInvalid, ClassMismatch,
                              DegenerateWeight, HypothesisFailed,
                              NegativeWeight, NotMonotone)
@@ -20,6 +20,7 @@ from grusskit.bounds import (beta_int, bound_D_corollaries, bound_D_kernel,
                              bound_T_monotone, delta_norm,
                              ostrowski_pointwise, positivity_check_D,
                              sup_abs_delta, weighted_bounds)
+from grusskit.functionals import gamma_kernel
 from grusskit.stieltjes import riemann_integral
 
 
@@ -235,8 +236,9 @@ class TestDividedDifferenceChains:
         assert rep.holds
 
     def test_l1_branch_for_square_integrator(self, ident, tsq):
-        assert sup_abs_delta(tsq) == pytest.approx(1.0, abs=1e-9)
-        assert delta_norm(tsq, 1.0) == pytest.approx(1.0, abs=1e-9)
+        N = gamma_kernel(tsq)
+        assert sup_abs_delta(N) == pytest.approx(1.0, abs=1e-9)
+        assert delta_norm(N, 1.0) == pytest.approx(1.0, abs=1e-9)
         rep = bound_D_corollaries(ident, tsq, "a13", f_lipschitz=L(1.0))
         assert rep.tier("one_norm") == pytest.approx(0.25, abs=1e-9)
         assert rep.lhs == pytest.approx(1 / 6, abs=1e-12)
@@ -409,6 +411,53 @@ class TestPositivity:
         down = PiecewiseFunction.from_coeffs((1.0, -1.0), 0.0, 1.0)
         with pytest.raises(HypothesisFailed):
             positivity_check_D(down, tsq)
+
+    def test_narrow_negative_gap_rejected(self, ident, tent_above_chord):
+        # a sampled check on the grid k/2048 never sees this gap
+        with pytest.raises(HypothesisFailed) as exc:
+            positivity_check_D(ident, tent_above_chord)
+        assert exc.value.point == 1000.5 / 2048
+
+    @pytest.mark.parametrize("u", [
+        # t - t(1-t)(t-1/2)^2: u'' = -1/2 at t = 1/2
+        PiecewiseFunction.from_coeffs((0.0, 0.75, 1.25, -2.0, 1.0),
+                                      0.0, 1.0),
+        # chordal through (0,0), (0.3,0.1), (0.5,0.12), (1,1): concave kink
+        PiecewiseFunction.build((0.0, 0.3, 0.5, 1.0),
+                                ((0.0, 1.0 / 3.0), (0.07, 0.1),
+                                 (-0.76, 1.76))),
+    ], ids=["quartic", "kinked"])
+    def test_nonconvex_integrator_with_nonnegative_gap(self, ident, u):
+        assert min(gamma_kernel(u).values_at(np.linspace(0, 1, 101))) \
+            >= -1e-15
+        rep = positivity_check_D(ident, u)
+        assert rep.holds
+        assert rep.inputs_digest == (("f", "monotone()"), ("u", "delta>=0"))
+
+
+class TestOneKernelBuild:
+    @pytest.mark.parametrize("which, p, cert", [
+        ("a12", None, None), ("a13", None, L(1.0)), ("a13", 3.0, L(1.0)),
+        ("a14", 3.0, None)])
+    def test_corollaries_build_the_kernel_once(self, count_calls, ident, tsq,
+                                               which, p, cert):
+        counts = count_calls(gamma_kernel)
+        bound_D_corollaries(ident, tsq, which, p=p, f_lipschitz=cert)
+        assert counts["gamma_kernel"] == 1
+
+    def test_positivity_builds_the_kernel_once(self, count_calls, ident, tsq):
+        counts = count_calls(gamma_kernel)
+        positivity_check_D(ident, tsq)
+        assert counts["gamma_kernel"] == 1
+
+
+@pytest.mark.parametrize("bound, cert", [
+    (bound_T_bv, B(0.0, 1.0)), (bound_T_holder_bv, H(1.0, 1.0))])
+def test_T_bounds_integrate_g_once(count_calls, ident, tsq, bound, cert):
+    # cheby_T integrates f du and g du; the centred g reuses its mean
+    counts = count_calls(stieltjes.rs_integral)
+    bound(ident, tsq, tsq, cert)
+    assert counts["rs_integral"] == 2
 
 
 class TestMonotoneIntegratorCorrections:

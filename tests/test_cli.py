@@ -3,7 +3,6 @@ import io
 import json
 import math
 import pathlib
-import sys
 
 import pytest
 
@@ -483,27 +482,10 @@ def test_quad_rejects_a_bad_tolerance_or_budget(option, capsys):
     assert captured.err.startswith("error: DomainError: ")
 
 
-def _count_calls(monkeypatch, *functions) -> dict:
-    """Wrap every binding of each function in the loaded grusskit modules
-    with a call counter; the counts are keyed by function name."""
-    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
-    for fn in functions:
-        def counted(*args, _fn=fn, **kwargs):
-            counts[_fn.__name__] += 1
-            return _fn(*args, **kwargs)
-        for name, mod in list(sys.modules.items()):
-            if name == "grusskit" or name.startswith("grusskit."):
-                for attr, value in list(vars(mod).items()):
-                    if value is fn:
-                        monkeypatch.setattr(mod, attr, counted)
-    return counts
-
-
-def test_quad_sweep_solves_each_cell_once(monkeypatch, capsys):
-    counts = _count_calls(monkeypatch, funcrep.require_certificate,
-                          stieltjes.rs_integral,
-                          stieltjes.rs_product_integral,
-                          quadrature._cell_state)
+def test_quad_sweep_solves_each_cell_once(count_calls, capsys):
+    counts = count_calls(funcrep.require_certificate, stieltjes.rs_integral,
+                         stieltjes.rs_product_integral,
+                         quadrature._cell_state)
     code = run(["quad", "--sweep", "4:256",
                 "--json", json.dumps(QUAD_SPEC_HOLDER)])
     assert code == 0
@@ -513,6 +495,32 @@ def test_quad_sweep_solves_each_cell_once(monkeypatch, capsys):
     assert counts["rs_product_integral"] == 1
     assert counts["rs_integral"] <= 2 * cells
     assert counts["_cell_state"] == cells
+
+
+def test_quad_sweep_uses_the_first_holder_certificate(capsys):
+    # ParsedSpec.cert, and so ``bound``, takes the first certificate of a
+    # kind; the sweep must state its bound from the same one
+    loose = {"slot": "f", "kind": "holder", "params": [5.0, 1.0]}
+    runs = {}
+    for name, spec in [
+            ("first", QUAD_SPEC_HOLDER),
+            ("two", dict(QUAD_SPEC, certificates=[
+                *QUAD_SPEC_HOLDER["certificates"], loose]))]:
+        code, report = run_capture(
+            ["quad", "--sweep", "4:16", "--json", json.dumps(spec)], capsys)
+        assert code == 0
+        runs[name] = report["results"]["sweep"]
+    assert runs["two"] == runs["first"]
+
+
+def test_thm_a_11_refuses_a_narrow_negative_gap(tent_above_chord, capsys):
+    doc = {"domain": [0.0, 1.0], "f": LINE,
+           "u": jsonio.function_to_jsonable(tent_above_chord)}
+    code = run(["bound", "--theorem", "thm_a_11", "--json", json.dumps(doc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "HypothesisFailed" in captured.err
 
 
 def write_quad_reports() -> None:

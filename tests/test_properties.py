@@ -176,4 +176,4 @@ def test_holder_closed_form_pass_implies_grid_pass(seed, r, factor):
     H = _holder_upper_bound(f, r) * factor
     chk = verify_certificate(f, RegularityCertificate.holder(H, r))
     assert chk.ok and chk.detail.startswith("certified")
-    assert _holder_sample_check(f, H, r, 512).ok
+    assert _holder_sample_check(f, H, r).ok

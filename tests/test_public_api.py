@@ -1,6 +1,7 @@
 """The public star-import surface of the package, and the names the
 benchmark tracer binds by name."""
 
+import ast
 import os
 import pathlib
 import subprocess
@@ -54,3 +55,20 @@ def test_benchmark_tracer_finds_every_traced_name():
     proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_src_imports_neither_mpmath_nor_scipy():
+    # both are test-side references only, never runtime dependencies
+    banned = {"mpmath", "scipy"}
+    found = []
+    for path in sorted((ROOT / "src" / "grusskit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.split(".")[0] in banned]
+    assert not found

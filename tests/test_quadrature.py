@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from grusskit import instances, quadrature
+from grusskit.bounds import bound_quadrature_remainder
 from grusskit.errors import DegenerateCell, DomainError
 from grusskit.funcrep import PiecewiseFunction, RegularityCertificate
 from grusskit.functionals import cheby_T
@@ -97,6 +98,17 @@ class TestPartition:
             Partition((0.0,))
         with pytest.raises(DomainError):
             Partition((0.0, 0.0, 1.0))
+
+    @pytest.mark.parametrize("points", [(0.0, 0.5), (0.5, 1.0),
+                                        (0.25, 0.5, 0.75)])
+    def test_partition_must_span_the_domain(self, ident, points):
+        # on (0, 0.5) the rule gives 1/32 against the full integral 1/3
+        part = Partition(points)
+        for rule in (composite_S, remainder_bound_osc):
+            with pytest.raises(DomainError):
+                rule(ident, ident, ident, part)
+        with pytest.raises(DomainError):
+            bound_quadrature_remainder(ident, ident, ident, part)
 
 
 class TestOscillation:
