@@ -5,10 +5,12 @@ Each operation returns a :class:`BoundReport` with the functional magnitude
 lhs/rhs and a conservative ``holds`` verdict.  Certificates are re-verified
 against their functions before use; integrals with |.| factors are split at
 certified sign changes so that every bound value is a closed form wherever
-one exists.  Divided-difference norms that have no closed form are computed
-by doubled Gauss panels, and the panel residual is discarded: it does not
-enter the report tolerance.  Every divided-difference bound builds the
-kernel numerator ``gamma_kernel(u)`` once and hands it to the norms.
+one exists.  Divided-difference integrals that have no closed form go
+through ``funcrep.integrate_against`` (doubled Gauss panels, split at the
+breakpoints and in-piece roots of the kernel numerator), whose residual is
+discarded: it does not enter the report tolerance.  Every
+divided-difference bound builds the kernel numerator ``gamma_kernel(u)``
+once and hands it to the norms.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as nppoly
 
 from . import poly
 from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
@@ -27,9 +28,10 @@ from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
                      GrussKitError, HypothesisFailed, NegativeWeight,
                      NotMonotone)
 from .funcrep import (PiecewiseFunction, RegularityCertificate,
-                      aligned_pieces, extremum_point, gauss_integral,
-                      inf_sup_on, p_norm, require_certificate, sign_segments,
-                      sup_norm_on, total_variation, verify_certificate)
+                      aligned_pieces, extremum_point, inf_sup_on,
+                      integrate_against, p_norm, require_certificate,
+                      sign_segments, sup_norm_on, total_variation,
+                      verify_certificate)
 from .functionals import (cheby_T, functional_D, gamma_kernel,
                           integrator_span, phi_kernel)
 from .quadrature import Partition, partition_quadrature
@@ -197,44 +199,25 @@ def _delta_fn(N: PiecewiseFunction):
     return fn
 
 
+def _delta_cuts(N: PiecewiseFunction) -> list[float]:
+    """N's breakpoints and the roots of each piece inside that piece:
+    delta' jumps at the former and |delta| kinks at the latter, so a Gauss
+    panel between two cuts sees a smooth integrand."""
+    return list(N.breakpoints) + [
+        t for lo, hi, c in aligned_pieces(N)
+        for t in poly.proots(c, lo, hi) if lo < t < hi]
+
+
 def delta_norm(N: PiecewiseFunction, p: float) -> float:
-    """L^p norm (dt) of delta over (a, b) from its numerator N; p = inf
-    gives the sup."""
-    if p == math.inf:
-        return sup_abs_delta(N)
+    """L^p norm (dt) of delta over (a, b) from its numerator N, p >= 1;
+    the sup is ``sup_abs_delta``."""
     if p < 1.0:
-        raise BadExponent("p must be >= 1 or inf")
+        raise BadExponent("p must be >= 1")
     dfn = _delta_fn(N)
-    tiny = 1e-14 * (N.b - N.a)
-    total = 0.0
-    for lo, hi, c in aligned_pieces(N):
-        for x0, x1, _ in sign_segments(c, lo, hi):
-            if x1 - x0 <= tiny:
-                continue
-            val, _ = gauss_integral(
-                lambda ts: np.abs(dfn(ts)) ** p, x0, x1, tol=1e-11)
-            total += val
+    ident = PiecewiseFunction.from_coeffs((0.0, 1.0), N.a, N.b)
+    total = integrate_against(lambda ts: np.abs(dfn(ts)) ** p, ident,
+                              _delta_cuts(N), tol=1e-11)
     return max(total, 0.0) ** (1.0 / p)
-
-
-def _rs_fn_against(fun, f: PiecewiseFunction, splits=()) -> float:
-    """integral of fun(t) df(t) for a continuous vectorised fun and a
-    piecewise-polynomial integrator f (numeric drift + exact jump terms)."""
-    tiny = 1e-14 * (f.b - f.a)
-    total = 0.0
-    for lo, hi, fc in aligned_pieces(f, splits=splits):
-        if hi - lo <= tiny:
-            continue
-        dc = poly.pderiv(fc)
-        if poly.is_zero_poly(dc):
-            continue
-        val, _ = gauss_integral(
-            lambda ts, dc=dc: fun(ts) * nppoly.polyval(ts, np.asarray(dc)),
-            lo, hi, tol=1e-10)
-        total += val
-    for t, mass in f.jump_masses():
-        total += float(fun(np.array([t]))[0]) * mass
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -586,23 +569,18 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
             raise CertificateInvalid(f"a14 needs monotone f: {chk.detail}")
         tier1 = abs_integral(dnum, f) / width
         dfn = _delta_fn(dnum)
-
-        # delta' jumps at u's breakpoints and |delta| kinks at the roots of
-        # N: split there so every Gauss segment sees a smooth integrand.
-        splits = list(dnum.breakpoints) + [
-            t for lo, hi, N in aligned_pieces(dnum)
-            for t in poly.proots(N, lo, hi)]
-        int_absdelta_df = _rs_fn_against(lambda ts: np.abs(dfn(ts)),
-                                         f, splits)
+        splits = _delta_cuts(dnum)
+        int_absdelta_df = integrate_against(lambda ts: np.abs(dfn(ts)),
+                                            f, splits)
         tiers = [("weighted", tier1),
                  ("plain", width / 4.0 * int_absdelta_df)]
         if p is not None:
             if p <= 1.0:
                 raise BadExponent("p-branch needs p > 1")
             q = p / (p - 1.0)
-            int_dq_df = _rs_fn_against(
-                lambda ts: ((ts - a) * (b - ts)) ** q, f, [])
-            int_deltap_df = _rs_fn_against(
+            int_dq_df = integrate_against(
+                lambda ts: ((ts - a) * (b - ts)) ** q, f)
+            int_deltap_df = integrate_against(
                 lambda ts: np.abs(dfn(ts)) ** p, f, splits)
             tiers.append(("p_norm",
                           int_dq_df ** (1.0 / q) * int_deltap_df ** (1.0 / p)
@@ -710,8 +688,8 @@ def bound_D_monotone_Q(f: PiecewiseFunction, u: PiecewiseFunction,
     a, b = u.domain
     width = b - a
     m0 = 0.5 * (a + b)
-    right = riemann_integral(u, m0, b).value
-    left = riemann_integral(u, a, m0).value
+    right = riemann_integral(u.restrict(m0, b)).value
+    left = riemann_integral(u.restrict(a, m0)).value
     Q = (right - left) / width
     span = u(u.b) - u(u.a)
     V = total_variation(f).hi

@@ -51,11 +51,15 @@ def _emit(args, results, seed=None, stdout=None) -> None:
 
 def _cmd_integrate(args) -> int:
     spec = _load_spec(args)
-    f = spec.require("f")
-    if "u" in spec.functions:
-        res = rs_integral(f, spec.functions["u"], args.from_, args.to)
+    a, b = spec.domain
+    c = a if args.from_ is None else args.from_
+    d = b if args.to is None else args.to
+    f = spec.require("f").restrict(c, d)
+    u = spec.functions.get("u")
+    if u is None:
+        res = riemann_integral(f)
     else:
-        res = riemann_integral(f, args.from_, args.to)
+        res = rs_integral(f, u.restrict(c, d))
     _emit(args, {"integral": jsonio.integral_to_jsonable(res)})
     return 0
 

@@ -7,8 +7,11 @@ may differ from the one-sided limits, which is how pure-jump integrators are
 represented.
 
 Regularity quantities (sup norm, total variation, p-norms, inf/sup) are
-computed from closed forms on the pieces plus the jump data, and are
-returned as tight :class:`Enclosure` intervals.
+computed over the whole domain from closed forms on the pieces plus the
+jump data, and are returned as tight :class:`Enclosure` intervals; for a
+sub-interval [c, d], take them of ``f.restrict(c, d)``.
+``integrate_against`` is the one numeric integral against df (doubled
+Gauss panels per cell, exact jump terms).
 """
 
 from __future__ import annotations
@@ -282,6 +285,9 @@ class PiecewiseFunction:
     # -- structure helpers ----------------------------------------------
 
     def restrict(self, c: float, d: float) -> "PiecewiseFunction":
+        """f on [c, d], the one way to take a sub-interval: the point
+        values at c and d are f(c) and f(d), so a jump there counts only
+        its inward half (``jump_masses``)."""
         if not (self.a <= c < d <= self.b):
             raise DomainError(f"[{c!r}, {d!r}] is not a subinterval of "
                               f"{self.domain!r}")
@@ -451,65 +457,54 @@ def eval_sided(f: PiecewiseFunction, t: float, side: Side) -> float:
     raise DomainError(f"unknown side {side!r}")
 
 
-def inf_sup_on(f: PiecewiseFunction, c: float | None = None,
-               d: float | None = None) -> tuple[Enclosure, Enclosure]:
-    """Certified enclosures of inf and sup of f over [c, d], including the
-    breakpoint point values inside the window."""
-    c = f.a if c is None else c
-    d = f.b if d is None else d
-    g = f.restrict(c, d)
+def inf_sup_on(f: PiecewiseFunction) -> tuple[Enclosure, Enclosure]:
+    """Certified enclosures of inf and sup of f over its domain, including
+    the breakpoint point values."""
     lo = math.inf
     hi = -math.inf
-    for x0, x1, coeffs in aligned_pieces(g):
+    for x0, x1, coeffs in aligned_pieces(f):
         mn, mx = poly.pminmax_on(coeffs, x0, x1)
         lo = min(lo, mn)
         hi = max(hi, mx)
-    for v in g.point_values:
+    for v in f.point_values:
         lo = min(lo, v)
         hi = max(hi, v)
     scale = max(abs(lo), abs(hi))
     return _tight(lo, scale), _tight(hi, scale)
 
 
-def sup_norm_on(f: PiecewiseFunction, c: float | None = None,
-                d: float | None = None) -> Enclosure:
-    inf_e, sup_e = inf_sup_on(f, c, d)
+def sup_norm_on(f: PiecewiseFunction) -> Enclosure:
+    inf_e, sup_e = inf_sup_on(f)
     value = max(abs(inf_e.mid), abs(sup_e.mid))
     return _tight(value, value)
 
 
-def total_variation(u: PiecewiseFunction, c: float | None = None,
-                    d: float | None = None) -> Enclosure:
-    """Total variation over [c, d]: per-piece polynomial variation plus both
-    half-jumps (left-limit -> value and value -> right-limit) at every
-    breakpoint; at the window ends the outward half is zero by the
+def total_variation(u: PiecewiseFunction) -> Enclosure:
+    """Total variation over the domain: per-piece polynomial variation plus
+    both half-jumps (left-limit -> value and value -> right-limit) at every
+    breakpoint; at the domain ends the outward half is zero by the
     ``_sided_values`` convention."""
-    c = u.a if c is None else c
-    d = u.b if d is None else d
-    g = u.restrict(c, d)
     total = 0.0
-    for lo, hi, coeffs in aligned_pieces(g):
+    for lo, hi, coeffs in aligned_pieces(u):
         total += poly.pvariation_on(coeffs, lo, hi)
-    for _, left, v, right in g.jumps():
+    for _, left, v, right in u.jumps():
         total += abs(v - left) + abs(right - v)
-    pad = 64.0 * _EPS * (1.0 + total) + g.jump_slack()
+    pad = 64.0 * _EPS * (1.0 + total) + u.jump_slack()
     return Enclosure(total - pad, total + pad)
 
 
-def p_norm(f: PiecewiseFunction, p: float, c: float | None = None,
-           d: float | None = None) -> Enclosure:
-    """(integral of |f|^p dt)^(1/p) over [c, d]; p = inf gives the sup norm."""
+def p_norm(f: PiecewiseFunction, p: float) -> Enclosure:
+    """(integral of |f|^p dt)^(1/p) over the domain; p = inf gives the sup
+    norm.  Fractional p integrates by doubled Gauss panels and keeps their
+    residual in the pad."""
     if p != math.inf and p < 1.0:
         raise DomainError("p must be >= 1 or inf")
     if p == math.inf:
-        return sup_norm_on(f, c, d)
-    c = f.a if c is None else c
-    d = f.b if d is None else d
-    g = f.restrict(c, d)
+        return sup_norm_on(f)
     total = 0.0
     err = 0.0
     int_p = float(p).is_integer()
-    for lo, hi, coeffs in aligned_pieces(g):
+    for lo, hi, coeffs in aligned_pieces(f):
         for x0, x1, sgn in sign_segments(coeffs, lo, hi):
             if int_p:
                 powp = poly.ppow(poly.pscale(coeffs, sgn), int(p))
@@ -562,6 +557,30 @@ def gauss_integral(fun, a: float, b: float, tol: float = 1e-12,
         prev = cur
         panels *= 2
     return prev, abs(prev) * 1e-9 + tol
+
+
+def integrate_against(fun, f: PiecewiseFunction, splits=(),
+                      tol: float = 1e-10) -> float:
+    """integral of fun(t) df(t) for a continuous vectorised fun and a
+    piecewise-polynomial integrator f: one doubled Gauss panel per cell of
+    f's breakpoints merged with ``splits``, plus fun(t) times the mass of
+    every jump of f.  Cells narrower than 1e-14 of the domain and cells on
+    which f is constant are skipped; the panel residual is discarded."""
+    tiny = 1e-14 * (f.b - f.a)
+    total = 0.0
+    for lo, hi, fc in aligned_pieces(f, splits=splits):
+        if hi - lo <= tiny:
+            continue
+        dc = poly.pderiv(fc)
+        if poly.is_zero_poly(dc):
+            continue
+        val, _ = gauss_integral(
+            lambda ts, dc=dc: fun(ts) * nppoly.polyval(ts, np.asarray(dc)),
+            lo, hi, tol=tol)
+        total += val
+    for t, mass in f.jump_masses():
+        total += float(fun(np.array([t]))[0]) * mass
+    return total
 
 
 # ---------------------------------------------------------------------------

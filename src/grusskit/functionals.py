@@ -21,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as nppoly
 
 from . import poly
 from .errors import DegenerateIntegrator, DegenerateWeight, DomainError
-from .funcrep import PiecewiseFunction, aligned_pieces, gauss_integral
+from .funcrep import PiecewiseFunction, integrate_against
 from .stieltjes import (riemann_integral, riemann_product_integral,
                         rs_integral, rs_product_integral)
 
@@ -50,13 +49,6 @@ def integrator_span(u: PiecewiseFunction) -> float:
     if du == 0.0 or abs(du) < _DEGENERACY_FLOOR * scale:
         raise DegenerateIntegrator("u(b) == u(a)")
     return du
-
-
-def mean_against(g: PiecewiseFunction, u: PiecewiseFunction) -> tuple[float, float]:
-    """Normalised mean (1/(u(b)-u(a))) * integral of g du, with error."""
-    du = integrator_span(u)
-    ig = rs_integral(g, u)
-    return ig.value / du, ig.abs_error / abs(du)
 
 
 def cheby_T(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -203,7 +195,7 @@ def identity_residual_D(f: PiecewiseFunction,
 
 def _delta_form_numeric(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
     """integral of (t-a)(b-t) delta(t) df(t), via pointwise kernel values
-    and smooth quadrature per aligned piece plus jump terms of f."""
+    and ``integrate_against`` split at u's breakpoints."""
     a, b = u.domain
 
     def weighted_delta(ts: np.ndarray) -> np.ndarray:
@@ -213,15 +205,4 @@ def _delta_form_numeric(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
         ua = u(a)
         return (ts - a) * (ub - uv) - (b - ts) * (uv - ua)
 
-    total = 0.0
-    for lo, hi, fc, _ in aligned_pieces(f, u):
-        dc = poly.pderiv(fc)
-
-        def integrand(ts, dc=dc):
-            return weighted_delta(ts) * nppoly.polyval(ts, np.asarray(dc))
-
-        val, _ = gauss_integral(integrand, lo, hi, tol=1e-13)
-        total += val
-    for t, mass in f.jump_masses():
-        total += float(weighted_delta(np.array([t]))[0]) * mass
-    return total
+    return integrate_against(weighted_delta, f, u.breakpoints, tol=1e-13)

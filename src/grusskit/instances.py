@@ -12,7 +12,7 @@ import random
 
 from . import poly
 from .funcrep import (PiecewiseFunction, RegularityCertificate,
-                      inf_sup_on, total_variation)
+                      _sup_abs_derivative, inf_sup_on, total_variation)
 from .errors import GeneratorExhausted
 
 _MAX_TRIES = 60
@@ -126,11 +126,7 @@ def rand_lipschitz(rng: random.Random, a: float, b: float,
                    max_degree: int = 3) \
         -> tuple[PiecewiseFunction, RegularityCertificate]:
     u = rand_continuous(rng, a, b, max_degree)
-    L = 0.0
-    for i, c in enumerate(u.pieces):
-        mn, mx = poly.pminmax_on(poly.pderiv(c), u.breakpoints[i],
-                                 u.breakpoints[i + 1])
-        L = max(L, abs(mn), abs(mx))
+    L = _sup_abs_derivative(u)
     return u, RegularityCertificate.lipschitz(L * (1.0 + 1e-9) + 1e-12)
 
 

@@ -23,9 +23,7 @@ from .errors import DegenerateCell, DomainError, ToleranceUnreachable
 from .funcrep import (PiecewiseFunction, RegularityCertificate,
                       inf_sup_on, require_certificate, sup_norm_on,
                       total_variation)
-from .stieltjes import rs_integral
-
-_SPAN_FLOOR = 1e-300
+from .stieltjes import _same_domain, rs_integral
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,7 @@ def _cell_state(u: PiecewiseFunction, lo: float, hi: float) -> str:
     scale = 1.0 + max(abs(u(lo)), abs(u(hi)))
     if abs(u(hi) - u(lo)) > 1e-12 * scale:
         return "ok"
-    if total_variation(u, lo, hi).mid <= 1e-10 * scale:
+    if total_variation(u.restrict(lo, hi)).mid <= 1e-10 * scale:
         return "constant"
     return "degenerate"
 
@@ -116,7 +114,7 @@ def oscillation_v(f: PiecewiseFunction, partition: Partition) -> float:
     """max over cells of (sup f - inf f), certified from above."""
     worst = 0.0
     for lo, hi in partition.cells():
-        inf_e, sup_e = inf_sup_on(f, lo, hi)
+        inf_e, sup_e = inf_sup_on(f.restrict(lo, hi))
         worst = max(worst, sup_e.hi - inf_e.lo)
     return worst
 
@@ -135,9 +133,9 @@ class _Cell(NamedTuple):
 def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
                  m: float) -> float:
     """sup |g - m| over the domain of ``g_cell = g.restrict(lo, hi)``,
-    equal to ``sup_norm_on(g - m, lo, hi).hi`` without forming g - m over
-    the whole domain: a cell end that is not a breakpoint of g takes the
-    value of its shifted piece there."""
+    equal to ``sup_norm_on((g - m).restrict(lo, hi)).hi`` without forming
+    g - m over the whole domain: a cell end that is not a breakpoint of g
+    takes the value of its shifted piece there."""
     pieces = tuple(poly.psub(c, (m,)) for c in g_cell.pieces)
     values = [v - m for v in g_cell.point_values]
     lo, hi = g_cell.domain
@@ -176,7 +174,8 @@ def _result(f: PiecewiseFunction, u: PiecewiseFunction,
     value = 0.0
     for c in cells:
         if c.state == "ok":
-            value += rs_integral(f, u, c.lo, c.hi).value * c.i_g / c.span
+            i_f = rs_integral(f.restrict(c.lo, c.hi), u.restrict(c.lo, c.hi))
+            value += i_f.value * c.i_g / c.span
     stated = 0.5 * max(c.terms[0] for c in cells) \
         * max(c.terms[1] for c in cells) * total_variation(u).hi
     per_cell = np.array([c.terms for c in cells], dtype=np.float64)
@@ -192,11 +191,14 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
     """The product-mean rule on a fixed partition, each cell solved once.
     Cells on which u is constant contribute zero; any other cell whose u
     increment vanishes raises DegenerateCell with its index; a partition
-    that does not span u's domain raises DomainError."""
+    that does not span u's domain, or an f or g on another domain, raises
+    DomainError."""
     if (partition.points[0], partition.points[-1]) != u.domain:
         raise DomainError(f"partition spans [{partition.points[0]!r}, "
                           f"{partition.points[-1]!r}], not u's domain "
                           f"{list(u.domain)!r}")
+    for h in (f, g):
+        _same_domain(h, u)
     cells = []
     for i, (lo, hi) in enumerate(partition.cells()):
         state = _cell_state(u, lo, hi)
@@ -262,12 +264,15 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
     it equals ``partition_quadrature`` on the final partition, with one
     more integral (of f du) per cell.
 
-    Raises DomainError unless ``tol > 0`` and ``max_cells >= 1``.
+    Raises DomainError unless ``tol > 0``, ``max_cells >= 1`` and f, g
+    and u share one domain.
     """
     if not tol > 0:
         raise DomainError(f"tol must be positive, got {tol!r}")
     if max_cells < 1:
         raise DomainError(f"max_cells must be >= 1, got {max_cells!r}")
+    for h in (f, g):
+        _same_domain(h, u)
     a, b = u.domain
 
     cells = [_solve_cell(f, g, u, a, b, _cell_state(u, a, b))]

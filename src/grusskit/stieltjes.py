@@ -3,9 +3,12 @@
 ``rs_integral``, ``rs_product_integral``, ``riemann_integral`` and
 ``riemann_product_integral`` share one closed-form core: the smooth part is
 the piecewise polynomial integral of f * u' (of f alone for dt) and every
-jump of the integrator contributes f(t) times the jump.  Jump bookkeeping
-at the window ends follows the one-sided convention: at c only the
-(value -> right-limit) half counts, at d only (left-limit -> value).
+jump of the integrator contributes f(t) times the jump.  Every integral
+runs over the whole common domain; for a sub-interval [c, d], integrate
+the functions restricted by ``PiecewiseFunction.restrict(c, d)``.  Jump
+bookkeeping at the domain ends follows the half-jump convention: at the
+left end only the (value -> right-limit) half counts, at the right end only
+(left-limit -> value), so integrals over adjacent sub-intervals add up.
 ``rs_oracle`` is a slow independent check based on midpoint-tagged
 Stieltjes sums with the jump part split off exactly.
 """
@@ -42,15 +45,6 @@ def _same_domain(f: PiecewiseFunction, u: PiecewiseFunction) -> None:
                           f"{f.domain!r} vs {u.domain!r}")
 
 
-def _window(f: PiecewiseFunction, c, d) -> tuple[float, float]:
-    a, b = f.domain
-    c = a if c is None else float(c)
-    d = b if d is None else float(d)
-    if not (a <= c < d <= b):
-        raise DomainError(f"bad window [{c!r}, {d!r}] inside [{a!r}, {b!r}]")
-    return c, d
-
-
 def _check_shared_jumps(fs: list[PiecewiseFunction],
                         u: PiecewiseFunction) -> None:
     u_disc = set(u.discontinuity_points())
@@ -63,9 +57,8 @@ def _check_shared_jumps(fs: list[PiecewiseFunction],
 
 
 def _product_core(factors: list[PiecewiseFunction],
-                  u: PiecewiseFunction | None,
-                  c: float | None, d: float | None) -> IntegralResult:
-    """Closed-form integral of (prod factors) du over [c, d], or of
+                  u: PiecewiseFunction | None) -> IntegralResult:
+    """Closed-form integral of (prod factors) du over the domain, or of
     (prod factors) dt when u is None: the product is formed on the
     coefficients of each aligned cell and integrated exactly, and every
     jump of u adds the factors' point values times its mass.
@@ -74,30 +67,27 @@ def _product_core(factors: list[PiecewiseFunction],
     ref = factors[0] if u is None else u
     for f in factors:
         _same_domain(f, ref)
-    c, d = _window(ref, c, d)
-    rf = [f.restrict(c, d) for f in factors]
-    ru = None if u is None else u.restrict(c, d)
-    if ru is not None:
-        _check_shared_jumps(rf, ru)
+    if u is not None:
+        _check_shared_jumps(factors, u)
     value = 0.0
     scale = 0.0
-    for lo, hi, *pcs in aligned_pieces(*rf, *([] if ru is None else [ru])):
-        if ru is not None:
+    for lo, hi, *pcs in aligned_pieces(*factors, *([] if u is None else [u])):
+        if u is not None:
             pcs[-1] = poly.pderiv(pcs[-1])
         term = poly.pintegrate(reduce(poly.pmul, pcs), lo, hi)
         value += term
         scale += abs(term)
     fv_worst = 1.0
     slack = 0.0
-    if ru is not None:
-        for t, mass in ru.jump_masses():
+    if u is not None:
+        for t, mass in u.jump_masses():
             fv = 1.0
-            for f in rf:
+            for f in factors:
                 fv *= f(t)
             fv_worst = max(fv_worst, abs(fv))
             value += fv * mass
             scale += abs(fv * mass)
-        slack = ru.jump_slack()
+        slack = u.jump_slack()
     err = 64.0 * _EPS * (scale + abs(value) + 1.0) + fv_worst * slack
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"integral is not finite (value {value!r}, "
@@ -105,34 +95,30 @@ def _product_core(factors: list[PiecewiseFunction],
     return IntegralResult(value, err, "closed_form")
 
 
-def rs_integral(f: PiecewiseFunction, u: PiecewiseFunction,
-                c: float | None = None, d: float | None = None) -> IntegralResult:
-    """Closed-form Riemann-Stieltjes integral of f du over [c, d].
+def rs_integral(f: PiecewiseFunction, u: PiecewiseFunction) -> IntegralResult:
+    """Closed-form Riemann-Stieltjes integral of f du over the domain.
 
     Raises SharedDiscontinuity when f and u jump at the same point, which
     signals that the integral need not exist.
     """
-    return _product_core([f], u, c, d)
+    return _product_core([f], u)
 
 
-def rs_product_integral(factors: list[PiecewiseFunction], u: PiecewiseFunction,
-                        c: float | None = None,
-                        d: float | None = None) -> IntegralResult:
+def rs_product_integral(factors: list[PiecewiseFunction],
+                        u: PiecewiseFunction) -> IntegralResult:
     """Integral of (f1 * f2 * ...) du without forming the product function."""
-    return _product_core(list(factors), u, c, d)
+    return _product_core(list(factors), u)
 
 
-def riemann_integral(f: PiecewiseFunction, c: float | None = None,
-                     d: float | None = None) -> IntegralResult:
+def riemann_integral(f: PiecewiseFunction) -> IntegralResult:
     """Exact piecewise antiderivative evaluation of the Riemann integral."""
-    return _product_core([f], None, c, d)
+    return _product_core([f], None)
 
 
-def riemann_product_integral(factors: list[PiecewiseFunction],
-                             c: float | None = None,
-                             d: float | None = None) -> IntegralResult:
+def riemann_product_integral(
+        factors: list[PiecewiseFunction]) -> IntegralResult:
     """Riemann integral of a pointwise product, formed on coefficients."""
-    return _product_core(list(factors), None, c, d)
+    return _product_core(list(factors), None)
 
 
 def _continuous_part_values(u: PiecewiseFunction,
@@ -154,7 +140,6 @@ def _continuous_part_values(u: PiecewiseFunction,
 
 
 def rs_oracle(f: PiecewiseFunction, u: PiecewiseFunction,
-              c: float | None = None, d: float | None = None,
               n: int = 4096) -> IntegralResult:
     """Independent slow check: midpoint-tagged Stieltjes sum against the
     continuous part of u on a uniform n-grid, plus exact jump terms.  The
@@ -162,19 +147,16 @@ def rs_oracle(f: PiecewiseFunction, u: PiecewiseFunction,
     if n < 1:
         raise DomainError("n must be >= 1")
     _same_domain(f, u)
-    c, d = _window(u, c, d)
-    rf = f.restrict(c, d)
-    ru = u.restrict(c, d)
-    _check_shared_jumps([rf], ru)
+    _check_shared_jumps([f], u)
     jump_total = 0.0
-    for t, mass in ru.jump_masses():
-        jump_total += rf(t) * mass
+    for t, mass in u.jump_masses():
+        jump_total += f(t) * mass
 
     def sum_at(m: int) -> float:
-        xs = np.linspace(c, d, m + 1)
+        xs = np.linspace(u.a, u.b, m + 1)
         mids = 0.5 * (xs[:-1] + xs[1:])
-        fv = rf.values_at(mids)
-        uc = _continuous_part_values(ru, xs)
+        fv = f.values_at(mids)
+        uc = _continuous_part_values(u, xs)
         return float(np.sum(fv * np.diff(uc))) + jump_total
 
     s1 = sum_at(n)

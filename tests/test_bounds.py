@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as nppoly
 
-from grusskit import battery, bounds, instances, stieltjes
+from grusskit import battery, funcrep, instances, stieltjes
 from grusskit.errors import (BadExponent, CertificateInvalid, ClassMismatch,
                              DegenerateWeight, HypothesisFailed,
                              NegativeWeight, NotMonotone)
@@ -342,8 +342,8 @@ class TestMonotoneChainAccuracy:
 
     def test_quadrature_cost_over_battery_trials(self, monkeypatch):
         levels = 1 + inspect.signature(
-            bounds.gauss_integral).parameters["max_doublings"].default
-        real = bounds.gauss_integral
+            funcrep.gauss_integral).parameters["max_doublings"].default
+        real = funcrep.gauss_integral
         nodes = []
         exhausted = []
 
@@ -359,7 +359,7 @@ class TestMonotoneChainAccuracy:
                 exhausted.append((lo, hi))
             return out
 
-        monkeypatch.setattr(bounds, "gauss_integral", counting)
+        monkeypatch.setattr(funcrep, "gauss_integral", counting)
         for k in range(50):
             battery.THEOREMS["cor_a_9"](random.Random(f"0:cor_a_9:{k}"))
         assert not exhausted

@@ -23,6 +23,16 @@ WITNESS_SPEC = {
     ],
 }
 
+# f = t against u = t on [0, 1/2), 1/2 at 1/2, 1 + t on (1/2, 1], 2 at 1:
+# a unit jump at 1/2 whose point value sits at the left level
+JUMP_AT_HALF_DOC = json.dumps({
+    "domain": [0.0, 1.0],
+    "f": {"breakpoints": [0.0, 1.0], "pieces": [{"coeffs": [0.0, 1.0]}]},
+    "u": {"breakpoints": [0.0, 0.5, 1.0],
+          "pieces": [{"coeffs": [0.0, 1.0]}, {"coeffs": [1.0, 1.0]}],
+          "values": {"0": 0.0, "1": 0.5, "2": 2.0}},
+})
+
 
 def run_capture(argv, capsys):
     code = run(argv)
@@ -144,6 +154,30 @@ class TestCommands:
         res = doc["results"]["integral"]
         assert res["value"] == pytest.approx(2 / 3, abs=1e-12)
         assert res["abs_error"] <= 1e-12
+
+    @pytest.mark.parametrize("window, value", [
+        ([], 1.0),
+        (["--from", "0.5", "--to", "1"], 0.875),
+        (["--from", "0.5"], 0.875),
+        (["--from", "0", "--to", "0.5"], 0.125),
+    ])
+    def test_integrate_window(self, window, value, capsys):
+        # the window from 1/2 takes the whole (value -> right) jump there,
+        # the window up to 1/2 none of it
+        code, doc = run_capture(
+            ["integrate", "--json", JUMP_AT_HALF_DOC] + window, capsys)
+        assert code == 0
+        assert doc["results"]["integral"]["value"] \
+            == pytest.approx(value, abs=1e-12)
+
+    @pytest.mark.parametrize("window", [["--from", "0.7", "--to", "0.2"],
+                                        ["--to", "2"]])
+    def test_integrate_bad_window(self, window, capsys):
+        code = run(["integrate", "--json", JUMP_AT_HALF_DOC] + window)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: DomainError: ")
 
     def test_cheby(self, capsys):
         code, doc = run_capture(
@@ -375,6 +409,15 @@ class TestBoundDispatch:
         assert code == 1
         assert captured.out == ""
         assert "input error: certificates.f" in captured.err
+
+    @pytest.mark.parametrize("theorem", ["cor_a_7", "thm_a_6_i"])
+    def test_jumping_integrator_is_refused(self, theorem, capsys):
+        code = run(["bound", "--theorem", theorem, "--json",
+                    JUMP_AT_HALF_DOC])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "ClassMismatch" in captured.err
 
     def test_cor_a_8_p_near_one_holds(self, capsys):
         slots, certs, _ = THEOREM_SPECS["cor_a_8"]

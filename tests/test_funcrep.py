@@ -48,7 +48,7 @@ class TestInfSup:
         assert sup_e.mid == pytest.approx(1.0)
 
     def test_window(self, tsq):
-        _, sup_e = inf_sup_on(tsq, 0.0, 0.5)
+        _, sup_e = inf_sup_on(tsq.restrict(0.0, 0.5))
         assert sup_e.mid == pytest.approx(0.25)
 
 
@@ -80,8 +80,8 @@ class TestTotalVariation:
     def test_additive_over_adjacent_windows(self, vee, u_jump):
         for f in (vee, u_jump):
             whole = total_variation(f)
-            left = total_variation(f, 0.0, 0.375)
-            right = total_variation(f, 0.375, 1.0)
+            left = total_variation(f.restrict(0.0, 0.375))
+            right = total_variation(f.restrict(0.375, 1.0))
             assert left.mid + right.mid == pytest.approx(
                 whole.mid, abs=left.rad + right.rad + whole.rad)
 

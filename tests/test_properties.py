@@ -45,8 +45,8 @@ def test_variation_additive_over_split(seed):
     f = instances.rand_piecewise(rng, a, b, jumps=True)
     mid = rng.uniform(a + 0.1 * (b - a), b - 0.1 * (b - a))
     whole = total_variation(f)
-    left = total_variation(f, a, mid)
-    right = total_variation(f, mid, b)
+    left = total_variation(f.restrict(a, mid))
+    right = total_variation(f.restrict(mid, b))
     slack = whole.rad + left.rad + right.rad + 1e-9
     assert abs(left.mid + right.mid - whole.mid) <= slack
 
@@ -160,7 +160,8 @@ def test_window_splitting_of_stieltjes_integral(seed):
     u = instances.rand_piecewise(rng, a, b, jumps=True)
     mid = rng.uniform(a + 0.2 * (b - a), b - 0.2 * (b - a))
     whole = rs_integral(f, u).value
-    parts = rs_integral(f, u, a, mid).value + rs_integral(f, u, mid, b).value
+    parts = rs_integral(f.restrict(a, mid), u.restrict(a, mid)).value \
+        + rs_integral(f.restrict(mid, b), u.restrict(mid, b)).value
     assert whole == pytest.approx(parts, abs=1e-9 * (1.0 + abs(whole)))
 
 

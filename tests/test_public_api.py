@@ -72,3 +72,37 @@ def test_src_imports_neither_mpmath_nor_scipy():
             found += [(path.name, name) for name in names
                       if name.split(".")[0] in banned]
     assert not found
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private names (one leading underscore, not dunder)
+    bound by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                names += [n.id for n in ast.walk(target)
+                          if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_src_name_is_used():
+    # a private helper or constant that nothing in src/ reads is dead code
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "grusskit").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = [(name, private) for name, tree in trees.items()
+              for private in _private_definitions(tree)
+              if private not in used]
+    assert not unused

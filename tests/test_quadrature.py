@@ -56,8 +56,9 @@ def _reference_composite_S(f, g, u, partition):
         if state == "degenerate":
             raise DegenerateCell(i, (lo, hi))
         span = u(hi) - u(lo)
-        i_f = rs_integral(f, u, lo, hi).value
-        i_g = rs_integral(g, u, lo, hi).value
+        u_cell = u.restrict(lo, hi)
+        i_f = rs_integral(f.restrict(lo, hi), u_cell).value
+        i_g = rs_integral(g.restrict(lo, hi), u_cell).value
         total += i_f * i_g / span
     return total
 
@@ -109,6 +110,17 @@ class TestPartition:
                 rule(ident, ident, ident, part)
         with pytest.raises(DomainError):
             bound_quadrature_remainder(ident, ident, ident, part)
+
+    @pytest.mark.parametrize("wide_slot", [0, 1])
+    def test_f_and_g_must_share_u_domain(self, ident, wide_slot):
+        # an f or g on [0, 2] against u on [0, 1] would be integrated over
+        # [0, 1] alone
+        fg = [ident, ident]
+        fg[wide_slot] = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 2.0)
+        with pytest.raises(DomainError):
+            composite_S(*fg, ident, Partition.uniform(0.0, 1.0, 4))
+        with pytest.raises(DomainError):
+            adaptive_quadrature(*fg, ident, tol=1e-3)
 
 
 class TestOscillation:
@@ -261,6 +273,18 @@ class TestAdaptive:
                               (0.0, 0.5, 2.0))
         res = adaptive_quadrature(ident, ident, u, tol=1e-6)
         assert abs(res.value - (1 / 3 + 0.25)) <= 1e-6
+
+    def test_split_falls_back_when_the_midpoint_cell_is_degenerate(
+            self, ident):
+        # u = (t - 1/4)^2 takes the same value at 0 and 1/2, so the first
+        # candidate 1/2 would leave [0, 1/2] with zero increment but
+        # nonzero variation; the split falls back to 1/4
+        u = PiecewiseFunction.from_coeffs((0.0625, -0.5, 1.0), 0.0, 1.0)
+        res = adaptive_quadrature(ident, ident, u, tol=1e-3)
+        assert res.partition.points[:3] == (0.0, 0.125, 0.25)
+        assert res.tight_bound <= 1e-3
+        exact = rs_product_integral([ident, ident], u).value
+        assert abs(exact - res.value) <= res.tight_bound
 
     def test_monotone_refinement_of_tight_bound(self, ident, tsq):
         bounds = []

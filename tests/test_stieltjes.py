@@ -35,7 +35,7 @@ class TestStieltjesIntegral:
         assert res.value == pytest.approx(0.5 + 0.5, abs=1e-12)
 
     def test_window(self, ident, tsq):
-        res = rs_integral(ident, tsq, 0.0, 0.5)
+        res = rs_integral(ident.restrict(0.0, 0.5), tsq.restrict(0.0, 0.5))
         # integral of 2t^2 over [0, 1/2]
         assert res.value == pytest.approx(2 / 3 * 0.125, abs=1e-12)
 
@@ -45,8 +45,10 @@ class TestStieltjesIntegral:
         # the left window none of it, and the halves sum to the whole.
         u = PiecewiseFunction((0.0, 0.5, 1.0), ((0.0, 1.0), (1.0, 1.0)),
                               (0.0, 0.5, 2.0))
-        right = rs_integral(ident, u, 0.5, 1.0).value
-        left = rs_integral(ident, u, 0.0, 0.5).value
+        right = rs_integral(ident.restrict(0.5, 1.0),
+                            u.restrict(0.5, 1.0)).value
+        left = rs_integral(ident.restrict(0.0, 0.5),
+                           u.restrict(0.0, 0.5)).value
         assert right == pytest.approx(3 / 8 + 0.5, abs=1e-12)
         assert left == pytest.approx(1 / 8, abs=1e-12)
         whole = rs_integral(ident, u).value
