@@ -127,6 +127,13 @@ class CertCheck:
 
 @dataclass(frozen=True)
 class PiecewiseFunction:
+    """Breakpoints, one coefficient tuple per piece and one point value per
+    breakpoint.  The dataclass constructor and ``build`` validate every
+    number; ``restrict`` takes the trusted path of ``_trusted``.  The
+    sided-value table behind the jump queries is built once per instance
+    and kept in its ``__dict__``, outside the three fields, so equality,
+    hashing, ``repr`` and ``dataclasses.replace`` never see it."""
+
     breakpoints: tuple[float, ...]
     pieces: tuple[tuple[float, ...], ...]
     point_values: tuple[float, ...]
@@ -153,6 +160,34 @@ class PiecewiseFunction:
             raise DomainError("non-finite point value")
 
     # -- construction -------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, breakpoints, pieces, point_values, new_coeffs=(),
+                 new_values=()) -> "PiecewiseFunction":
+        """A function assembled from the fields of a validated function,
+        built without ``__post_init__``.  Only the numbers the caller formed
+        itself are checked: ``new_coeffs`` must be finite, else
+        DomainError("non-finite coefficient"), then ``new_values``, else
+        DomainError("non-finite point value"), as the dataclass constructor
+        would report them.
+
+        Every other invariant holds by construction, from slices of a
+        validated function: breakpoints taken in order from it, between
+        new ends that lie strictly outside them, still increase strictly;
+        pieces and interior point values are sliced one per open interval
+        and one per breakpoint, so the counts still match; a copied
+        coefficient tuple is non-empty, finite and within the degree cap
+        because it was when it was validated.  Callers: ``restrict`` (new
+        end values) and ``quadrature._centred_sup`` (shifted constant terms
+        and point values)."""
+        if not all(math.isfinite(x) for x in new_coeffs):
+            raise DomainError("non-finite coefficient")
+        if not all(math.isfinite(v) for v in new_values):
+            raise DomainError("non-finite point value")
+        f = object.__new__(cls)
+        f.__dict__.update(breakpoints=breakpoints, pieces=pieces,
+                          point_values=point_values)
+        return f
 
     @classmethod
     def build(cls, breakpoints, pieces, values=None) -> "PiecewiseFunction":
@@ -287,20 +322,31 @@ class PiecewiseFunction:
     def restrict(self, c: float, d: float) -> "PiecewiseFunction":
         """f on [c, d], the one way to take a sub-interval: the point
         values at c and d are f(c) and f(d), so a jump there counts only
-        its inward half (``jump_masses``)."""
+        its inward half (``jump_masses``).
+
+        The result is validated by construction (``_trusted``): it slices
+        this function's breakpoints, pieces and point values, and only the
+        two new end values are checked; a non-finite one, such as a piece
+        whose Horner evaluation overflows at c or d, raises DomainError."""
         if not (self.a <= c < d <= self.b):
             raise DomainError(f"[{c!r}, {d!r}] is not a subinterval of "
                               f"{self.domain!r}")
         if c == self.a and d == self.b:
             return self    # immutable, and equal to what the slicing builds
         # breakpoints first + 1 .. last - 1 lie strictly inside (c, d), and
-        # pieces first .. last - 1 cover it
-        first = bisect_right(self.breakpoints, c) - 1
-        last = bisect_left(self.breakpoints, d)
-        return PiecewiseFunction(
-            (c,) + self.breakpoints[first + 1:last] + (d,),
-            self.pieces[first:last],
-            (self(c),) + self.point_values[first + 1:last] + (self(d),))
+        # pieces first .. last - 1 cover it; f(c) and f(d) are read as
+        # eval_sided(self, ., "at") reads them
+        bp, values = self.breakpoints, self.point_values
+        first = bisect_right(bp, c) - 1
+        last = bisect_left(bp, d)
+        at_c = values[first] if bp[first] == c \
+            else poly.pvalue(self.pieces[first], c)
+        at_d = values[last] if bp[last] == d \
+            else poly.pvalue(self.pieces[last - 1], d)
+        return PiecewiseFunction._trusted(
+            (c,) + bp[first + 1:last] + (d,), self.pieces[first:last],
+            (at_c,) + values[first + 1:last] + (at_d,),
+            new_values=(at_c, at_d))
 
     def antiderivative(self) -> "PiecewiseFunction":
         """Continuous F with F(a) = 0 and F' = f off the breakpoints."""
@@ -317,16 +363,16 @@ class PiecewiseFunction:
             vals.append(offset)
         return PiecewiseFunction(bp, tuple(pcs), tuple(vals))
 
-    def _sided_values(self):
-        """(t, left, value, right, noise tolerance) at every breakpoint; the
-        left slot at a and the right slot at b repeat the point value."""
-        last = len(self.breakpoints) - 1
-        for i, t in enumerate(self.breakpoints):
-            v = self.point_values[i]
-            left = v if i == 0 else poly.pvalue(self.pieces[i - 1], t)
-            right = v if i == last else poly.pvalue(self.pieces[i], t)
-            yield (t, left, v, right,
-                   1e-12 * (1.0 + max(abs(left), abs(v), abs(right))))
+    def _sided_values(self) -> tuple[tuple[tuple[float, ...], ...], float]:
+        """The jump table (jumps, slack) of ``_sided_table``: built on the
+        first call and kept in the instance ``__dict__`` (a plain memo: the
+        function is immutable, and two threads that race here store equal
+        tables); ``jumps``, ``jump_masses``, ``jump_slack``,
+        ``discontinuity_points`` and ``is_continuous`` all read it."""
+        table = self.__dict__.get("_sided")
+        if table is None:
+            table = self.__dict__["_sided"] = _sided_table(self)
+        return table
 
     def jumps(self) -> list[tuple[float, float, float, float]]:
         """All discontinuities as (t, left, value, right); the left slot at a
@@ -335,32 +381,26 @@ class PiecewiseFunction:
         Gaps below 1e-12 of the local scale are treated as rounding noise
         from float-constructed continuous functions, not as jumps.
         """
-        return [(t, left, v, right)
-                for t, left, v, right, tol in self._sided_values()
-                if abs(v - left) > tol or abs(right - v) > tol]
+        return list(self._sided_values()[0])
 
     def jump_masses(self) -> list[tuple[float, float]]:
         """(t, right - left) for every jump with nonzero mass.  With the
-        endpoint slots of ``_sided_values`` this is the half-jump
+        endpoint slots of ``_sided_table`` this is the half-jump
         convention: right - value at a, value - left at b; inside, the
         point value itself carries no mass."""
-        return [(t, right - left) for t, left, _, right in self.jumps()
-                if right != left]
+        return [(t, right - left) for t, left, _, right
+                in self._sided_values()[0] if right != left]
 
     def jump_slack(self) -> float:
         """Total magnitude of sub-threshold gaps written off as rounding
         noise; a certified-error contribution for variation and integrals."""
-        slack = 0.0
-        for t, left, v, right, tol in self._sided_values():
-            if abs(v - left) <= tol and abs(right - v) <= tol:
-                slack += abs(v - left) + abs(right - v)
-        return slack
+        return self._sided_values()[1]
 
     def discontinuity_points(self) -> list[float]:
-        return [t for t, *_ in self.jumps()]
+        return [t for t, *_ in self._sided_values()[0]]
 
     def is_continuous(self) -> bool:
-        return not self.jumps()
+        return not self._sided_values()[0]
 
     def piece_values(self, ts: np.ndarray) -> np.ndarray:
         """Vectorised piece-polynomial evaluation, ignoring point values
@@ -387,6 +427,30 @@ class PiecewiseFunction:
             if m.any():
                 out[m] = self.point_values[j]
         return out
+
+
+def _sided_table(f: PiecewiseFunction) -> tuple[tuple[tuple[float, ...],
+                                                      ...], float]:
+    """(jumps, slack) from the left limit, value and right limit at every
+    breakpoint; the left slot at a and the right slot at b repeat the point
+    value.  A breakpoint whose sided values differ by more than
+    1e-12 * (1 + their largest magnitude) is a jump row
+    (t, left, value, right); the gaps of every other breakpoint are
+    rounding noise and add up to ``slack``."""
+    bp, pieces, values = f.breakpoints, f.pieces, f.point_values
+    last = len(bp) - 1
+    jumps = []
+    slack = 0.0
+    for i, t in enumerate(bp):
+        v = values[i]
+        left = v if i == 0 else poly.pvalue(pieces[i - 1], t)
+        right = v if i == last else poly.pvalue(pieces[i], t)
+        tol = 1e-12 * (1.0 + max(abs(left), abs(v), abs(right)))
+        if abs(v - left) > tol or abs(right - v) > tol:
+            jumps.append((t, left, v, right))
+        else:
+            slack += abs(v - left) + abs(right - v)
+    return tuple(jumps), slack
 
 
 def _scalar_op(op, x: float, y: float) -> float:
@@ -483,7 +547,7 @@ def total_variation(u: PiecewiseFunction) -> Enclosure:
     """Total variation over the domain: per-piece polynomial variation plus
     both half-jumps (left-limit -> value and value -> right-limit) at every
     breakpoint; at the domain ends the outward half is zero by the
-    ``_sided_values`` convention."""
+    ``_sided_table`` convention."""
     total = 0.0
     for lo, hi, coeffs in aligned_pieces(u):
         total += poly.pvariation_on(coeffs, lo, hi)

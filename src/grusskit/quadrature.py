@@ -7,7 +7,14 @@ cell increment of u.  ``partition_quadrature`` (fixed partitions) and
 ``QuadratureResult``; ``composite_S`` and the oscillation and Holder
 remainder estimates are views of it.  Every cell quantity is computed on
 the cell alone: f, g and u are restricted to it once, and the centred sup
-of g comes from g's restricted pieces.
+of g comes from g's restricted pieces.  Nothing is derived twice: u is
+evaluated once at each cell end, and the value is shared by the cell
+state test, the split search and the cell increment; each cell record
+keeps its restricted f and u until the result is summed; and restricted
+functions are validated by construction (``PiecewiseFunction._trusted``).
+A cell whose term or integral of g du overflows, or a result whose value
+or bound does, raises DomainError, so an infinite term only ever marks a
+degenerate cell.
 """
 
 from __future__ import annotations
@@ -100,10 +107,12 @@ class QuadratureResult:
                                               self.tight_bound), "refined")
 
 
-def _cell_state(u: PiecewiseFunction, lo: float, hi: float) -> str:
-    """'ok', 'constant' (u flat on the cell) or 'degenerate'."""
-    scale = 1.0 + max(abs(u(lo)), abs(u(hi)))
-    if abs(u(hi) - u(lo)) > 1e-12 * scale:
+def _cell_state(u: PiecewiseFunction, lo: float, hi: float, u_lo: float,
+                u_hi: float) -> str:
+    """'ok', 'constant' (u flat on the cell) or 'degenerate', given
+    u_lo = u(lo) and u_hi = u(hi)."""
+    scale = 1.0 + max(abs(u_lo), abs(u_hi))
+    if abs(u_hi - u_lo) > 1e-12 * scale:
         return "ok"
     if total_variation(u.restrict(lo, hi)).mid <= 1e-10 * scale:
         return "constant"
@@ -120,14 +129,18 @@ def oscillation_v(f: PiecewiseFunction, partition: Partition) -> float:
 
 
 class _Cell(NamedTuple):
-    """One cell of the adaptive loop, solved once when it is made."""
+    """One cell of a solve, solved once when it is made; the record lives
+    until the solve returns."""
     lo: float
     hi: float
     term: float    # 0.5 * osc * sup_g * var_u; inf forces a split
     state: str     # as _cell_state
     terms: tuple[float, float, float]    # (osc, sup_g, var_u)
     i_g: float     # integral of g du over the cell
-    span: float    # u(hi) - u(lo)
+    u_lo: float    # u(lo)
+    u_hi: float    # u(hi)
+    f_cell: PiecewiseFunction | None    # f.restrict(lo, hi) if state "ok"
+    u_cell: PiecewiseFunction | None    # u.restrict(lo, hi) if state "ok"
 
 
 def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
@@ -135,7 +148,9 @@ def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
     """sup |g - m| over the domain of ``g_cell = g.restrict(lo, hi)``,
     equal to ``sup_norm_on((g - m).restrict(lo, hi)).hi`` without forming
     g - m over the whole domain: a cell end that is not a breakpoint of g
-    takes the value of its shifted piece there."""
+    takes the value of its shifted piece there.  The shifted function keeps
+    g_cell's breakpoints and changes only constant terms and point values,
+    so only those are checked (``PiecewiseFunction._trusted``)."""
     pieces = tuple(poly.psub(c, (m,)) for c in g_cell.pieces)
     values = [v - m for v in g_cell.point_values]
     lo, hi = g_cell.domain
@@ -143,46 +158,60 @@ def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
         values[0] = poly.pvalue(pieces[0], lo)
     if g._bp_index(hi) is None:
         values[-1] = poly.pvalue(pieces[-1], hi)
-    shifted = PiecewiseFunction(g_cell.breakpoints, pieces, tuple(values))
+    shifted = PiecewiseFunction._trusted(
+        g_cell.breakpoints, pieces, tuple(values),
+        new_coeffs=[c[0] for c in pieces], new_values=values)
     return sup_norm_on(shifted).hi
 
 
 def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
-                u: PiecewiseFunction, lo: float, hi: float,
-                state: str) -> _Cell:
+                u: PiecewiseFunction, lo: float, hi: float, u_lo: float,
+                u_hi: float, state: str) -> _Cell:
     """Every quantity of the cell [lo, hi] whose ``_cell_state`` is
-    ``state``, from f, g and u restricted to the cell once; constant and
-    degenerate cells get zero terms."""
+    ``state``, given u_lo = u(lo) and u_hi = u(hi), from f, g and u
+    restricted to the cell once; constant and degenerate cells get zero
+    terms.  Raises DomainError when an "ok" cell's term or integral of
+    g du is not finite."""
     if state != "ok":
         return _Cell(lo, hi, 0.0 if state == "constant" else math.inf,
-                     state, (0.0, 0.0, 0.0), 0.0, 0.0)
-    f_cell, g_cell, u_cell = (h.restrict(lo, hi) for h in (f, g, u))
+                     state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, None, None)
+    f_cell, g_cell, u_cell = f.restrict(lo, hi), g.restrict(lo, hi), \
+        u.restrict(lo, hi)
     var_u = total_variation(u_cell).hi
     inf_e, sup_e = inf_sup_on(f_cell)
     osc = sup_e.hi - inf_e.lo
-    span = u(hi) - u(lo)
     i_g = rs_integral(g_cell, u_cell).value
-    sup_g = _centred_sup(g, g_cell, i_g / span)
-    return _Cell(lo, hi, 0.5 * osc * sup_g * var_u, state,
-                 (osc, sup_g, var_u), i_g, span)
+    sup_g = _centred_sup(g, g_cell, i_g / (u_hi - u_lo))
+    term = 0.5 * osc * sup_g * var_u
+    if not (math.isfinite(term) and math.isfinite(i_g)):
+        raise DomainError(f"cell [{lo!r}, {hi!r}]: term {term!r} or "
+                          f"integral of g du {i_g!r} is not finite: the "
+                          f"inputs overflow")
+    return _Cell(lo, hi, term, state, (osc, sup_g, var_u), i_g, u_lo, u_hi,
+                 f_cell, u_cell)
 
 
-def _result(f: PiecewiseFunction, u: PiecewiseFunction,
-            cells: list[_Cell]) -> QuadratureResult:
-    """The result of solved cells, none degenerate, summed in cell order;
-    the stated bound is (1/2) max osc * max sup_g * Var(u)."""
+def _result(u: PiecewiseFunction, cells: list[_Cell]) -> QuadratureResult:
+    """The result of solved cells, none degenerate, summed in cell order
+    from the cells' restricted f and u; the stated bound is
+    (1/2) max osc * max sup_g * Var(u).  Raises DomainError when the value
+    or a bound is not finite."""
     value = 0.0
     for c in cells:
         if c.state == "ok":
-            i_f = rs_integral(f.restrict(c.lo, c.hi), u.restrict(c.lo, c.hi))
-            value += i_f.value * c.i_g / c.span
+            i_f = rs_integral(c.f_cell, c.u_cell)
+            value += i_f.value * c.i_g / (c.u_hi - c.u_lo)
     stated = 0.5 * max(c.terms[0] for c in cells) \
         * max(c.terms[1] for c in cells) * total_variation(u).hi
+    tight = sum(c.term for c in cells)
+    if not all(map(math.isfinite, (value, stated, tight))):
+        raise DomainError(f"quadrature value {value!r}, bound {stated!r} or "
+                          f"tight bound {tight!r} is not finite: the inputs "
+                          f"overflow")
     per_cell = np.array([c.terms for c in cells], dtype=np.float64)
     per_cell.setflags(write=False)
     partition = Partition(tuple(c.lo for c in cells) + (cells[-1].hi,))
-    return QuadratureResult(value, stated, sum(c.term for c in cells),
-                            partition, per_cell)
+    return QuadratureResult(value, stated, tight, partition, per_cell)
 
 
 def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -199,13 +228,16 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                           f"{list(u.domain)!r}")
     for h in (f, g):
         _same_domain(h, u)
+    points = partition.points
+    u_at = [u(t) for t in points]
     cells = []
-    for i, (lo, hi) in enumerate(partition.cells()):
-        state = _cell_state(u, lo, hi)
+    for i in range(partition.n):
+        lo, hi, u_lo, u_hi = points[i], points[i + 1], u_at[i], u_at[i + 1]
+        state = _cell_state(u, lo, hi, u_lo, u_hi)
         if state == "degenerate":
             raise DegenerateCell(i, (lo, hi))
-        cells.append(_solve_cell(f, g, u, lo, hi, state))
-    return _result(f, u, cells)
+        cells.append(_solve_cell(f, g, u, lo, hi, u_lo, u_hi, state))
+    return _result(u, cells)
 
 
 def composite_S(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -259,10 +291,11 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
 
     Bisection points where u would repeat a cell-end value are shifted by a
     quarter cell; cells on which u is constant are frozen with a zero term.
-    Each cell is solved once, when it is made, and keeps its terms and its
-    integral of g du; the result is built from the final cells' records, so
-    it equals ``partition_quadrature`` on the final partition, with one
-    more integral (of f du) per cell.
+    Each cell is solved once, when it is made, and keeps its terms, its
+    integral of g du, u at its ends and its restricted f and u; the result
+    is built from the final cells' records, so it equals
+    ``partition_quadrature`` on the final partition, with one more integral
+    (of f du) per cell.  u is evaluated once per split candidate.
 
     Raises DomainError unless ``tol > 0``, ``max_cells >= 1`` and f, g
     and u share one domain.
@@ -274,8 +307,10 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
     for h in (f, g):
         _same_domain(h, u)
     a, b = u.domain
+    u_a, u_b = u(a), u(b)
 
-    cells = [_solve_cell(f, g, u, a, b, _cell_state(u, a, b))]
+    cells = [_solve_cell(f, g, u, a, b, u_a, u_b,
+                         _cell_state(u, a, b, u_a, u_b))]
     while True:
         tight = sum(c.term for c in cells if c.term != math.inf)
         pending = any(c.term == math.inf for c in cells)
@@ -288,16 +323,18 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
             raise ToleranceUnreachable((worst_cell.lo, worst_cell.hi), tight)
         idx = max(range(len(cells)), key=lambda i: cells[i].term)
         lo, hi, worst = cells[idx][:3]
+        u_lo, u_hi = cells[idx].u_lo, cells[idx].u_hi
         width = hi - lo
         split = None
         for frac in (0.5, 0.25, 0.75, 0.375, 0.625):
             cand = lo + frac * width
             if not (lo < cand < hi):
                 continue
-            left = _cell_state(u, lo, cand)
+            u_cand = u(cand)
+            left = _cell_state(u, lo, cand, u_lo, u_cand)
             if left == "degenerate":
                 continue
-            right = _cell_state(u, cand, hi)
+            right = _cell_state(u, cand, hi, u_cand, u_hi)
             if right != "degenerate":
                 split = cand
                 break
@@ -307,8 +344,9 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                                            worst if worst != math.inf
                                            else tol)
             break
-        cells[idx] = _solve_cell(f, g, u, lo, split, left)
-        cells.insert(idx + 1, _solve_cell(f, g, u, split, hi, right))
+        cells[idx] = _solve_cell(f, g, u, lo, split, u_lo, u_cand, left)
+        cells.insert(idx + 1, _solve_cell(f, g, u, split, hi, u_cand, u_hi,
+                                          right))
 
     # the loop ends with no degenerate cell left
-    return _result(f, u, cells)
+    return _result(u, cells)

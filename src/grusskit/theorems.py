@@ -153,7 +153,7 @@ def _sample_thm_3_2a(rng: random.Random):
     n = rng.randint(1, 6)
     part = Partition.uniform(a, b, n)
     for _ in range(40):
-        if all(_cell_state(u, lo, hi) != "degenerate"
+        if all(_cell_state(u, lo, hi, u(lo), u(hi)) != "degenerate"
                for lo, hi in part.cells()):
             break
         n += 1

@@ -97,21 +97,37 @@ def tent_above_chord():
          (0.0, 0.0, 1.0)))
 
 
+class CallCounts(dict):
+    """Call counts keyed by function name; ``args[name]`` lists the
+    positional arguments of every counted call, in call order."""
+
+    def __init__(self, names):
+        names = list(names)
+        super().__init__(dict.fromkeys(names, 0))
+        self.args = {name: [] for name in names}
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(*functions)`` wraps every binding of each function in
-    the loaded grusskit modules with a call counter and returns the counts,
-    keyed by function name."""
-    def install(*functions) -> dict:
-        counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    the loaded grusskit modules, and in the classes they define, with a
+    call counter and returns the ``CallCounts``, keyed by function name."""
+    def install(*functions) -> CallCounts:
+        counts = CallCounts(fn.__name__ for fn in functions)
         for fn in functions:
             def counted(*args, _fn=fn, **kwargs):
                 counts[_fn.__name__] += 1
+                counts.args[_fn.__name__].append(args)
                 return _fn(*args, **kwargs)
             for name, mod in list(sys.modules.items()):
                 if name == "grusskit" or name.startswith("grusskit."):
                     for attr, value in list(vars(mod).items()):
                         if value is fn:
                             monkeypatch.setattr(mod, attr, counted)
+                        elif isinstance(value, type):
+                            for cattr, cvalue in list(vars(value).items()):
+                                if cvalue is fn:
+                                    monkeypatch.setattr(value, cattr,
+                                                        counted)
         return counts
     return install

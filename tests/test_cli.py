@@ -525,19 +525,43 @@ def test_quad_rejects_a_bad_tolerance_or_budget(option, capsys):
     assert captured.err.startswith("error: DomainError: ")
 
 
-def test_quad_sweep_solves_each_cell_once(count_calls, capsys):
+def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
+    from test_quadrature import assert_derived_once, derive_once_counts
     counts = count_calls(funcrep.require_certificate, stieltjes.rs_integral,
                          stieltjes.rs_product_integral,
                          quadrature._cell_state)
-    code = run(["quad", "--sweep", "4:256",
-                "--json", json.dumps(QUAD_SPEC_HOLDER)])
+    derived, in_result, code = derive_once_counts(
+        count_calls, monkeypatch,
+        lambda: run(["quad", "--sweep", "4:256",
+                     "--json", json.dumps(QUAD_SPEC_HOLDER)]))
     assert code == 0
     assert len(json.loads(capsys.readouterr().out)["results"]["sweep"]) == 7
-    cells = 4 + 8 + 16 + 32 + 64 + 128 + 256
+    ns = (4, 8, 16, 32, 64, 128, 256)
+    cells = sum(ns)
     assert counts["require_certificate"] == 1
     assert counts["rs_product_integral"] == 1
     assert counts["rs_integral"] <= 2 * cells
     assert counts["_cell_state"] == cells
+    solved = derived.args["_solve_cell"]
+    assert len(solved) == cells
+    u = solved[0][2]
+    # restrict three times per cell, one sided table per function, and u
+    # evaluated once per cell end of each partition
+    assert assert_derived_once(derived, in_result, u) == [
+        t for n in ns for t in quadrature.Partition.uniform(0.0, 1.0, n).points]
+
+
+@pytest.mark.parametrize("option", [["--partition", "uniform:4"], []])
+def test_quad_overflow_is_an_error(option, capsys):
+    # f = g = 1e200 + 1e200 t against u = t: every cell term overflows
+    big = _slot([[1e200, 1e200]])
+    doc = json.dumps({"domain": [0.0, 1.0], "f": big, "g": big,
+                      "u": _slot([[0.0, 1.0]])})
+    code = run(["quad", *option, "--json", doc])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "DomainError" in captured.err
 
 
 def test_quad_sweep_uses_the_first_holder_certificate(capsys):

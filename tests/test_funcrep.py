@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -281,3 +282,85 @@ class TestConstruction:
         assert (ident - ident)(0.3) == pytest.approx(0.0)
         assert (ident * tsq)(0.5) == pytest.approx(0.125)
         assert (2.0 * ident)(0.25) == pytest.approx(0.5)
+
+
+class TestValidation:
+    """Which constructor checks what: the dataclass constructor, ``build``
+    and ``_binary`` validate every number they are given or form;
+    ``restrict`` checks only the two end values it computes."""
+
+    def test_restrict_rejects_an_end_value_that_overflows(self):
+        # point values 1.7e308 at 0 and 1 are finite; Horner's rule at 1/2
+        # gives 2.125e308, which overflows
+        big = 1.7e308
+        f = PiecewiseFunction.from_coeffs((big, big, -big), 0.0, 1.0)
+        assert math.isfinite(f(0.0)) and math.isfinite(f(1.0))
+        with pytest.raises(DomainError, match="non-finite point value"):
+            f.restrict(0.0, 0.5)
+        with pytest.raises(DomainError, match="non-finite point value"):
+            f.restrict(0.5, 1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda bp, pcs: PiecewiseFunction(
+            bp, pcs, tuple(0.0 for _ in bp)),
+        PiecewiseFunction.build,
+    ])
+    def test_constructors_reject_bad_input(self, make):
+        with pytest.raises(DomainError, match="non-finite coefficient"):
+            make((0.0, 1.0), ((math.nan, 1.0),))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            make((0.0, 0.5, 0.5, 1.0), ((0.0,), (1.0,), (2.0,)))
+        with pytest.raises(DomainError, match="strictly increasing"):
+            make((1.0, 0.0), ((0.0,),))
+
+    def test_degree_caps(self):
+        with pytest.raises(DomainError, match="exceeds cap 8"):
+            PiecewiseFunction.build((0.0, 1.0), ((1.0,) * 10,))
+        # the dataclass constructor takes internally formed products up to
+        # the structural cap, and no further
+        PiecewiseFunction((0.0, 1.0), ((1.0,) * 41,), (0.0, 0.0))
+        with pytest.raises(DomainError, match="structural cap"):
+            PiecewiseFunction((0.0, 1.0), ((1.0,) * 42,), (0.0, 0.0))
+
+    def test_binary_rejects_what_it_forms(self):
+        big = PiecewiseFunction.from_coeffs((1e200, 1e200), 0.0, 1.0)
+        with pytest.raises(DomainError, match="non-finite"):
+            big * big
+        deg21 = PiecewiseFunction((0.0, 1.0), ((1.0,) * 22,), (0.0, 0.0))
+        with pytest.raises(DomainError, match="structural cap"):
+            deg21 * deg21
+
+    def test_restrict_slices_and_keeps_equality(self, pm_step):
+        cell = pm_step.restrict(0.25, 0.75)
+        assert cell == PiecewiseFunction(
+            (0.25, 0.5, 0.75), ((-1.0,), (1.0,)), (-1.0, -1.0, 1.0))
+        assert pm_step.restrict(0.0, 0.5) == PiecewiseFunction(
+            (0.0, 0.5), ((-1.0,),), (-1.0, -1.0))
+
+
+class TestSidedTable:
+    def test_memo_is_invisible_to_fields(self, u_jump):
+        fresh = PiecewiseFunction(u_jump.breakpoints, u_jump.pieces,
+                                  u_jump.point_values)
+        u_jump.jump_masses()
+        assert "_sided" in vars(u_jump) and "_sided" not in vars(fresh)
+        assert u_jump == fresh and hash(u_jump) == hash(fresh)
+        assert repr(u_jump) == repr(fresh)
+        copy = dataclasses.replace(u_jump)
+        assert copy == u_jump and "_sided" not in vars(copy)
+
+    def test_built_once_per_function(self, count_calls, u_jump):
+        counts = count_calls(funcrep._sided_table)
+        for _ in range(2):
+            u_jump.jumps()
+            u_jump.jump_masses()
+            u_jump.jump_slack()
+            u_jump.discontinuity_points()
+            u_jump.is_continuous()
+            total_variation(u_jump)
+        assert counts["_sided_table"] == 1
+
+    def test_returned_lists_are_fresh(self, u_jump):
+        u_jump.jumps().clear()
+        u_jump.jump_masses().clear()
+        assert u_jump.jump_masses() == [(0.0, 1.0), (1.0, 1.0)]

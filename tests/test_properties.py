@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from grusskit import instances
+from grusskit import instances, poly
 from grusskit.bounds import beta_int, bound_T_bv
 from grusskit.errors import DomainError
 from grusskit.funcrep import (Enclosure, PiecewiseFunction,
@@ -178,3 +178,57 @@ def test_holder_closed_form_pass_implies_grid_pass(seed, r, factor):
     chk = verify_certificate(f, RegularityCertificate.holder(H, r))
     assert chk.ok and chk.detail.startswith("certified")
     assert _holder_sample_check(f, H, r).ok
+
+
+def _fresh_sided_values(f):
+    """The sided-value rows as the generator computed them before the
+    table was kept on the instance: recomputed on every call."""
+    last = len(f.breakpoints) - 1
+    for i, t in enumerate(f.breakpoints):
+        v = f.point_values[i]
+        left = v if i == 0 else poly.pvalue(f.pieces[i - 1], t)
+        right = v if i == last else poly.pvalue(f.pieces[i], t)
+        yield (t, left, v, right,
+               1e-12 * (1.0 + max(abs(left), abs(v), abs(right))))
+
+
+def _fresh_jump_data(f) -> dict:
+    jumps = [(t, left, v, right)
+             for t, left, v, right, tol in _fresh_sided_values(f)
+             if abs(v - left) > tol or abs(right - v) > tol]
+    slack = 0.0
+    for t, left, v, right, tol in _fresh_sided_values(f):
+        if abs(v - left) <= tol and abs(right - v) <= tol:
+            slack += abs(v - left) + abs(right - v)
+    return {"jumps": jumps,
+            "jump_masses": [(t, right - left) for t, left, _, right in jumps
+                            if right != left],
+            "jump_slack": slack,
+            "discontinuity_points": [t for t, *_ in jumps],
+            "is_continuous": not jumps}
+
+
+@given(seeds, st.sampled_from(["jumps", "no jumps", "continuous"]),
+       st.permutations(["jumps", "jump_masses", "jump_slack",
+                        "discontinuity_points", "is_continuous"]))
+@settings(max_examples=80, deadline=None)
+def test_kept_jump_data_equals_a_fresh_computation(seed, kind, order):
+    rng = _rng(seed)
+    a, b = instances.rand_interval(rng)
+    if kind == "continuous":
+        f = instances.rand_continuous(rng, a, b)
+    else:
+        f = instances.rand_piecewise(rng, a, b, jumps=kind == "jumps")
+    c = rng.uniform(a, b)
+    d = rng.uniform(c, b)
+    functions = [f] + [f.restrict(lo, hi) for lo, hi in ((a, c), (c, d))
+                       if lo < hi]
+    for h in functions:
+        want = _fresh_jump_data(h)
+        for _ in range(2):    # the first pass fills the table
+            for name in order:
+                assert getattr(h, name)() == want[name], name
+        fresh = PiecewiseFunction(h.breakpoints, h.pieces, h.point_values)
+        assert "_sided" in vars(h) and "_sided" not in vars(fresh)
+        assert h == fresh and hash(h) == hash(fresh)
+        assert repr(h) == repr(fresh)

@@ -106,3 +106,50 @@ def test_every_private_src_name_is_used():
               for private in _private_definitions(tree)
               if private not in used]
     assert not unused
+
+
+def _nodes_by_scope(path: pathlib.Path) -> list[tuple[str, ast.AST]]:
+    """(qualified name of the innermost enclosing def, node) for every
+    node of a source file; module-level nodes get the module name."""
+    out = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        for child in ast.iter_child_nodes(node):
+            out.append((scope, child))
+            visit(child, scope)
+    visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return out
+
+
+def _validation_bypasses(src: pathlib.Path) -> dict:
+    """Where ``src/grusskit`` builds an object without its __init__
+    (any ``X.__new__(...)`` call) or sets an attribute past a frozen
+    dataclass (``object.__setattr__``), and where it calls the trusted
+    constructor ``_trusted``, keyed by enclosing function."""
+    found = {"bypass": set(), "trusted": set()}
+    for path in sorted(src.glob("*.py")):
+        for scope, node in _nodes_by_scope(path):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)):
+                continue
+            attr, owner = node.func.attr, node.func.value
+            if attr == "__new__" or (attr == "__setattr__"
+                                     and isinstance(owner, ast.Name)
+                                     and owner.id == "object"):
+                found["bypass"].add(scope)
+            elif attr == "_trusted":
+                found["trusted"].add(scope)
+    return found
+
+
+def test_validation_is_bypassed_only_by_the_trusted_constructor():
+    # every PiecewiseFunction the package builds runs __post_init__, except
+    # through PiecewiseFunction._trusted, whose callers only slice
+    # validated fields and hand it the numbers they form themselves
+    found = _validation_bypasses(ROOT / "src" / "grusskit")
+    assert found["bypass"] == {"funcrep.PiecewiseFunction._trusted"}
+    assert found["trusted"] == {"funcrep.PiecewiseFunction.restrict",
+                                "quadrature._centred_sup"}

@@ -50,7 +50,7 @@ def _reference_composite_S(f, g, u, partition):
     whole functions, independent of the cell records."""
     total = 0.0
     for i, (lo, hi) in enumerate(partition.cells()):
-        state = _cell_state(u, lo, hi)
+        state = _cell_state(u, lo, hi, u(lo), u(hi))
         if state == "constant":
             continue
         if state == "degenerate":
@@ -395,3 +395,97 @@ class TestConvergenceRate:
             n *= 2
         slope = np.polyfit(np.log(meshes), np.log(bounds), 1)[0]
         assert slope >= r - 0.1
+
+
+# f = g = 1e200 + 1e200 t against u = t: every cell term
+# 0.5 * osc * sup_g * var_u overflows although each integral is finite
+BIG = PiecewiseFunction.from_coeffs((1e200, 1e200), 0.0, 1.0)
+IDENT = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 1.0)
+
+
+class TestOverflow:
+    def test_adaptive_raises_at_the_first_cell(self, count_calls):
+        counts = count_calls(quadrature._solve_cell)
+        with pytest.raises(DomainError, match="not finite"):
+            adaptive_quadrature(BIG, BIG, IDENT, 1e-3)
+        assert counts["_solve_cell"] == 1
+
+    def test_fixed_partition_raises(self):
+        with pytest.raises(DomainError, match="not finite"):
+            partition_quadrature(BIG, BIG, IDENT,
+                                 Partition.uniform(0.0, 1.0, 4))
+
+    def test_overflowing_value_raises(self):
+        # a constant f has zero terms and finite cell integrals; their
+        # product overflows
+        f = PiecewiseFunction.constant(1e160, 0.0, 1.0)
+        with pytest.raises(DomainError, match="quadrature value"):
+            partition_quadrature(f, f, IDENT, Partition.uniform(0.0, 1.0, 2))
+
+
+# QUAD_SPEC of tests/test_cli.py: f and g with interior breakpoints,
+# u strictly increasing with jumps at 0, 0.6 and 1, so every cell is "ok"
+DERIVE_F = PiecewiseFunction.build((0.0, 0.4, 1.0),
+                                   ((1.0, 2.0), (2.52, -2.0, 0.5)))
+DERIVE_G = PiecewiseFunction.build((0.0, 0.5, 1.0),
+                                   ((0.0, 1.0, -1.0), (0.75, -1.0)))
+DERIVE_U = PiecewiseFunction((0.0, 0.6, 1.0), ((0.0, 1.0), (1.0, 0.5)),
+                             (-0.5, 0.6, 2.0))
+
+
+def derive_once_counts(count_calls, monkeypatch, solve):
+    """Run ``solve()`` with restrict, eval_sided, _sided_table and
+    _solve_cell counted; returns the counts, the restrict calls made
+    inside each ``_result`` and what ``solve()`` returned."""
+    from grusskit import funcrep
+    counts = count_calls(PiecewiseFunction.restrict, funcrep.eval_sided,
+                         funcrep._sided_table, quadrature._solve_cell)
+    in_result = []
+    inner = quadrature._result
+
+    def result(*args):
+        before = counts["restrict"]
+        out = inner(*args)
+        in_result.append(counts["restrict"] - before)
+        return out
+    monkeypatch.setattr(quadrature, "_result", result)
+    out = solve()
+    return counts, in_result, out
+
+
+def assert_derived_once(counts, in_result, u) -> list[float]:
+    """Check the restrict and sided-table counts of ``derive_once_counts``
+    and return the points at which u was evaluated."""
+    solved = counts.args["_solve_cell"]
+    assert solved and all(args[-1] == "ok" for args in solved)
+    # f, g and u restricted once per solved cell, never when summing
+    assert counts["restrict"] == 3 * len(solved)
+    assert in_result and not any(in_result)
+    # at most one sided table per function instance
+    built = [id(args[0]) for args in counts.args["_sided_table"]]
+    assert len(built) == len(set(built))
+    u_points = [args[1] for args in counts.args["eval_sided"]
+                if args[0] is u]
+    assert set(u_points) <= {t for args in solved for t in args[3:5]}
+    return u_points
+
+
+class TestDeriveOnce:
+    def test_adaptive_solve(self, count_calls, monkeypatch):
+        counts, in_result, _ = derive_once_counts(
+            count_calls, monkeypatch,
+            lambda: adaptive_quadrature(DERIVE_F, DERIVE_G, DERIVE_U, 1e-5))
+        solved = counts.args["_solve_cell"]
+        assert len(solved) > 20
+        u_points = assert_derived_once(counts, in_result, DERIVE_U)
+        # once per distinct cell end: both ends, then each split point
+        assert sorted(u_points) == sorted({t for args in solved
+                                           for t in args[3:5]})
+
+    def test_fixed_partition(self, count_calls, monkeypatch):
+        counts, in_result, _ = derive_once_counts(
+            count_calls, monkeypatch,
+            lambda: partition_quadrature(DERIVE_F, DERIVE_G, DERIVE_U,
+                                         Partition.uniform(0.0, 1.0, 9)))
+        u_points = assert_derived_once(counts, in_result, DERIVE_U)
+        assert u_points == list(Partition.uniform(0.0, 1.0, 9).points)
