@@ -129,10 +129,13 @@ class CertCheck:
 class PiecewiseFunction:
     """Breakpoints, one coefficient tuple per piece and one point value per
     breakpoint.  The dataclass constructor and ``build`` validate every
-    number; ``restrict`` takes the trusted path of ``_trusted``.  The
-    sided-value table behind the jump queries is built once per instance
-    and kept in its ``__dict__``, outside the three fields, so equality,
-    hashing, ``repr`` and ``dataclasses.replace`` never see it."""
+    number, and takes only tuples; ``restrict`` takes the trusted path of
+    ``_trusted``.  The sided-value table behind the jump queries is built
+    once per instance and kept in its ``__dict__``, outside the three
+    fields, so equality, hashing, ``repr`` and ``dataclasses.replace``
+    never see it.  So are the derive-once tables of ``_solve_copy``, which
+    only copies made for one quadrature solve, and their restrictions,
+    carry."""
 
     breakpoints: tuple[float, ...]
     pieces: tuple[tuple[float, ...], ...]
@@ -140,6 +143,10 @@ class PiecewiseFunction:
 
     def __post_init__(self):
         bp = self.breakpoints
+        if not (isinstance(bp, tuple) and isinstance(self.pieces, tuple)
+                and isinstance(self.point_values, tuple)):
+            raise DomainError("breakpoints, pieces and point values must be "
+                              "tuples")
         if len(bp) < 2:
             raise DomainError("need at least two breakpoints")
         for x, y in zip(bp, bp[1:]):
@@ -150,6 +157,9 @@ class PiecewiseFunction:
         if len(self.point_values) != len(bp):
             raise DomainError("one point value per breakpoint required")
         for c in self.pieces:
+            if not isinstance(c, tuple):
+                raise DomainError("each piece must be a tuple of "
+                                  "coefficients")
             if len(c) == 0:
                 raise DomainError("empty coefficient list")
             if len(c) - 1 > _HARD_DEGREE:
@@ -163,7 +173,7 @@ class PiecewiseFunction:
 
     @classmethod
     def _trusted(cls, breakpoints, pieces, point_values, new_coeffs=(),
-                 new_values=()) -> "PiecewiseFunction":
+                 new_values=(), derived=None) -> "PiecewiseFunction":
         """A function assembled from the fields of a validated function,
         built without ``__post_init__``.  Only the numbers the caller formed
         itself are checked: ``new_coeffs`` must be finite, else
@@ -179,7 +189,9 @@ class PiecewiseFunction:
         coefficient tuple is non-empty, finite and within the degree cap
         because it was when it was validated.  Callers: ``restrict`` (new
         end values) and ``quadrature._centred_sup`` (shifted constant terms
-        and point values)."""
+        and point values).  ``derived``, when given, becomes the new
+        function's ``_solve_copy`` tables: one derivative entry per piece
+        of ``pieces`` and the product map or None."""
         if not all(math.isfinite(x) for x in new_coeffs):
             raise DomainError("non-finite coefficient")
         if not all(math.isfinite(v) for v in new_values):
@@ -187,7 +199,26 @@ class PiecewiseFunction:
         f = object.__new__(cls)
         f.__dict__.update(breakpoints=breakpoints, pieces=pieces,
                           point_values=point_values)
+        if derived is not None:
+            f.__dict__["_derived"] = derived
         return f
+
+    def _solve_copy(self, products: bool = False) -> "PiecewiseFunction":
+        """A validated copy (the dataclass constructor) carrying the data
+        one quadrature solve derives once from each piece: its
+        ``poly._derivative_entry``, and with ``products`` an empty map
+        from (factor pieces..., piece of this function) to the
+        antiderivative of the factors' product times this piece's
+        derivative, which ``stieltjes._product_core`` fills.  ``restrict``
+        hands each restriction its slice of the entries and the same map,
+        so every cell of the solve shares them; this function and what it
+        was copied from carry neither."""
+        copy = PiecewiseFunction(self.breakpoints, self.pieces,
+                                 self.point_values)
+        copy.__dict__["_derived"] = (
+            tuple(map(poly._derivative_entry, self.pieces)),
+            {} if products else None)
+        return copy
 
     @classmethod
     def build(cls, breakpoints, pieces, values=None) -> "PiecewiseFunction":
@@ -327,7 +358,10 @@ class PiecewiseFunction:
         The result is validated by construction (``_trusted``): it slices
         this function's breakpoints, pieces and point values, and only the
         two new end values are checked; a non-finite one, such as a piece
-        whose Horner evaluation overflows at c or d, raises DomainError."""
+        whose Horner evaluation overflows at c or d, raises DomainError.
+        A ``_solve_copy`` passes on the slice of its derivative entries
+        for the pieces kept, and its product map; any other function gets
+        no table."""
         if not (self.a <= c < d <= self.b):
             raise DomainError(f"[{c!r}, {d!r}] is not a subinterval of "
                               f"{self.domain!r}")
@@ -343,10 +377,13 @@ class PiecewiseFunction:
             else poly.pvalue(self.pieces[first], c)
         at_d = values[last] if bp[last] == d \
             else poly.pvalue(self.pieces[last - 1], d)
+        derived = self.__dict__.get("_derived")
+        if derived is not None:
+            derived = (derived[0][first:last], derived[1])
         return PiecewiseFunction._trusted(
             (c,) + bp[first + 1:last] + (d,), self.pieces[first:last],
             (at_c,) + values[first + 1:last] + (at_d,),
-            new_values=(at_c, at_d))
+            new_values=(at_c, at_d), derived=derived)
 
     def antiderivative(self) -> "PiecewiseFunction":
         """Continuous F with F(a) = 0 and F' = f off the breakpoints."""
@@ -453,6 +490,30 @@ def _sided_table(f: PiecewiseFunction) -> tuple[tuple[tuple[float, ...],
     return tuple(jumps), slack
 
 
+def _piece_entries(f: PiecewiseFunction):
+    """One ``poly._derivative_entry`` per piece of f: its ``_solve_copy``
+    table, else derived now."""
+    derived = f.__dict__.get("_derived")
+    if derived is not None:
+        return derived[0]
+    return map(poly._derivative_entry, f.pieces)
+
+
+def _shift_tables(f: PiecewiseFunction) -> tuple | None:
+    """The ``derived`` argument of ``_trusted`` for f with constants
+    added to its pieces: f's derivative entries, which such a shift
+    leaves as they are, and no product map; None when f has no table."""
+    derived = f.__dict__.get("_derived")
+    return None if derived is None else (derived[0], None)
+
+
+def _product_map(f: PiecewiseFunction) -> dict | None:
+    """The product map of a ``_solve_copy`` made with ``products``, shared
+    by its restrictions, else None."""
+    derived = f.__dict__.get("_derived")
+    return None if derived is None else derived[1]
+
+
 def _scalar_op(op, x: float, y: float) -> float:
     return poly.pvalue(op((x,), (y,)), 0.0)
 
@@ -471,6 +532,9 @@ def aligned_pieces(*fns: PiecewiseFunction, splits=()) -> list[tuple]:
     if len(fns) == 1 and not splits:
         bp = fns[0].breakpoints
         return list(zip(bp, bp[1:], fns[0].pieces))
+    if not splits and all(len(f.pieces) == 1 for f in fns):
+        a, b = fns[0].domain
+        return [(float(a), float(b), *(f.pieces[0] for f in fns))]
     grid = sorted({float(t) for f in fns for t in f.breakpoints}
                   .union(map(float, splits)))
     columns = []
@@ -526,8 +590,10 @@ def inf_sup_on(f: PiecewiseFunction) -> tuple[Enclosure, Enclosure]:
     the breakpoint point values."""
     lo = math.inf
     hi = -math.inf
-    for x0, x1, coeffs in aligned_pieces(f):
-        mn, mx = poly.pminmax_on(coeffs, x0, x1)
+    bp = f.breakpoints
+    for x0, x1, coeffs, entry in zip(bp, bp[1:], f.pieces,
+                                     _piece_entries(f)):
+        mn, mx = poly._minmax_on(coeffs, entry, x0, x1)
         lo = min(lo, mn)
         hi = max(hi, mx)
     for v in f.point_values:
@@ -549,8 +615,10 @@ def total_variation(u: PiecewiseFunction) -> Enclosure:
     breakpoint; at the domain ends the outward half is zero by the
     ``_sided_table`` convention."""
     total = 0.0
-    for lo, hi, coeffs in aligned_pieces(u):
-        total += poly.pvariation_on(coeffs, lo, hi)
+    bp = u.breakpoints
+    for lo, hi, coeffs, entry in zip(bp, bp[1:], u.pieces,
+                                     _piece_entries(u)):
+        total += poly._variation_on(coeffs, entry, lo, hi)
     for _, left, v, right in u.jumps():
         total += abs(v - left) + abs(right - v)
     pad = 64.0 * _EPS * (1.0 + total) + u.jump_slack()

@@ -5,6 +5,13 @@ All helpers operate on plain sequences of floats ``(c0, c1, ...)`` meaning
 bracketed by sign changes on monotone segments (segment ends come from the
 recursively-located critical points of the derivative), then narrowed by
 bisection.  Degrees 1 and 2 use closed forms.
+
+``_derivative_entry`` derives the interval-free part of a piece's critical
+points once: p' and, when p' has degree <= 2, its raw closed-form roots.
+``pcritical``, ``pminmax_on`` and ``pvariation_on`` apply the interval
+filters of ``proots`` to that entry (``_critical``), so an entry kept per
+piece (``funcrep``'s solve tables) gives the same floats on every
+sub-interval as a fresh derivation.
 """
 
 from __future__ import annotations
@@ -137,27 +144,9 @@ def proots(c: Coeffs, lo: float, hi: float) -> list[float]:
     if deg <= 0:
         return []
     ct = tuple(c[:deg + 1])
-    scale = _coeff_scale(ct, lo, hi)
-    ztol = 1e-13 * scale
-    if deg == 1:
-        c0, c1 = ct
-        r = -c0 / c1
-        span = 1e-12 * max(1.0, abs(lo), abs(hi))
-        return [r] if lo - span <= r <= hi + span else []
-    if deg == 2:
-        a2, a1, a0 = ct[2], ct[1], ct[0]
-        disc = a1 * a1 - 4.0 * a2 * a0
-        if disc < 0.0:
-            return []
-        sq = math.sqrt(disc)
-        if a1 >= 0.0:
-            r1 = (-a1 - sq) / (2.0 * a2)
-        else:
-            r1 = (-a1 + sq) / (2.0 * a2)
-        r2 = a0 / (a2 * r1) if r1 != 0.0 else -a1 / a2
-        out = sorted(r for r in (r1, r2) if lo - 1e-12 <= r <= hi + 1e-12)
-        return _dedupe(out, lo, hi)
-
+    if deg <= 2:
+        return _window(_closed_roots(ct), lo, hi)
+    ztol = 1e-13 * _coeff_scale(ct, lo, hi)
     crit = proots(pderiv(ct), lo, hi)
     nodes = _dedupe([lo] + crit + [hi], lo, hi)
     roots: list[float] = []
@@ -177,6 +166,39 @@ def proots(c: Coeffs, lo: float, hi: float) -> list[float]:
     return _dedupe(sorted(roots), lo, hi)
 
 
+def _closed_roots(ct: tuple[float, ...]) -> tuple[float, ...]:
+    """The raw closed-form roots of ``ct``, trimmed to its effective degree
+    1 or 2, before any interval filter: (r,) at degree 1, (r1, r2) or ()
+    at degree 2."""
+    if len(ct) == 2:
+        c0, c1 = ct
+        return (-c0 / c1,)
+    a2, a1, a0 = ct[2], ct[1], ct[0]
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if disc < 0.0:
+        return ()
+    sq = math.sqrt(disc)
+    if a1 >= 0.0:
+        r1 = (-a1 - sq) / (2.0 * a2)
+    else:
+        r1 = (-a1 + sq) / (2.0 * a2)
+    r2 = a0 / (a2 * r1) if r1 != 0.0 else -a1 / a2
+    return (r1, r2)
+
+
+def _window(raw: tuple[float, ...], lo: float, hi: float) -> list[float]:
+    """``proots``'s interval filter of ``_closed_roots``: a degree-1 root
+    within 1e-12 of [lo, hi] relative to its ends; degree-2 roots within
+    an absolute 1e-12 of it, sorted and deduplicated."""
+    if hi <= lo or not raw:
+        return []
+    if len(raw) == 1:
+        span = 1e-12 * max(1.0, abs(lo), abs(hi))
+        return [r for r in raw if lo - span <= r <= hi + span]
+    return _dedupe(sorted(r for r in raw if lo - 1e-12 <= r <= hi + 1e-12),
+                   lo, hi)
+
+
 def _dedupe(xs: list[float], lo: float, hi: float) -> list[float]:
     tol = 1e-13 * max(1.0, abs(lo), abs(hi))
     out: list[float] = []
@@ -186,23 +208,53 @@ def _dedupe(xs: list[float], lo: float, hi: float) -> list[float]:
     return out
 
 
+def _derivative_entry(c: Coeffs) -> tuple:
+    """(p', raw): p' and, when p' has effective degree <= 2, the raw
+    closed-form roots of p' as ``proots`` forms them (``()`` when p' is
+    constant or has no real root); ``None`` for degree 3 and up, whose
+    roots ``proots`` locates per interval.  Nothing here depends on an
+    interval, so one entry serves every sub-interval of the piece."""
+    dc = pderiv(c)
+    deg = effective_degree(dc)
+    if deg <= 0:
+        return dc, ()
+    if deg <= 2:
+        return dc, _closed_roots(tuple(dc[:deg + 1]))
+    return dc, None
+
+
+def _critical(entry: tuple, lo: float, hi: float) -> list[float]:
+    """``pcritical`` from a ``_derivative_entry``: the filters of ``proots``
+    on the raw roots, or ``proots(p', lo, hi)`` without them, then the
+    strict interior test."""
+    dc, raw = entry
+    roots = proots(dc, lo, hi) if raw is None else _window(raw, lo, hi)
+    eps = 1e-14 * max(1.0, abs(lo), abs(hi))
+    return [x for x in roots if lo + eps < x < hi - eps]
+
+
 def pcritical(c: Coeffs, lo: float, hi: float) -> list[float]:
     """Sign-change roots of p' strictly inside (lo, hi)."""
-    eps = 1e-14 * max(1.0, abs(lo), abs(hi))
-    return [x for x in proots(pderiv(c), lo, hi) if lo + eps < x < hi - eps]
+    return _critical(_derivative_entry(c), lo, hi)
 
 
-def pminmax_on(c: Coeffs, lo: float, hi: float) -> tuple[float, float]:
-    """Exact min/max of p over the closed interval [lo, hi]."""
-    xs = [lo, hi] + pcritical(c, lo, hi)
+def _minmax_on(c: Coeffs, entry: tuple, lo: float,
+               hi: float) -> tuple[float, float]:
+    """``pminmax_on`` given ``entry = _derivative_entry(c)``."""
+    xs = [lo, hi] + _critical(entry, lo, hi)
     vals = [pvalue(c, x) for x in xs]
     return min(vals), max(vals)
 
 
-def pvariation_on(c: Coeffs, lo: float, hi: float) -> float:
-    """Total variation of p over [lo, hi]: sum of |increments| between
-    consecutive extrema."""
-    nodes = [lo] + pcritical(c, lo, hi) + [hi]
+def pminmax_on(c: Coeffs, lo: float, hi: float) -> tuple[float, float]:
+    """Exact min/max of p over the closed interval [lo, hi]."""
+    return _minmax_on(c, _derivative_entry(c), lo, hi)
+
+
+def _variation_on(c: Coeffs, entry: tuple, lo: float,
+                  hi: float) -> float:
+    """``pvariation_on`` given ``entry = _derivative_entry(c)``."""
+    nodes = [lo] + _critical(entry, lo, hi) + [hi]
     total = 0.0
     prev = pvalue(c, nodes[0])
     for x in nodes[1:]:
@@ -210,3 +262,9 @@ def pvariation_on(c: Coeffs, lo: float, hi: float) -> float:
         total += abs(cur - prev)
         prev = cur
     return total
+
+
+def pvariation_on(c: Coeffs, lo: float, hi: float) -> float:
+    """Total variation of p over [lo, hi]: sum of |increments| between
+    consecutive extrema."""
+    return _variation_on(c, _derivative_entry(c), lo, hi)

@@ -7,11 +7,20 @@ cell increment of u.  ``partition_quadrature`` (fixed partitions) and
 ``QuadratureResult``; ``composite_S`` and the oscillation and Holder
 remainder estimates are views of it.  Every cell quantity is computed on
 the cell alone: f, g and u are restricted to it once, and the centred sup
-of g comes from g's restricted pieces.  Nothing is derived twice: u is
-evaluated once at each cell end, and the value is shared by the cell
-state test, the split search and the cell increment; each cell record
-keeps its restricted f and u until the result is summed; and restricted
-functions are validated by construction (``PiecewiseFunction._trusted``).
+of g comes from g's restricted pieces.  Nothing is derived twice:
+
+- a solve first makes validated copies of f, g and u
+  (``PiecewiseFunction._solve_copy``) that derive each piece's derivative
+  and closed-form critical points once, and u's copy keeps a map of
+  product antiderivatives per pair of pieces; every restriction shares
+  them, so every cell reads them, and the caller's functions are left
+  untouched;
+- u is evaluated once at each cell end, and the value is shared by the
+  cell state test, the split search and the cell increment;
+- each cell record keeps its restricted f and u until the result is
+  summed, and restricted functions are validated by construction
+  (``PiecewiseFunction._trusted``).
+
 A cell whose term or integral of g du overflows, or a result whose value
 or bound does, raises DomainError, so an infinite term only ever marks a
 degenerate cell.
@@ -19,6 +28,7 @@ degenerate cell.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -27,9 +37,9 @@ import numpy as np
 
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
-from .funcrep import (PiecewiseFunction, RegularityCertificate,
-                      inf_sup_on, require_certificate, sup_norm_on,
-                      total_variation)
+from .funcrep import (_EPS, PiecewiseFunction, RegularityCertificate,
+                      _shift_tables, inf_sup_on, require_certificate,
+                      sup_norm_on, total_variation)
 from .stieltjes import _same_domain, rs_integral
 
 
@@ -150,7 +160,10 @@ def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
     g - m over the whole domain: a cell end that is not a breakpoint of g
     takes the value of its shifted piece there.  The shifted function keeps
     g_cell's breakpoints and changes only constant terms and point values,
-    so only those are checked (``PiecewiseFunction._trusted``)."""
+    so only those are checked (``PiecewiseFunction._trusted``), and it
+    reuses g_cell's derivative entries: a constant shift leaves every
+    derivative unchanged, up to the sign of zero coefficients, which no
+    root or comparison sees."""
     pieces = tuple(poly.psub(c, (m,)) for c in g_cell.pieces)
     values = [v - m for v in g_cell.point_values]
     lo, hi = g_cell.domain
@@ -160,7 +173,8 @@ def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
         values[-1] = poly.pvalue(pieces[-1], hi)
     shifted = PiecewiseFunction._trusted(
         g_cell.breakpoints, pieces, tuple(values),
-        new_coeffs=[c[0] for c in pieces], new_values=values)
+        new_coeffs=[c[0] for c in pieces], new_values=values,
+        derived=_shift_tables(g_cell))
     return sup_norm_on(shifted).hi
 
 
@@ -214,6 +228,44 @@ def _result(u: PiecewiseFunction, cells: list[_Cell]) -> QuadratureResult:
     return QuadratureResult(value, stated, tight, partition, per_cell)
 
 
+def _solve_copies(f: PiecewiseFunction, g: PiecewiseFunction,
+                  u: PiecewiseFunction) -> tuple[PiecewiseFunction, ...]:
+    """The copies of f, g and u one solve works on, carrying the piece
+    data it derives once (``PiecewiseFunction._solve_copy``); u's copy
+    also keeps the product antiderivatives of ``rs_integral``."""
+    return f._solve_copy(), g._solve_copy(), u._solve_copy(products=True)
+
+
+def _cell_order_sum(heap: list) -> float:
+    """The sum of the finite cell terms of a refinement heap, added in
+    cell order as the cells of a list would be."""
+    return sum(c.term for _, _, c in sorted(heap, key=lambda e: e[1])
+               if c.term != math.inf)
+
+
+def _tight_within(total: float, slack: float, heap: list,
+                  tol: float) -> bool:
+    """Whether the cell-order sum of the heap's cell terms, none of them
+    infinite, is at most ``tol``, decided from the running total when it
+    lies far enough from ``tol``.
+
+    All terms are >= 0.  With T their exact sum, |total - T| <= slack (the
+    running error bound), and recursive summation of the n terms in cell
+    order is within (n - 1) u / (1 - (n - 1) u) * T <= n * _EPS * T of T,
+    u = _EPS / 2 (Higham, ASNA 2nd ed., 4.2); compensated summation is
+    closer still.  So the cell-order sum lies within
+    slack + n * _EPS * (total + slack) of total; the margin doubles that to
+    cover the rounding of its own few operations, and a monotone rounding
+    of total -/+ margin keeps each comparison with the float ``tol``
+    exact.  Otherwise the cell-order sum decides."""
+    margin = 2.0 * (slack + len(heap) * _EPS * (total + slack))
+    if total - margin > tol:
+        return False
+    if total + margin <= tol:
+        return True
+    return _cell_order_sum(heap) <= tol
+
+
 def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                          u: PiecewiseFunction,
                          partition: Partition) -> QuadratureResult:
@@ -228,6 +280,7 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                           f"{list(u.domain)!r}")
     for h in (f, g):
         _same_domain(h, u)
+    f, g, u = _solve_copies(f, g, u)
     points = partition.points
     u_at = [u(t) for t in points]
     cells = []
@@ -306,24 +359,31 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"max_cells must be >= 1, got {max_cells!r}")
     for h in (f, g):
         _same_domain(h, u)
+    f, g, u = _solve_copies(f, g, u)
     a, b = u.domain
     u_a, u_b = u(a), u(b)
 
-    cells = [_solve_cell(f, g, u, a, b, u_a, u_b,
-                         _cell_state(u, a, b, u_a, u_b))]
+    # a heap of (-term, lo, cell), one entry per cell: its top is the
+    # worst cell, the first in cell order among equal terms; ``total``
+    # adds up the finite terms as they come and go, with ``slack``
+    # bounding its rounding error, and ``pending`` counts infinite terms
+    first = _solve_cell(f, g, u, a, b, u_a, u_b,
+                        _cell_state(u, a, b, u_a, u_b))
+    heap = [(-first.term, a, first)]
+    pending = int(first.term == math.inf)
+    total = 0.0 if pending else first.term
+    slack = 0.0
     while True:
-        tight = sum(c.term for c in cells if c.term != math.inf)
-        pending = any(c.term == math.inf for c in cells)
-        if not pending and tight <= tol:
+        if not pending and _tight_within(total, slack, heap, tol):
             break
-        if len(cells) >= max_cells and not pending:
+        if len(heap) >= max_cells and not pending:
             break
-        if len(cells) >= max_cells + 64:
-            worst_cell = max(cells, key=lambda c: c.term)
-            raise ToleranceUnreachable((worst_cell.lo, worst_cell.hi), tight)
-        idx = max(range(len(cells)), key=lambda i: cells[i].term)
-        lo, hi, worst = cells[idx][:3]
-        u_lo, u_hi = cells[idx].u_lo, cells[idx].u_hi
+        worst_cell = heap[0][2]
+        if len(heap) >= max_cells + 64:
+            raise ToleranceUnreachable((worst_cell.lo, worst_cell.hi),
+                                       _cell_order_sum(heap))
+        lo, hi, worst = worst_cell[:3]
+        u_lo, u_hi = worst_cell.u_lo, worst_cell.u_hi
         width = hi - lo
         split = None
         for frac in (0.5, 0.25, 0.75, 0.375, 0.625):
@@ -344,9 +404,16 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                                            worst if worst != math.inf
                                            else tol)
             break
-        cells[idx] = _solve_cell(f, g, u, lo, split, u_lo, u_cand, left)
-        cells.insert(idx + 1, _solve_cell(f, g, u, split, hi, u_cand, u_hi,
-                                          right))
+        halves = (_solve_cell(f, g, u, lo, split, u_lo, u_cand, left),
+                  _solve_cell(f, g, u, split, hi, u_cand, u_hi, right))
+        for sign, term in ((-1, worst), *((1, c.term) for c in halves)):
+            if term == math.inf:
+                pending -= sign
+            else:
+                total += sign * term
+                slack += _EPS * abs(total)
+        heapq.heapreplace(heap, (-halves[0].term, lo, halves[0]))
+        heapq.heappush(heap, (-halves[1].term, split, halves[1]))
 
     # the loop ends with no degenerate cell left
-    return _result(u, cells)
+    return _result(u, [c for _, _, c in sorted(heap, key=lambda e: e[1])])

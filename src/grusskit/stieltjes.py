@@ -23,7 +23,7 @@ import numpy as np
 
 from . import poly
 from .errors import DomainError, SharedDiscontinuity
-from .funcrep import PiecewiseFunction, aligned_pieces
+from .funcrep import PiecewiseFunction, _product_map, aligned_pieces
 
 _EPS = 2.220446049250313e-16
 
@@ -61,7 +61,11 @@ def _product_core(factors: list[PiecewiseFunction],
     """Closed-form integral of (prod factors) du over the domain, or of
     (prod factors) dt when u is None: the product is formed on the
     coefficients of each aligned cell and integrated exactly, and every
-    jump of u adds the factors' point values times its mass.
+    jump of u adds the factors' point values times its mass.  When u
+    carries a product map (``PiecewiseFunction._solve_copy``), each
+    cell's antiderivative is looked up there by its pieces and formed
+    only on the first miss, then evaluated at the cell ends exactly as
+    ``poly.pintegrate`` evaluates it.
 
     Raises DomainError when the value or its error bound is not finite."""
     ref = factors[0] if u is None else u
@@ -71,10 +75,19 @@ def _product_core(factors: list[PiecewiseFunction],
         _check_shared_jumps(factors, u)
     value = 0.0
     scale = 0.0
+    products = None if u is None else _product_map(u)
     for lo, hi, *pcs in aligned_pieces(*factors, *([] if u is None else [u])):
-        if u is not None:
-            pcs[-1] = poly.pderiv(pcs[-1])
-        term = poly.pintegrate(reduce(poly.pmul, pcs), lo, hi)
+        prim = None
+        if products is not None:
+            key = tuple(pcs)
+            prim = products.get(key)
+        if prim is None:
+            if u is not None:
+                pcs[-1] = poly.pderiv(pcs[-1])
+            prim = poly.pinteg(reduce(poly.pmul, pcs))
+            if products is not None:
+                products[key] = prim
+        term = poly.pvalue(prim, hi) - poly.pvalue(prim, lo)
         value += term
         scale += abs(term)
     fv_worst = 1.0

@@ -544,11 +544,30 @@ def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
     assert counts["_cell_state"] == cells
     solved = derived.args["_solve_cell"]
     assert len(solved) == cells
-    u = solved[0][2]
     # restrict three times per cell, one sided table per function, and u
-    # evaluated once per cell end of each partition
-    assert assert_derived_once(derived, in_result, u) == [
+    # (each solve's copy) evaluated once per cell end of each partition
+    assert assert_derived_once(derived, in_result) == [
         t for n in ns for t in quadrature.Partition.uniform(0.0, 1.0, n).points]
+
+
+def test_quad_sweep_work_budget(count_calls, capsys):
+    # exact counts of the derivation helpers over the seven solves: each
+    # solve derives one entry per piece of its three copies (6 pieces),
+    # and the 16 further entries come from the certificate check
+    from grusskit import poly
+    counts = count_calls(poly.proots, poly.pderiv, poly.pmul,
+                         poly._derivative_entry,
+                         funcrep.PiecewiseFunction._solve_copy)
+    assert run(["quad", "--sweep", "4:256",
+                "--json", json.dumps(QUAD_SPEC_HOLDER)]) == 0
+    capsys.readouterr()
+    copied = counts.args["_solve_copy"]
+    assert len(copied) == 3 * 7
+    assert sum(len(args[0].pieces) for args in copied) == 7 * 6
+    assert counts["_derivative_entry"] == 7 * 6 + 16
+    assert counts["proots"] == 0
+    assert counts["pderiv"] == 106
+    assert counts["pmul"] == 50
 
 
 @pytest.mark.parametrize("option", [["--partition", "uniform:4"], []])

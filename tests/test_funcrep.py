@@ -313,6 +313,23 @@ class TestValidation:
         with pytest.raises(DomainError, match="strictly increasing"):
             make((1.0, 0.0), ((0.0,),))
 
+    @pytest.mark.parametrize("fields", [
+        ([0.0, 0.5, 1.0], ((1.0,), (2.0,)), (1.0, 1.0, 2.0)),
+        ((0.0, 0.5, 1.0), [(1.0,), (2.0,)], (1.0, 1.0, 2.0)),
+        ((0.0, 0.5, 1.0), ((1.0,), (2.0,)), [1.0, 1.0, 2.0]),
+        ((0.0, 0.5, 1.0), ([1.0], (2.0,)), (1.0, 1.0, 2.0)),
+    ])
+    def test_constructor_takes_only_tuples(self, fields):
+        # a list field or piece used to validate and then break restrict
+        # and hash with a bare TypeError
+        with pytest.raises(DomainError, match="tuple"):
+            PiecewiseFunction(*fields)
+        f = PiecewiseFunction(*(tuple(map(tuple, x)) if i == 1 else tuple(x)
+                                for i, x in enumerate(fields)))
+        assert f.restrict(0.25, 0.75)(0.5) == 1.0
+        assert hash(f) == hash(PiecewiseFunction.build(
+            (0.0, 0.5, 1.0), ((1.0,), (2.0,)), (1.0, 1.0, 2.0)))
+
     def test_degree_caps(self):
         with pytest.raises(DomainError, match="exceeds cap 8"):
             PiecewiseFunction.build((0.0, 1.0), ((1.0,) * 10,))

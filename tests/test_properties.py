@@ -1,5 +1,6 @@
 """Property-based checks over randomly drawn piecewise functions."""
 
+import math
 import random
 
 import hypothesis.strategies as st
@@ -232,3 +233,137 @@ def test_kept_jump_data_equals_a_fresh_computation(seed, kind, order):
         assert "_sided" in vars(h) and "_sided" not in vars(fresh)
         assert h == fresh and hash(h) == hash(fresh)
         assert repr(h) == repr(fresh)
+
+
+# -- the piece derivative entries of poly -----------------------------------
+# proots, pcritical, pminmax_on and pvariation_on as they were before the
+# derivative entries: everything re-derived from the coefficients on each
+# call
+
+def _fresh_proots(c, lo, hi):
+    if hi <= lo:
+        return []
+    deg = poly.effective_degree(c)
+    if deg <= 0:
+        return []
+    ct = tuple(c[:deg + 1])
+    scale = poly._coeff_scale(ct, lo, hi)
+    ztol = 1e-13 * scale
+    if deg == 1:
+        c0, c1 = ct
+        r = -c0 / c1
+        span = 1e-12 * max(1.0, abs(lo), abs(hi))
+        return [r] if lo - span <= r <= hi + span else []
+    if deg == 2:
+        a2, a1, a0 = ct[2], ct[1], ct[0]
+        disc = a1 * a1 - 4.0 * a2 * a0
+        if disc < 0.0:
+            return []
+        sq = math.sqrt(disc)
+        if a1 >= 0.0:
+            r1 = (-a1 - sq) / (2.0 * a2)
+        else:
+            r1 = (-a1 + sq) / (2.0 * a2)
+        r2 = a0 / (a2 * r1) if r1 != 0.0 else -a1 / a2
+        out = sorted(r for r in (r1, r2) if lo - 1e-12 <= r <= hi + 1e-12)
+        return poly._dedupe(out, lo, hi)
+    crit = _fresh_proots(poly.pderiv(ct), lo, hi)
+    nodes = poly._dedupe([lo] + crit + [hi], lo, hi)
+    roots = []
+    vals = [poly.pvalue(ct, x) for x in nodes]
+    for i in range(len(nodes) - 1):
+        x0, x1 = nodes[i], nodes[i + 1]
+        v0, v1 = vals[i], vals[i + 1]
+        if abs(v0) <= ztol:
+            roots.append(x0)
+            continue
+        if abs(v1) <= ztol:
+            continue
+        if (v0 > 0) != (v1 > 0):
+            roots.append(poly._bisect_root(ct, x0, x1, v0))
+    if abs(vals[-1]) <= ztol:
+        roots.append(nodes[-1])
+    return poly._dedupe(sorted(roots), lo, hi)
+
+
+def _fresh_pcritical(c, lo, hi):
+    eps = 1e-14 * max(1.0, abs(lo), abs(hi))
+    return [x for x in _fresh_proots(poly.pderiv(c), lo, hi)
+            if lo + eps < x < hi - eps]
+
+
+def _fresh_pminmax_on(c, lo, hi):
+    vals = [poly.pvalue(c, x) for x in [lo, hi] + _fresh_pcritical(c, lo, hi)]
+    return min(vals), max(vals)
+
+
+def _fresh_pvariation_on(c, lo, hi):
+    nodes = [lo] + _fresh_pcritical(c, lo, hi) + [hi]
+    total = 0.0
+    prev = poly.pvalue(c, nodes[0])
+    for x in nodes[1:]:
+        cur = poly.pvalue(c, x)
+        total += abs(cur - prev)
+        prev = cur
+    return total
+
+
+def _draw_piece(rng, kind):
+    """A coefficient tuple whose derivative has the feature ``kind``."""
+    if kind == "any degree":
+        deg = rng.randint(0, 8)
+        return tuple(rng.choice((0.0, -0.0)) if rng.random() < 0.2
+                     else rng.uniform(-3.0, 3.0) for _ in range(deg + 1))
+    a = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 3.0)
+    r, s = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+    if kind == "linear derivative":
+        dc = (-a * r, a)
+    elif kind == "two roots":
+        dc = (a * r * s, -a * (r + s), a)
+    else:  # near a double root: discriminant 0, just below or just above
+        e = a * rng.choice((0.0, 1e-17, -1e-17, 1e-15, -1e-15, 1e-12))
+        dc = (a * r * r + e, -2.0 * a * r, a)
+    return poly.padd(poly.pinteg(dc), (rng.uniform(-1.0, 1.0),))
+
+
+def _draw_cells(rng, c):
+    """Sub-intervals: random ones, empty and one ulp wide ones, and cells
+    that end at, start at or straddle a root of the derivative."""
+    lo = rng.uniform(-3.0, 3.0)
+    cells = [(lo, lo + rng.uniform(0.0, 3.0)), (lo, lo),
+             (lo, math.nextafter(lo, math.inf))]
+    for x in _fresh_proots(poly.pderiv(c), -4.0, 4.0):
+        w = rng.uniform(1e-9, 1.0)
+        cells += [(x - w, x), (x, x + w), (x - w, x + w),
+                  (math.nextafter(x, -math.inf), x),
+                  (x, math.nextafter(x, math.inf))]
+    return cells
+
+
+@given(seeds, st.sampled_from(["any degree", "linear derivative",
+                               "two roots", "near double root"]),
+       st.floats(min_value=-3.0, max_value=3.0))
+@settings(max_examples=300, deadline=None)
+def test_derivative_entry_paths_equal_a_fresh_derivation(seed, kind, m):
+    """One entry per piece gives the floats that re-deriving on every
+    sub-interval gave, also for the constant shift of ``_centred_sup``
+    (the entry of c serves c - m); degrees 4 to 8 take the proots
+    fallback (raw roots None)."""
+    rng = _rng(seed)
+    c = _draw_piece(rng, kind)
+    entry = poly._derivative_entry(c)
+    assert (entry[1] is None) == (poly.effective_degree(entry[0]) > 2)
+    shifted = poly.psub(c, (m,))
+    for lo, hi in _draw_cells(rng, c):
+        want = _fresh_pcritical(c, lo, hi)
+        assert poly._critical(entry, lo, hi) == want
+        assert poly.pcritical(c, lo, hi) == want
+        assert _fresh_pcritical(shifted, lo, hi) == want
+        for p in (c, shifted):
+            minmax = _fresh_pminmax_on(p, lo, hi)
+            assert poly._minmax_on(p, entry, lo, hi) == minmax
+            assert poly.pminmax_on(p, lo, hi) == minmax
+            variation = _fresh_pvariation_on(p, lo, hi)
+            assert poly._variation_on(p, entry, lo, hi) == variation
+            assert poly.pvariation_on(p, lo, hi) == variation
+            assert poly.proots(p, lo, hi) == _fresh_proots(p, lo, hi)

@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from grusskit import instances, quadrature
+from grusskit import battery, instances, poly, quadrature
 from grusskit.bounds import bound_quadrature_remainder
-from grusskit.errors import DegenerateCell, DomainError
+from grusskit.errors import (DegenerateCell, DomainError,
+                             ToleranceUnreachable)
 from grusskit.funcrep import PiecewiseFunction, RegularityCertificate
 from grusskit.functionals import cheby_T
 from grusskit.quadrature import (Partition, _cell_state, adaptive_quadrature,
@@ -453,9 +454,11 @@ def derive_once_counts(count_calls, monkeypatch, solve):
     return counts, in_result, out
 
 
-def assert_derived_once(counts, in_result, u) -> list[float]:
+def assert_derived_once(counts, in_result) -> list[float]:
     """Check the restrict and sided-table counts of ``derive_once_counts``
-    and return the points at which u was evaluated."""
+    and return the points at which u was evaluated, in call order; u is
+    each solve's copy of it, the u that the solve passes to
+    ``_solve_cell``."""
     solved = counts.args["_solve_cell"]
     assert solved and all(args[-1] == "ok" for args in solved)
     # f, g and u restricted once per solved cell, never when summing
@@ -464,8 +467,9 @@ def assert_derived_once(counts, in_result, u) -> list[float]:
     # at most one sided table per function instance
     built = [id(args[0]) for args in counts.args["_sided_table"]]
     assert len(built) == len(set(built))
+    u_copies = {id(args[2]) for args in solved}
     u_points = [args[1] for args in counts.args["eval_sided"]
-                if args[0] is u]
+                if id(args[0]) in u_copies]
     assert set(u_points) <= {t for args in solved for t in args[3:5]}
     return u_points
 
@@ -477,7 +481,7 @@ class TestDeriveOnce:
             lambda: adaptive_quadrature(DERIVE_F, DERIVE_G, DERIVE_U, 1e-5))
         solved = counts.args["_solve_cell"]
         assert len(solved) > 20
-        u_points = assert_derived_once(counts, in_result, DERIVE_U)
+        u_points = assert_derived_once(counts, in_result)
         # once per distinct cell end: both ends, then each split point
         assert sorted(u_points) == sorted({t for args in solved
                                            for t in args[3:5]})
@@ -487,5 +491,170 @@ class TestDeriveOnce:
             count_calls, monkeypatch,
             lambda: partition_quadrature(DERIVE_F, DERIVE_G, DERIVE_U,
                                          Partition.uniform(0.0, 1.0, 9)))
-        u_points = assert_derived_once(counts, in_result, DERIVE_U)
+        u_points = assert_derived_once(counts, in_result)
         assert u_points == list(Partition.uniform(0.0, 1.0, 9).points)
+
+
+def _list_order_adaptive(f, g, u, tol, max_cells):
+    """The refinement loop as it was before the heap: a list of cells in
+    cell order, re-summed and re-scanned for its first worst cell on every
+    split."""
+    a, b = u.domain
+    u_a, u_b = u(a), u(b)
+    cells = [quadrature._solve_cell(f, g, u, a, b, u_a, u_b,
+                                    _cell_state(u, a, b, u_a, u_b))]
+    while True:
+        tight = sum(c.term for c in cells if c.term != math.inf)
+        pending = any(c.term == math.inf for c in cells)
+        if not pending and tight <= tol:
+            break
+        if len(cells) >= max_cells and not pending:
+            break
+        if len(cells) >= max_cells + 64:
+            worst_cell = max(cells, key=lambda c: c.term)
+            raise ToleranceUnreachable((worst_cell.lo, worst_cell.hi), tight)
+        idx = max(range(len(cells)), key=lambda i: cells[i].term)
+        lo, hi, worst = cells[idx][:3]
+        u_lo, u_hi = cells[idx].u_lo, cells[idx].u_hi
+        width = hi - lo
+        split = None
+        for frac in (0.5, 0.25, 0.75, 0.375, 0.625):
+            cand = lo + frac * width
+            if not (lo < cand < hi):
+                continue
+            u_cand = u(cand)
+            left = _cell_state(u, lo, cand, u_lo, u_cand)
+            if left == "degenerate":
+                continue
+            right = _cell_state(u, cand, hi, u_cand, u_hi)
+            if right != "degenerate":
+                split = cand
+                break
+        if split is None or width < 1e-13 * (b - a):
+            if worst == math.inf or worst > tol:
+                raise ToleranceUnreachable((lo, hi), worst
+                                           if worst != math.inf else tol)
+            break
+        cells[idx] = quadrature._solve_cell(f, g, u, lo, split, u_lo,
+                                            u_cand, left)
+        cells.insert(idx + 1, quadrature._solve_cell(
+            f, g, u, split, hi, u_cand, u_hi, right))
+    return quadrature._result(u, cells)
+
+
+def _outcome(solve):
+    try:
+        res = solve()
+    except ToleranceUnreachable as exc:
+        return "unreachable", (exc.cell, exc.bound)
+    return "result", res._key()
+
+
+class TestHeapOrderedRefinement:
+    @pytest.mark.parametrize("case", range(len(ADAPTIVE_PROBLEMS)))
+    @pytest.mark.parametrize("tol, max_cells", [(1e-3, 128), (1e-7, 24),
+                                                (1e-2, 4096)])
+    def test_equals_the_list_order_loop(self, case, tol, max_cells):
+        f, g, u, _ = ADAPTIVE_PROBLEMS[case]
+        assert _outcome(lambda: adaptive_quadrature(f, g, u, tol, max_cells)) \
+            == _outcome(lambda: _list_order_adaptive(f, g, u, tol, max_cells))
+
+    def test_unreachable_reports_what_the_list_order_loop_reports(self,
+                                                                  ident):
+        # u is 0 but for a spike at 0.1: every split candidate leaves a
+        # degenerate half (no increment, variation 2) holding the spike
+        u = PiecewiseFunction((0.0, 0.1, 1.0), ((0.0,), (0.0,)),
+                              (0.0, 1.0, 0.0))
+        want = _outcome(lambda: _list_order_adaptive(ident, ident, u, 1e-3,
+                                                     8))
+        assert want == ("unreachable", ((0.0, 1.0), 1e-3))
+        assert _outcome(lambda: adaptive_quadrature(ident, ident, u, 1e-3,
+                                                    8)) == want
+
+    def test_stop_test_falls_back_to_the_cell_order_sum(self):
+        # in cell order 1 + 1e-16 + 1e-16 rounds to 1.0 <= tol, while a
+        # running total that added the small terms first reads 1 + 2^-52;
+        # the running total is within its margin of tol, so the cell-order
+        # sum decides
+        cells = [quadrature._Cell(lo, lo + 1.0, term, "ok", (0.0,) * 3,
+                                  0.0, 0.0, 1.0, None, None)
+                 for lo, term in ((0.0, 1.0), (1.0, 1e-16), (2.0, 1e-16))]
+        heap = sorted((-c.term, c.lo, c) for c in cells)
+        running = (1e-16 + 1e-16) + 1.0
+        assert running > 1.0 == sum(c.term for c in cells)
+        slack = quadrature._EPS * (2e-16 + running)
+        assert quadrature._tight_within(running, slack, heap, 1.0)
+        assert not quadrature._tight_within(running, slack, heap,
+                                            math.nextafter(1.0, 0.0))
+        # far from tol the running total decides alone
+        assert quadrature._tight_within(running, slack, heap, 2.0)
+        assert not quadrature._tight_within(running, slack, heap, 0.5)
+
+
+def _fresh(h):
+    return PiecewiseFunction(h.breakpoints, h.pieces, h.point_values)
+
+
+class TestSolveScope:
+    """Only the copies a solve makes carry derived piece data."""
+
+    def test_caller_functions_carry_no_table(self):
+        f, g, u = _fresh(DERIVE_F), _fresh(DERIVE_G), _fresh(DERIVE_U)
+        adaptive_quadrature(f, g, u, 1e-5)
+        partition_quadrature(f, g, u, Partition.uniform(0.0, 1.0, 9))
+        for h in (f, g, u):
+            assert "_derived" not in vars(h)
+            assert h.restrict(0.25, 0.75).__dict__.get("_derived") is None
+
+    def test_restrict_without_a_table_builds_none(self, count_calls):
+        counts = count_calls(poly._derivative_entry)
+        cell = DERIVE_U.restrict(0.2, 0.7)
+        assert "_derived" not in vars(cell) and counts["_derivative_entry"] == 0
+
+    def test_restrict_slices_the_table_and_shares_the_map(self):
+        u = DERIVE_U._solve_copy(products=True)
+        entries, products = vars(u)["_derived"]
+        for lo, hi, first, last in ((0.1, 0.5, 0, 1), (0.5, 0.9, 0, 2),
+                                    (0.6, 1.0, 1, 2)):
+            cell = u.restrict(lo, hi)
+            cell_entries, cell_products = vars(cell)["_derived"]
+            assert cell_entries == entries[first:last]
+            assert cell_products is products
+        assert u == DERIVE_U and hash(u) == hash(DERIVE_U)
+        assert repr(u) == repr(DERIVE_U)
+
+    def test_battery_builds_tables_only_for_quadrature(self, count_calls):
+        counts = count_calls(PiecewiseFunction._solve_copy,
+                             partition_quadrature)
+        for tid in battery.THEOREM_IDS:
+            before = dict(counts)
+            battery.THEOREMS[tid](random.Random(f"0:{tid}:0"))
+            solves = counts["partition_quadrature"] \
+                - before["partition_quadrature"]
+            # three copies per quadrature solve, none anywhere else
+            assert counts["_solve_copy"] - before["_solve_copy"] \
+                == 3 * solves
+            assert solves == (tid == "thm_3_2a")
+        for args in counts.args["_solve_copy"]:
+            assert "_derived" not in vars(args[0])
+
+
+class TestWorkBudget:
+    """Exact call counts of the derivation helpers for one fixed solve:
+    a drop in table reuse shows up as a changed count."""
+
+    def test_adaptive_solve(self, count_calls):
+        counts = count_calls(poly.proots, poly.pderiv, poly.pmul,
+                             poly._derivative_entry,
+                             PiecewiseFunction._solve_copy)
+        res = adaptive_quadrature(DERIVE_F, DERIVE_G, DERIVE_U, 1e-5)
+        assert res.partition.n == 162
+        pieces = sum(len(h.pieces) for h in (DERIVE_F, DERIVE_G, DERIVE_U))
+        # one derivative entry per piece of the three solve copies, and
+        # nothing else derives critical points
+        assert counts["_solve_copy"] == 3
+        assert counts["_derivative_entry"] == pieces == 6
+        assert counts["proots"] == 0
+        # one pderiv per entry, and one per product antiderivative
+        assert counts["pderiv"] == 12
+        assert counts["pmul"] == 6
