@@ -236,11 +236,15 @@ def _solve_copies(f: PiecewiseFunction, g: PiecewiseFunction,
     return f._solve_copy(), g._solve_copy(), u._solve_copy(products=True)
 
 
+def _in_cell_order(heap: list) -> list[_Cell]:
+    """The cells of a refinement heap of (-term, lo, cell), by lo."""
+    return [c for _, _, c in sorted(heap, key=lambda e: e[1])]
+
+
 def _cell_order_sum(heap: list) -> float:
     """The sum of the finite cell terms of a refinement heap, added in
     cell order as the cells of a list would be."""
-    return sum(c.term for _, _, c in sorted(heap, key=lambda e: e[1])
-               if c.term != math.inf)
+    return sum(c.term for c in _in_cell_order(heap) if c.term != math.inf)
 
 
 def _tight_within(total: float, slack: float, heap: list,
@@ -416,4 +420,4 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         heapq.heappush(heap, (-halves[1].term, split, halves[1]))
 
     # the loop ends with no degenerate cell left
-    return _result(u, [c for _, _, c in sorted(heap, key=lambda e: e[1])])
+    return _result(u, _in_cell_order(heap))
