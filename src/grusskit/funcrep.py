@@ -377,13 +377,13 @@ class PiecewiseFunction:
             else poly.pvalue(self.pieces[first], c)
         at_d = values[last] if bp[last] == d \
             else poly.pvalue(self.pieces[last - 1], d)
-        derived = self.__dict__.get("_derived")
-        if derived is not None:
-            derived = (derived[0][first:last], derived[1])
+        entries, products = _derived(self)
         return PiecewiseFunction._trusted(
             (c,) + bp[first + 1:last] + (d,), self.pieces[first:last],
             (at_c,) + values[first + 1:last] + (at_d,),
-            new_values=(at_c, at_d), derived=derived)
+            new_values=(at_c, at_d),
+            derived=None if entries is None
+            else (entries[first:last], products))
 
     def antiderivative(self) -> "PiecewiseFunction":
         """Continuous F with F(a) = 0 and F' = f off the breakpoints."""
@@ -490,28 +490,11 @@ def _sided_table(f: PiecewiseFunction) -> tuple[tuple[tuple[float, ...],
     return tuple(jumps), slack
 
 
-def _piece_entries(f: PiecewiseFunction):
-    """One ``poly._derivative_entry`` per piece of f: its ``_solve_copy``
-    table, else derived now."""
-    derived = f.__dict__.get("_derived")
-    if derived is not None:
-        return derived[0]
-    return map(poly._derivative_entry, f.pieces)
-
-
-def _shift_tables(f: PiecewiseFunction) -> tuple | None:
-    """The ``derived`` argument of ``_trusted`` for f with constants
-    added to its pieces: f's derivative entries, which such a shift
-    leaves as they are, and no product map; None when f has no table."""
-    derived = f.__dict__.get("_derived")
-    return None if derived is None else (derived[0], None)
-
-
-def _product_map(f: PiecewiseFunction) -> dict | None:
-    """The product map of a ``_solve_copy`` made with ``products``, shared
-    by its restrictions, else None."""
-    derived = f.__dict__.get("_derived")
-    return None if derived is None else derived[1]
+def _derived(f: PiecewiseFunction) -> tuple:
+    """The ``_solve_copy`` tables of f, (derivative entries, product map
+    or None), shared with its restrictions; (None, None) for any other
+    function."""
+    return f.__dict__.get("_derived", (None, None))
 
 
 def _scalar_op(op, x: float, y: float) -> float:
@@ -591,8 +574,8 @@ def inf_sup_on(f: PiecewiseFunction) -> tuple[Enclosure, Enclosure]:
     lo = math.inf
     hi = -math.inf
     bp = f.breakpoints
-    for x0, x1, coeffs, entry in zip(bp, bp[1:], f.pieces,
-                                     _piece_entries(f)):
+    entries = _derived(f)[0] or map(poly._derivative_entry, f.pieces)
+    for x0, x1, coeffs, entry in zip(bp, bp[1:], f.pieces, entries):
         mn, mx = poly._minmax_on(coeffs, entry, x0, x1)
         lo = min(lo, mn)
         hi = max(hi, mx)
@@ -616,8 +599,8 @@ def total_variation(u: PiecewiseFunction) -> Enclosure:
     ``_sided_table`` convention."""
     total = 0.0
     bp = u.breakpoints
-    for lo, hi, coeffs, entry in zip(bp, bp[1:], u.pieces,
-                                     _piece_entries(u)):
+    entries = _derived(u)[0] or map(poly._derivative_entry, u.pieces)
+    for lo, hi, coeffs, entry in zip(bp, bp[1:], u.pieces, entries):
         total += poly._variation_on(coeffs, entry, lo, hi)
     for _, left, v, right in u.jumps():
         total += abs(v - left) + abs(right - v)

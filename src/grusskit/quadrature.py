@@ -28,7 +28,6 @@ degenerate cell.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,9 +36,9 @@ import numpy as np
 
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
-from .funcrep import (_EPS, PiecewiseFunction, RegularityCertificate,
-                      _shift_tables, inf_sup_on, require_certificate,
-                      sup_norm_on, total_variation)
+from .funcrep import (PiecewiseFunction, RegularityCertificate, _derived,
+                      inf_sup_on, require_certificate, sup_norm_on,
+                      total_variation)
 from .stieltjes import _same_domain, rs_integral
 
 
@@ -171,10 +170,11 @@ def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
         values[0] = poly.pvalue(pieces[0], lo)
     if g._bp_index(hi) is None:
         values[-1] = poly.pvalue(pieces[-1], hi)
+    entries = _derived(g_cell)[0]
     shifted = PiecewiseFunction._trusted(
         g_cell.breakpoints, pieces, tuple(values),
         new_coeffs=[c[0] for c in pieces], new_values=values,
-        derived=_shift_tables(g_cell))
+        derived=None if entries is None else (entries, None))
     return sup_norm_on(shifted).hi
 
 
@@ -228,48 +228,6 @@ def _result(u: PiecewiseFunction, cells: list[_Cell]) -> QuadratureResult:
     return QuadratureResult(value, stated, tight, partition, per_cell)
 
 
-def _solve_copies(f: PiecewiseFunction, g: PiecewiseFunction,
-                  u: PiecewiseFunction) -> tuple[PiecewiseFunction, ...]:
-    """The copies of f, g and u one solve works on, carrying the piece
-    data it derives once (``PiecewiseFunction._solve_copy``); u's copy
-    also keeps the product antiderivatives of ``rs_integral``."""
-    return f._solve_copy(), g._solve_copy(), u._solve_copy(products=True)
-
-
-def _in_cell_order(heap: list) -> list[_Cell]:
-    """The cells of a refinement heap of (-term, lo, cell), by lo."""
-    return [c for _, _, c in sorted(heap, key=lambda e: e[1])]
-
-
-def _cell_order_sum(heap: list) -> float:
-    """The sum of the finite cell terms of a refinement heap, added in
-    cell order as the cells of a list would be."""
-    return sum(c.term for c in _in_cell_order(heap) if c.term != math.inf)
-
-
-def _tight_within(total: float, slack: float, heap: list,
-                  tol: float) -> bool:
-    """Whether the cell-order sum of the heap's cell terms, none of them
-    infinite, is at most ``tol``, decided from the running total when it
-    lies far enough from ``tol``.
-
-    All terms are >= 0.  With T their exact sum, |total - T| <= slack (the
-    running error bound), and recursive summation of the n terms in cell
-    order is within (n - 1) u / (1 - (n - 1) u) * T <= n * _EPS * T of T,
-    u = _EPS / 2 (Higham, ASNA 2nd ed., 4.2); compensated summation is
-    closer still.  So the cell-order sum lies within
-    slack + n * _EPS * (total + slack) of total; the margin doubles that to
-    cover the rounding of its own few operations, and a monotone rounding
-    of total -/+ margin keeps each comparison with the float ``tol``
-    exact.  Otherwise the cell-order sum decides."""
-    margin = 2.0 * (slack + len(heap) * _EPS * (total + slack))
-    if total - margin > tol:
-        return False
-    if total + margin <= tol:
-        return True
-    return _cell_order_sum(heap) <= tol
-
-
 def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                          u: PiecewiseFunction,
                          partition: Partition) -> QuadratureResult:
@@ -284,7 +242,9 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                           f"{list(u.domain)!r}")
     for h in (f, g):
         _same_domain(h, u)
-    f, g, u = _solve_copies(f, g, u)
+    # the solve's copies carry the piece data it derives once
+    f, g = f._solve_copy(), g._solve_copy()
+    u = u._solve_copy(products=True)
     points = partition.points
     u_at = [u(t) for t in points]
     cells = []
@@ -363,31 +323,30 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"max_cells must be >= 1, got {max_cells!r}")
     for h in (f, g):
         _same_domain(h, u)
-    f, g, u = _solve_copies(f, g, u)
+    # the solve's copies carry the piece data it derives once
+    f, g = f._solve_copy(), g._solve_copy()
+    u = u._solve_copy(products=True)
     a, b = u.domain
     u_a, u_b = u(a), u(b)
 
-    # a heap of (-term, lo, cell), one entry per cell: its top is the
-    # worst cell, the first in cell order among equal terms; ``total``
-    # adds up the finite terms as they come and go, with ``slack``
-    # bounding its rounding error, and ``pending`` counts infinite terms
-    first = _solve_cell(f, g, u, a, b, u_a, u_b,
-                        _cell_state(u, a, b, u_a, u_b))
-    heap = [(-first.term, a, first)]
-    pending = int(first.term == math.inf)
-    total = 0.0 if pending else first.term
-    slack = 0.0
+    cells = [_solve_cell(f, g, u, a, b, u_a, u_b,
+                         _cell_state(u, a, b, u_a, u_b))]
+    # the cells in cell order and their terms beside them: the stop test
+    # sums the terms in cell order, and the worst cell is the first largest
+    terms = [cells[0].term]
     while True:
-        if not pending and _tight_within(total, slack, heap, tol):
+        pending = math.inf in terms
+        if not pending and sum(terms) <= tol:
             break
-        if len(heap) >= max_cells and not pending:
+        if len(cells) >= max_cells and not pending:
             break
-        worst_cell = heap[0][2]
-        if len(heap) >= max_cells + 64:
-            raise ToleranceUnreachable((worst_cell.lo, worst_cell.hi),
-                                       _cell_order_sum(heap))
-        lo, hi, worst = worst_cell[:3]
-        u_lo, u_hi = worst_cell.u_lo, worst_cell.u_hi
+        idx = terms.index(max(terms))
+        if len(cells) >= max_cells + 64:
+            raise ToleranceUnreachable(
+                (cells[idx].lo, cells[idx].hi),
+                sum(t for t in terms if t != math.inf))
+        lo, hi, worst = cells[idx][:3]
+        u_lo, u_hi = cells[idx].u_lo, cells[idx].u_hi
         width = hi - lo
         split = None
         for frac in (0.5, 0.25, 0.75, 0.375, 0.625):
@@ -408,16 +367,10 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                                            worst if worst != math.inf
                                            else tol)
             break
-        halves = (_solve_cell(f, g, u, lo, split, u_lo, u_cand, left),
-                  _solve_cell(f, g, u, split, hi, u_cand, u_hi, right))
-        for sign, term in ((-1, worst), *((1, c.term) for c in halves)):
-            if term == math.inf:
-                pending -= sign
-            else:
-                total += sign * term
-                slack += _EPS * abs(total)
-        heapq.heapreplace(heap, (-halves[0].term, lo, halves[0]))
-        heapq.heappush(heap, (-halves[1].term, split, halves[1]))
+        cells[idx:idx + 1] = (
+            _solve_cell(f, g, u, lo, split, u_lo, u_cand, left),
+            _solve_cell(f, g, u, split, hi, u_cand, u_hi, right))
+        terms[idx:idx + 1] = (cells[idx].term, cells[idx + 1].term)
 
     # the loop ends with no degenerate cell left
-    return _result(u, _in_cell_order(heap))
+    return _result(u, cells)

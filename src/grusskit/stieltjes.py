@@ -23,7 +23,7 @@ import numpy as np
 
 from . import poly
 from .errors import DomainError, SharedDiscontinuity
-from .funcrep import PiecewiseFunction, _product_map, aligned_pieces
+from .funcrep import PiecewiseFunction, _derived, aligned_pieces
 
 _EPS = 2.220446049250313e-16
 
@@ -75,7 +75,7 @@ def _product_core(factors: list[PiecewiseFunction],
         _check_shared_jumps(factors, u)
     value = 0.0
     scale = 0.0
-    products = None if u is None else _product_map(u)
+    products = None if u is None else _derived(u)[1]
     for lo, hi, *pcs in aligned_pieces(*factors, *([] if u is None else [u])):
         prim = None
         if products is not None:
