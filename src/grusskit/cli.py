@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import sys
 
 from . import __version__, battery, jsonio
@@ -232,11 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The one parser ``run`` uses in this process, built at the first
+    request rather than at import; ``parse_args`` leaves it unchanged, so
+    every request parses against the same state."""
+    return build_parser()
+
+
 def run(argv: list[str]) -> int:
     """Parse argv, execute, print the report; returns the exit code."""
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.argv_echo = list(argv)

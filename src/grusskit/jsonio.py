@@ -101,9 +101,11 @@ def parse_function(obj, domain: tuple[float, float],
                 raise SchemaError(f"{path}.values.{key}",
                                   "index out of range")
             values[idx] = _number(val, f"{path}.values.{key}")
-        defaults = PiecewiseFunction.build(bps, pieces).point_values
-        values = [d if v is None else v for v, d in zip(values, defaults)]
     try:
+        if values is not None and None in values:
+            defaults = PiecewiseFunction.build(bps, pieces).point_values
+            values = [d if v is None else v
+                      for v, d in zip(values, defaults)]
         return PiecewiseFunction.build(bps, pieces, values)
     except DomainError as exc:
         raise SchemaError(path, str(exc)) from None

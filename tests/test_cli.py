@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,7 +7,7 @@ import pathlib
 
 import pytest
 
-from grusskit import funcrep, jsonio, quadrature, stieltjes
+from grusskit import cli, funcrep, jsonio, quadrature, stieltjes
 from grusskit.bounds import BoundReport
 from grusskit.cli import run
 from grusskit.errors import SchemaError
@@ -98,6 +99,34 @@ class TestSchema:
         with pytest.raises(SchemaError) as exc:
             jsonio.parse_document(doc)
         assert "f.values.5" in str(exc.value)
+
+
+# a function with a "values" key whose breakpoints or degree its build
+# rejects: the failure is a SchemaError on the slot, as without "values"
+MALFORMED_WITH_VALUES = {
+    "unordered_breakpoints": (
+        {"breakpoints": [0, 0.7, 0.5, 1],
+         "pieces": [{"coeffs": [1]}, {"coeffs": [1]}, {"coeffs": [1]}],
+         "values": {"0": 1}},
+        "f: breakpoints must be strictly increasing"),
+    "degree_9": (
+        {"breakpoints": [0, 1], "pieces": [{"coeffs": [0] * 10}],
+         "values": {"0": 0, "1": 0}},
+        "f: piece degree 9 exceeds cap 8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_WITH_VALUES))
+def test_malformed_function_with_values_is_a_schema_error(case, capsys):
+    f, message = MALFORMED_WITH_VALUES[case]
+    doc = json.dumps({"domain": [0, 1], "f": f})
+    with pytest.raises(SchemaError) as exc:
+        jsonio.loads_document(doc)
+    assert str(exc.value) == message
+    assert run(["integrate", "--json", doc]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {message}\n"
 
 
 def _strict_loads(text):
@@ -619,3 +648,122 @@ def test_quad_reports_byte_identical_to_golden():
     assert list(got) == list(want)
     for name in want:
         assert got[name] == want[name], name
+
+
+# -- one parser per process, one build per parsed function --------------------
+
+def readme_stream(tmp_path) -> list[list[str]]:
+    """16 requests: every subcommand on the README spec, interleaved with
+    argv that argparse rejects and with --help."""
+    witness, quad = json.dumps(WITNESS_SPEC), json.dumps(QUAD_SPEC)
+    slots, certs, _ = THEOREM_SPECS["thm_2_5"]
+    with_p = json.dumps({"domain": [0.0, 1.0], **slots,
+                         "certificates": certs})
+    return [
+        ["integrate", "--from", "0.25", "--to", "0.75",
+         "--json", JUMP_AT_HALF_DOC],
+        ["nosuch"],
+        ["cheby", "--json", witness],
+        ["dfunc", "--residual", "--json", JUMP_AT_HALF_DOC],
+        ["bound", "--theorem", "thm_2_1a", "--json", witness],
+        ["bound", "--json", witness],
+        ["bound", "--theorem", "thm_2_5", "--p", "2.0", "--json", with_p],
+        ["--help"],
+        ["quad", "--tol", "1e-3", "--json", quad],
+        ["bound", "--theorem", "thm_2_5", "--p", "x", "--json", with_p],
+        ["quad", "--partition", "uniform:7", "--json", quad],
+        ["quad", "--sweep", "4:64", "--csv", str(tmp_path / "rate.csv"),
+         "--json", json.dumps(QUAD_SPEC_HOLDER)],
+        ["quad", "--help"],
+        ["sharpness", "--a", "-3", "--b", "7"],
+        ["verify", "--theorem", "thm_2_2", "--trials", "10", "--seed", "7"],
+        ["integrate", "--json", witness],
+    ]
+
+
+def run_stream(stream, capsys, tmp_path) -> list[tuple]:
+    """(exit code, stdout without its timestamp, stderr, csv text) per
+    request; a SystemExit escaping ``run`` fails the test."""
+    csv = tmp_path / "rate.csv"
+    out = []
+    for argv in stream:
+        csv.unlink(missing_ok=True)
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            pytest.fail(f"SystemExit({exc.code!r}) escaped run({argv!r})")
+        captured = capsys.readouterr()
+        stdout = captured.out
+        if stdout.startswith("{"):
+            doc = json.loads(stdout)
+            doc.pop("timestamp")
+            stdout = json.dumps(doc, indent=2)
+        out.append((code, stdout, captured.err,
+                    csv.read_text() if csv.exists() else None))
+    return out
+
+
+def test_requests_leave_the_shared_parser_as_a_fresh_one(
+        tmp_path, monkeypatch, capsys):
+    stream = readme_stream(tmp_path)
+    cli._shared_parser.cache_clear()
+    shared = run_stream(stream, capsys, tmp_path)
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = run_stream(stream, capsys, tmp_path)
+    assert [r[0] for r in shared] == [
+        0, 2, 0, 0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0]
+    for argv, got, want in zip(stream, shared, fresh):
+        assert got == want, argv
+
+
+def test_parser_is_built_at_the_first_request_only(
+        tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._shared_parser.cache_clear()
+    per_request = []
+    for argv in readme_stream(tmp_path):
+        before = len(built)
+        run(argv)
+        capsys.readouterr()
+        per_request.append(len(built) - before)
+    # one parser and its 7 subparsers
+    assert per_request == [8] + [0] * 15
+
+
+SLOTS_WITHOUT_VALUES = {"domain": [0.0, 1.0], "f": LINE, "g": SQUARE,
+                        "w": ONE}
+SLOTS_WITH_ONE_MISSING_VALUE = {
+    "domain": [0.0, 1.0], "f": LINE,
+    "u": {"breakpoints": [0.0, 0.5, 1.0],
+          "pieces": [{"coeffs": [0.0]}, {"coeffs": [2.0]}],
+          "values": {"0": 0.0, "1": 7.0}}}
+
+
+@pytest.mark.parametrize("doc, defaults", [
+    (WITNESS_SPEC, 0),                    # u's values complete
+    (jsonio.document_to_jsonable(jsonio.parse_document(QUAD_SPEC)), 0),
+    (SLOTS_WITHOUT_VALUES, 0),
+    (SLOTS_WITH_ONE_MISSING_VALUE, 1),    # u builds its defaults first
+])
+def test_loads_document_builds_each_function_once(doc, defaults,
+                                                   monkeypatch):
+    built = []
+    build = funcrep.PiecewiseFunction.build.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(funcrep.PiecewiseFunction, "build",
+                        classmethod(counted))
+    spec = jsonio.loads_document(json.dumps(doc))
+    # a defaults build is the one without a values argument
+    assert len(built) == len(spec.functions) + defaults
+    assert sum(len(args) == 2 for args in built) == defaults
