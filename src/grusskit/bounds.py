@@ -97,17 +97,40 @@ def _mk_report(theorem_id: str, lhs: float, lhs_err: float,
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def _require_monotone(u: PiecewiseFunction, role: str = "u") -> None:
+def _require_monotone(u: PiecewiseFunction) -> None:
     chk = verify_certificate(u, RegularityCertificate.monotone())
     if not chk.ok:
-        raise NotMonotone(f"{role} is not monotone nondecreasing: "
-                          f"{chk.detail}", witness=chk.witness)
+        raise NotMonotone(f"u is not monotone nondecreasing: {chk.detail}",
+                          witness=chk.witness)
 
 
-def _require_continuous(u: PiecewiseFunction, role: str = "u") -> None:
+def _require_continuous(u: PiecewiseFunction) -> None:
     pts = u.discontinuity_points()
     if pts:
-        raise ClassMismatch(f"{role} must be continuous; jump at {pts[0]!r}")
+        raise ClassMismatch(f"u must be continuous; jump at {pts[0]!r}")
+
+
+def _monotone_span(u: PiecewiseFunction) -> float:
+    """u(b) - u(a) of a monotone nondecreasing u, which must be positive."""
+    _require_monotone(u)
+    span = integrator_span(u)
+    if span <= 0:
+        raise DegenerateIntegrator("need u(b) > u(a)")
+    return span
+
+
+def _conjugate(p: float) -> float:
+    """The conjugate exponent q = p/(p-1) of an L^p branch, p > 1."""
+    if p <= 1.0:
+        raise BadExponent("p-branch needs p > 1")
+    return p / (p - 1.0)
+
+
+def _centred(f: PiecewiseFunction, g: PiecewiseFunction,
+             u: PiecewiseFunction):
+    """(cheby_T(f, g, u), g minus its u-mean) for the T bounds."""
+    T = cheby_T(f, g, u)
+    return T, g - T.components["mean_g"]
 
 
 def _weighted_abs_segment(q: tuple[float, ...], r: float, m0: float,
@@ -231,8 +254,7 @@ def bound_T_bv(f: PiecewiseFunction, g: PiecewiseFunction,
     require_certificate(f, f_bounds, "f")
     span = integrator_span(u)
     m, M = f_bounds.params
-    T = cheby_T(f, g, u)
-    G = g - T.components["mean_g"]
+    T, G = _centred(f, g, u)
     rhs = 0.5 * (M - m) / abs(span) * sup_norm_on(G).hi * total_variation(u).hi
     return _mk_report("thm_2_1a", abs(T.value), T.abs_error,
                       [("bv", rhs)],
@@ -244,13 +266,9 @@ def bound_T_monotone(f: PiecewiseFunction, g: PiecewiseFunction,
                      f_bounds: RegularityCertificate) -> BoundReport:
     """|T| <= (1/2)(M-m) (u(b)-u(a))^-1 * integral |g - mean| du."""
     require_certificate(f, f_bounds, "f")
-    _require_monotone(u)
-    span = integrator_span(u)
-    if span <= 0:
-        raise DegenerateIntegrator("need u(b) > u(a)")
+    span = _monotone_span(u)
     m, M = f_bounds.params
-    T = cheby_T(f, g, u)
-    G = g - T.components["mean_g"]
+    T, G = _centred(f, g, u)
     rhs = 0.5 * (M - m) / span * abs_integral(G, u)
     return _mk_report("thm_2_2", abs(T.value), T.abs_error,
                       [("monotone", rhs)],
@@ -267,8 +285,7 @@ def bound_T_lipschitz_u(f: PiecewiseFunction, g: PiecewiseFunction,
     span = integrator_span(u)
     m, M = f_bounds.params
     (L,) = u_lipschitz.params
-    T = cheby_T(f, g, u)
-    G = g - T.components["mean_g"]
+    T, G = _centred(f, g, u)
     rhs = 0.5 * L * (M - m) / abs(span) * abs_integral(G)
     return _mk_report("thm_2_3a", abs(T.value), T.abs_error,
                       [("lipschitz_u", rhs)],
@@ -284,8 +301,7 @@ def bound_T_holder_bv(f: PiecewiseFunction, g: PiecewiseFunction,
     span = integrator_span(u)
     H, r = f_holder.params
     width = f.b - f.a
-    T = cheby_T(f, g, u)
-    G = g - T.components["mean_g"]
+    T, G = _centred(f, g, u)
     rhs = H * width ** r / (2.0 ** r) / abs(span) \
         * sup_norm_on(G).hi * total_variation(u).hi
     tid = "cor_2_2" if r == 1.0 else "thm_2_1"
@@ -301,15 +317,11 @@ def bound_T_holder_monotone(f: PiecewiseFunction, g: PiecewiseFunction,
     |T| <= (H/(u(b)-u(a))) integral |t-mid|^r |g - mean| du
         <= (H (b-a)^r / (2^r (u(b)-u(a)))) integral |g - mean| du."""
     require_certificate(f, f_holder, "f")
-    _require_monotone(u)
-    span = integrator_span(u)
-    if span <= 0:
-        raise DegenerateIntegrator("need u(b) > u(a)")
+    span = _monotone_span(u)
     H, r = f_holder.params
     a, b = f.domain
     m0 = 0.5 * (a + b)
-    T = cheby_T(f, g, u)
-    G = g - T.components["mean_g"]
+    T, G = _centred(f, g, u)
     rhs1 = H / span * abs_integral(G, u, (r, m0))
     rhs2 = H * (b - a) ** r / (2.0 ** r * span) * abs_integral(G, u)
     tid = "cor_2_4" if r == 1.0 else "thm_2_3"
@@ -332,17 +344,14 @@ def bound_T_holder_lipschitz(f: PiecewiseFunction, g: PiecewiseFunction,
     a, b = f.domain
     width = b - a
     m0 = 0.5 * (a + b)
-    T = cheby_T(f, g, u)
-    G = g - T.components["mean_g"]
+    T, G = _centred(f, g, u)
     tier1 = H * K / abs(span) * abs_integral(G, weight=(r, m0))
     tiers = [("pointwise", tier1)]
     sup_g = sup_norm_on(G).hi
     tiers.append(("sup", H * K * width ** (r + 1.0)
                   / (2.0 ** r * (r + 1.0) * abs(span)) * sup_g))
     if p is not None and p != math.inf and p != 1.0:
-        if p <= 1.0:
-            raise BadExponent("p-branch needs p > 1")
-        q = p / (p - 1.0)
+        q = _conjugate(p)
         tiers.append(("p_norm", H * K * width ** (r + 1.0 / q)
                       / (2.0 ** r * (q * r + 1.0) ** (1.0 / q) * abs(span))
                       * p_norm(G, p).hi))
@@ -553,9 +562,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         tiers = [("weighted_l1", tier1),
                  ("sup", L * width ** 2 / 6.0 * sup_abs_delta(dnum))]
         if p is not None:
-            if p <= 1.0:
-                raise BadExponent("p-branch needs p > 1")
-            q = p / (p - 1.0)
+            q = _conjugate(p)
             tiers.append(("p_norm", L * width ** (1.0 + 1.0 / q)
                           * _beta_root(q)
                           * delta_norm(dnum, p)))
@@ -575,9 +582,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         tiers = [("weighted", tier1),
                  ("plain", width / 4.0 * int_absdelta_df)]
         if p is not None:
-            if p <= 1.0:
-                raise BadExponent("p-branch needs p > 1")
-            q = p / (p - 1.0)
+            q = _conjugate(p)
             int_dq_df = integrate_against(
                 lambda ts: ((ts - a) * (b - ts)) ** q, f)
             int_deltap_df = integrate_against(
@@ -653,6 +658,24 @@ def _signed_gap_integral(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
     return total
 
 
+def _corrected_report(theorem_id: str, f: PiecewiseFunction,
+                      u: PiecewiseFunction, factor: float, name: str,
+                      C: float, f_cert: RegularityCertificate) -> BoundReport:
+    """The chain factor * (span - C) <= factor * span on |D| for a
+    monotone u with span = u(b) - u(a) and correction C, reported as the
+    extra ``name``; a C below zero beyond rounding fails the report."""
+    span = u(u.b) - u(u.a)
+    D = functional_D(f, u)
+    rep = _mk_report(theorem_id, abs(D.value), D.abs_error,
+                     [("corrected", factor * (span - C)),
+                      ("plain", factor * span)],
+                     [("f", f_cert.describe()), ("u", "monotone()")],
+                     extras=((name, C),))
+    if C < -1e-9 * (1.0 + abs(span)):
+        rep = replace(rep, holds=False)
+    return rep
+
+
 def bound_D_monotone_K(f: PiecewiseFunction, u: PiecewiseFunction,
                        f_lipschitz: RegularityCertificate) -> BoundReport:
     """|D| <= (1/2) L (b-a) [u(b) - u(a) - K(u)] <= (1/2) L (b-a)
@@ -665,18 +688,8 @@ def bound_D_monotone_K(f: PiecewiseFunction, u: PiecewiseFunction,
     m0 = 0.5 * (a + b)
     lever = PiecewiseFunction.from_coeffs((-m0, 1.0), a, b)
     K = 4.0 / width ** 2 * riemann_product_integral([u, lever]).value
-    span = u(u.b) - u(u.a)
-    rhs1 = 0.5 * L * width * (span - K)
-    rhs2 = 0.5 * L * width * span
-    D = functional_D(f, u)
-    lhs = abs(D.value)
-    rep = _mk_report("thm_b_1", lhs, D.abs_error,
-                     [("corrected", rhs1), ("plain", rhs2)],
-                     [("f", f_lipschitz.describe()), ("u", "monotone()")],
-                     extras=(("K", K),))
-    if K < -1e-9 * (1.0 + abs(span)):
-        rep = replace(rep, holds=False)
-    return rep
+    return _corrected_report("thm_b_1", f, u, 0.5 * L * width, "K", K,
+                             f_lipschitz)
 
 
 def bound_D_monotone_Q(f: PiecewiseFunction, u: PiecewiseFunction,
@@ -691,18 +704,8 @@ def bound_D_monotone_Q(f: PiecewiseFunction, u: PiecewiseFunction,
     right = riemann_integral(u.restrict(m0, b)).value
     left = riemann_integral(u.restrict(a, m0)).value
     Q = (right - left) / width
-    span = u(u.b) - u(u.a)
-    V = total_variation(f).hi
-    rhs1 = (span - Q) * V
-    rhs2 = span * V
-    D = functional_D(f, u)
-    rep = _mk_report("thm_b_2", abs(D.value), D.abs_error,
-                     [("corrected", rhs1), ("plain", rhs2)],
-                     [("f", f_bv.describe()), ("u", "monotone()")],
-                     extras=(("Q", Q),))
-    if Q < -1e-9 * (1.0 + abs(span)):
-        rep = replace(rep, holds=False)
-    return rep
+    return _corrected_report("thm_b_2", f, u, total_variation(f).hi, "Q", Q,
+                             f_bv)
 
 
 def bound_quadrature_remainder(f: PiecewiseFunction, g: PiecewiseFunction,

@@ -45,9 +45,8 @@ def _report(args, results, seed=None) -> dict:
     }
 
 
-def _emit(args, results, seed=None, stdout=None) -> None:
-    doc = _report(args, results, seed)
-    print(jsonio.dumps_report(doc), file=stdout or sys.stdout)
+def _emit(args, results, seed=None) -> None:
+    print(jsonio.dumps_report(_report(args, results, seed)))
 
 
 def _cmd_integrate(args) -> int:
@@ -171,7 +170,12 @@ def _cmd_sharpness(args) -> int:
     return 0 if all(r[4] for r in rows) else 2
 
 
-def _cmd_verify(args, seed: int) -> int:
+def _cmd_verify(args) -> int:
+    if args.theorem != "all" and args.theorem not in battery.THEOREMS:
+        raise SchemaError("theorem", f"unknown theorem id {args.theorem!r}")
+    if args.trials < 0:
+        raise SchemaError("trials", f"must be >= 0, got {args.trials}")
+    seed = 0 if args.seed is None else args.seed
     ids = battery.THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     summaries = [battery.verify_theorem(t, args.trials, seed) for t in ids]
     _emit(args, {"verify": [s.to_jsonable() for s in summaries]}, seed=seed)
@@ -196,25 +200,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", help="inline function-spec JSON")
 
     p = sub.add_parser("integrate", help="Stieltjes or Riemann integral")
+    p.set_defaults(handler=_cmd_integrate)
     add_spec_args(p)
     p.add_argument("--from", dest="from_", type=float, default=None)
     p.add_argument("--to", dest="to", type=float, default=None)
 
     p = sub.add_parser("cheby", help="normalised product-mean functional")
+    p.set_defaults(handler=_cmd_cheby)
     add_spec_args(p)
 
     p = sub.add_parser("dfunc", help="Stieltjes/Riemann mismatch functional")
+    p.set_defaults(handler=_cmd_dfunc)
     add_spec_args(p)
     p.add_argument("--residual", action="store_true",
                    help="also report the kernel-identity residual")
 
     p = sub.add_parser("bound", help="evaluate one certified bound")
+    p.set_defaults(handler=_cmd_bound)
     add_spec_args(p)
     p.add_argument("--theorem", required=True)
     p.add_argument("--p", type=float, default=None,
                    help="exponent for the L^p branches")
 
     p = sub.add_parser("quad", help="composite quadrature")
+    p.set_defaults(handler=_cmd_quad)
     add_spec_args(p)
     p.add_argument("--partition", help="uniform:<n>")
     p.add_argument("--tol", type=float, default=1e-6)
@@ -223,10 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write (mesh, bound, true_error) rows here")
 
     p = sub.add_parser("sharpness", help="run the extremal witness table")
+    p.set_defaults(handler=_cmd_sharpness)
     p.add_argument("--a", type=float, default=0.0)
     p.add_argument("--b", type=float, default=1.0)
 
     p = sub.add_parser("verify", help="randomised soundness battery")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("--theorem", default="all")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=None)
@@ -249,20 +260,7 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     args.argv_echo = list(argv)
     try:
-        if args.cmd == "integrate":
-            return _cmd_integrate(args)
-        if args.cmd == "cheby":
-            return _cmd_cheby(args)
-        if args.cmd == "dfunc":
-            return _cmd_dfunc(args)
-        if args.cmd == "bound":
-            return _cmd_bound(args)
-        if args.cmd == "quad":
-            return _cmd_quad(args)
-        if args.cmd == "sharpness":
-            return _cmd_sharpness(args)
-        if args.cmd == "verify":
-            return _cmd_verify(args, 0 if args.seed is None else args.seed)
+        return args.handler(args)
     except SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -272,7 +270,6 @@ def run(argv: list[str]) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 def main() -> None:

@@ -203,21 +203,20 @@ class PiecewiseFunction:
             f.__dict__["_derived"] = derived
         return f
 
-    def _solve_copy(self, products: bool = False) -> "PiecewiseFunction":
+    def _solve_copy(self) -> "PiecewiseFunction":
         """A validated copy (the dataclass constructor) carrying the data
         one quadrature solve derives once from each piece: its
-        ``poly._derivative_entry``, and with ``products`` an empty map
-        from (factor pieces..., piece of this function) to the
-        antiderivative of the factors' product times this piece's
-        derivative, which ``stieltjes._product_core`` fills.  ``restrict``
-        hands each restriction its slice of the entries and the same map,
-        so every cell of the solve shares them; this function and what it
-        was copied from carry neither."""
+        ``poly._derivative_entry``, and an empty map from (factor
+        pieces..., piece of this function) to the antiderivative of the
+        factors' product times this piece's derivative, which
+        ``stieltjes._product_core`` fills when this function is the
+        integrator.  ``restrict`` hands each restriction its slice of the
+        entries and the same map, so every cell of the solve shares them;
+        this function and what it was copied from carry neither."""
         copy = PiecewiseFunction(self.breakpoints, self.pieces,
                                  self.point_values)
         copy.__dict__["_derived"] = (
-            tuple(map(poly._derivative_entry, self.pieces)),
-            {} if products else None)
+            tuple(map(poly._derivative_entry, self.pieces)), {})
         return copy
 
     @classmethod
@@ -232,13 +231,8 @@ class PiecewiseFunction:
                 raise DomainError(
                     f"piece degree {len(c) - 1} exceeds cap {MAX_DEGREE}")
         if values is None:
-            vals = []
-            for i, t in enumerate(bp):
-                if i < len(pcs):
-                    vals.append(poly.pvalue(pcs[i], t))
-                else:
-                    vals.append(poly.pvalue(pcs[-1], t))
-            values = vals
+            values = [poly.pvalue(pcs[min(i, len(pcs) - 1)], t)
+                      for i, t in enumerate(bp)]
         return cls(bp, pcs, tuple(float(v) for v in values))
 
     @classmethod
@@ -574,9 +568,9 @@ def inf_sup_on(f: PiecewiseFunction) -> tuple[Enclosure, Enclosure]:
     lo = math.inf
     hi = -math.inf
     bp = f.breakpoints
-    entries = _derived(f)[0] or map(poly._derivative_entry, f.pieces)
+    entries = _derived(f)[0] or (None,) * len(f.pieces)
     for x0, x1, coeffs, entry in zip(bp, bp[1:], f.pieces, entries):
-        mn, mx = poly._minmax_on(coeffs, entry, x0, x1)
+        mn, mx = poly.pminmax_on(coeffs, x0, x1, entry)
         lo = min(lo, mn)
         hi = max(hi, mx)
     for v in f.point_values:
@@ -599,9 +593,9 @@ def total_variation(u: PiecewiseFunction) -> Enclosure:
     ``_sided_table`` convention."""
     total = 0.0
     bp = u.breakpoints
-    entries = _derived(u)[0] or map(poly._derivative_entry, u.pieces)
+    entries = _derived(u)[0] or (None,) * len(u.pieces)
     for lo, hi, coeffs, entry in zip(bp, bp[1:], u.pieces, entries):
-        total += poly._variation_on(coeffs, entry, lo, hi)
+        total += poly.pvariation_on(coeffs, lo, hi, entry)
     for _, left, v, right in u.jumps():
         total += abs(v - left) + abs(right - v)
     pad = 64.0 * _EPS * (1.0 + total) + u.jump_slack()
@@ -702,15 +696,23 @@ def integrate_against(fun, f: PiecewiseFunction, splits=(),
 # certificate verification
 # ---------------------------------------------------------------------------
 
-def _sup_abs_derivative(f: PiecewiseFunction,
-                        rounding_pad: bool = False) -> float:
-    """sup |f'| over the pieces; with ``rounding_pad`` each piece's value
-    is raised by a bound on the rounding error of forming and evaluating
-    its derivative by Horner's rule (Higham, ASNA 2nd ed., 5.1)."""
-    worst = 0.0
+def _derivative_ranges(f: PiecewiseFunction) -> list[tuple]:
+    """(lo, hi, p', min p', max p') for every piece p of f on [lo, hi]."""
+    out = []
     for lo, hi, c in aligned_pieces(f):
         dc = poly.pderiv(c)
-        mn, mx = poly.pminmax_on(dc, lo, hi)
+        out.append((lo, hi, dc, *poly.pminmax_on(dc, lo, hi)))
+    return out
+
+
+def _sup_abs_derivative(ranges: list[tuple],
+                        rounding_pad: bool = False) -> float:
+    """sup |f'| from ``ranges = _derivative_ranges(f)``; with
+    ``rounding_pad`` each piece's value is raised by a bound on the
+    rounding error of forming and evaluating its derivative by Horner's
+    rule (Higham, ASNA 2nd ed., 5.1)."""
+    worst = 0.0
+    for lo, hi, dc, mn, mx in ranges:
         pad = 0.0
         if rounding_pad:
             m = max(abs(lo), abs(hi))
@@ -721,12 +723,11 @@ def _sup_abs_derivative(f: PiecewiseFunction,
 
 
 def _monotone_check(f: PiecewiseFunction) -> CertCheck:
-    tol = 1e-12 * (1.0 + _sup_abs_derivative(f))
-    for i, c in enumerate(f.pieces):
-        dc = poly.pderiv(c)
-        mn, _ = poly.pminmax_on(dc, f.breakpoints[i], f.breakpoints[i + 1])
+    ranges = _derivative_ranges(f)
+    tol = 1e-12 * (1.0 + _sup_abs_derivative(ranges))
+    for i, (lo, hi, dc, mn, _) in enumerate(ranges):
         if mn < -tol:
-            witness = _argmin_poly(dc, f.breakpoints[i], f.breakpoints[i + 1])
+            witness = _argmin_poly(dc, lo, hi)
             return CertCheck(False, witness,
                              f"derivative {mn!r} < 0 inside piece {i}")
     vtol = 1e-12 * (1.0 + max(abs(v) for v in f.point_values))
@@ -767,7 +768,7 @@ def _holder_upper_bound(f: PiecewiseFunction, r: float) -> float:
     """Certified upper bound L^r * osc^(1-r) on the r-Holder constant of a
     continuous f, from |f(x)-f(y)| <= min(L|x-y|, osc) with L = sup|f'| and
     osc = sup f - inf f, both rounded up."""
-    L = _sup_abs_derivative(f, rounding_pad=True)
+    L = _sup_abs_derivative(_derivative_ranges(f), rounding_pad=True)
     inf_e, sup_e = inf_sup_on(f)
     osc = (sup_e.hi - inf_e.lo) * (1.0 + 2.0 * _EPS)
     return L ** r * osc ** (1.0 - r) * (1.0 + 4.0 * _EPS)
@@ -802,7 +803,7 @@ def verify_certificate(f: PiecewiseFunction,
         js = f.jumps()
         if js:
             return CertCheck(False, js[0][0], "jump breaks the Lipschitz bound")
-        sup_d = _sup_abs_derivative(f)
+        sup_d = _sup_abs_derivative(_derivative_ranges(f))
         if sup_d > L * (1.0 + 1e-10) + 1e-12:
             return CertCheck(False, None, f"sup|f'| = {sup_d!r} > L = {L!r}")
         return CertCheck(True)
@@ -812,7 +813,7 @@ def verify_certificate(f: PiecewiseFunction,
         if js:
             return CertCheck(False, js[0][0], "jump breaks continuity")
         if r == 1.0:
-            sup_d = _sup_abs_derivative(f)
+            sup_d = _sup_abs_derivative(_derivative_ranges(f))
             if sup_d > H * (1.0 + 1e-10) + 1e-12:
                 return CertCheck(False, None,
                                  f"sup|f'| = {sup_d!r} > H = {H!r}")

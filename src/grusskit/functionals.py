@@ -67,15 +67,22 @@ def cheby_T(f: PiecewiseFunction, g: PiecewiseFunction,
                            {"mean_fg": mfg, "mean_f": mf, "mean_g": mg})
 
 
+def _weight_total(w: PiecewiseFunction) -> float:
+    """The integral of w dt, which must not vanish (else
+    DegenerateWeight)."""
+    total = riemann_integral(w).value
+    if total == 0.0 or abs(total) < _DEGENERACY_FLOOR:
+        raise DegenerateWeight("weight integrates to zero")
+    return total
+
+
 def weighted_Tw(f: PiecewiseFunction, g: PiecewiseFunction,
                 w: PiecewiseFunction) -> FunctionalValue:
-    total_w = riemann_integral(w)
-    if total_w.value == 0.0 or abs(total_w.value) < _DEGENERACY_FLOOR:
-        raise DegenerateWeight("weight integrates to zero")
+    total_w = _weight_total(w)
     u = w.antiderivative()
     out = cheby_T(f, g, u)
     comps = dict(out.components)
-    comps["weight_total"] = total_w.value
+    comps["weight_total"] = total_w
     return FunctionalValue(out.value, out.abs_error, comps)
 
 
@@ -95,10 +102,7 @@ def functional_D(f: PiecewiseFunction, u: PiecewiseFunction) -> FunctionalValue:
 
 def functional_E(f: PiecewiseFunction, g: PiecewiseFunction,
                  w: PiecewiseFunction) -> FunctionalValue:
-    total_w = riemann_integral(w)
-    if total_w.value == 0.0 or abs(total_w.value) < _DEGENERACY_FLOOR:
-        raise DegenerateWeight("weight integrates to zero")
-    W = total_w.value
+    W = _weight_total(w)
     i_wfg = riemann_product_integral([w, f, g])
     i_wg = riemann_product_integral([w, g])
     i_f = riemann_integral(f)

@@ -12,7 +12,8 @@ import random
 
 from . import poly
 from .funcrep import (PiecewiseFunction, RegularityCertificate,
-                      _sup_abs_derivative, inf_sup_on, total_variation)
+                      _derivative_ranges, _sup_abs_derivative, inf_sup_on,
+                      total_variation)
 from .errors import GeneratorExhausted
 
 _MAX_TRIES = 60
@@ -45,9 +46,8 @@ def _rand_poly(rng: random.Random, max_degree: int = 3) -> tuple[float, ...]:
 
 def rand_piecewise(rng: random.Random, a: float, b: float,
                    continuous: bool = False, jumps: bool = True,
-                   max_degree: int = 3,
-                   max_interior: int = 3) -> PiecewiseFunction:
-    bp = _rand_breaks(rng, a, b, max_interior)
+                   max_degree: int = 3) -> PiecewiseFunction:
+    bp = _rand_breaks(rng, a, b)
     pieces = [_rand_poly(rng, max_degree) for _ in range(len(bp) - 1)]
     if continuous:
         adjusted = [pieces[0]]
@@ -55,12 +55,7 @@ def rand_piecewise(rng: random.Random, a: float, b: float,
             t = bp[i]
             gap = poly.pvalue(adjusted[-1], t) - poly.pvalue(pieces[i], t)
             adjusted.append(poly.padd(pieces[i], (gap,)))
-        pieces = adjusted
-        values = [poly.pvalue(pieces[0], bp[0])]
-        for i in range(1, len(bp) - 1):
-            values.append(poly.pvalue(pieces[i], bp[i]))
-        values.append(poly.pvalue(pieces[-1], bp[-1]))
-        return PiecewiseFunction(tuple(bp), tuple(pieces), tuple(values))
+        return PiecewiseFunction.build(bp, adjusted)
     values = []
     for i, t in enumerate(bp):
         if i == 0:
@@ -111,8 +106,6 @@ def _monotone_with_jumps(rng: random.Random, u: PiecewiseFunction,
             frac = rng.uniform(0.0, 1.0)
             if i == 0:
                 v = values[i] - jump * frac  # u(a) below its right limit
-            elif i == len(bp) - 1:
-                v = values[i] + cum + jump * frac
             else:
                 v = values[i] + cum + jump * frac
                 cum += jump
@@ -122,11 +115,10 @@ def _monotone_with_jumps(rng: random.Random, u: PiecewiseFunction,
     return PiecewiseFunction(bp, tuple(out_pieces), tuple(out_values))
 
 
-def rand_lipschitz(rng: random.Random, a: float, b: float,
-                   max_degree: int = 3) \
+def rand_lipschitz(rng: random.Random, a: float, b: float) \
         -> tuple[PiecewiseFunction, RegularityCertificate]:
-    u = rand_continuous(rng, a, b, max_degree)
-    L = _sup_abs_derivative(u)
+    u = rand_continuous(rng, a, b)
+    L = _sup_abs_derivative(_derivative_ranges(u))
     return u, RegularityCertificate.lipschitz(L * (1.0 + 1e-9) + 1e-12)
 
 
@@ -156,9 +148,7 @@ def rand_nonneg_weight(rng: random.Random, a: float, b: float) \
         -> PiecewiseFunction:
     bp = _rand_breaks(rng, a, b, 2)
     pieces = [poly.ppow(_rand_poly(rng, 1), 2) for _ in range(len(bp) - 1)]
-    w = PiecewiseFunction(tuple(bp), tuple(pieces),
-                          tuple(poly.pvalue(pieces[min(i, len(pieces) - 1)],
-                                            t) for i, t in enumerate(bp)))
+    w = PiecewiseFunction.build(bp, pieces)
     # keep the total mass away from zero
     base = 0.05 + rng.uniform(0.0, 0.3)
     return w + PiecewiseFunction.constant(base, a, b)
@@ -188,11 +178,10 @@ def rand_convex(rng: random.Random, a: float, b: float) -> PiecewiseFunction:
     return u + affine
 
 
-def ensure_span(rng: random.Random, make, min_span: float = 0.1,
-                tries: int = _MAX_TRIES):
-    """Resample until |u(b) - u(a)| >= min_span."""
-    for _ in range(tries):
+def ensure_span(rng: random.Random, make):
+    """Resample until |u(b) - u(a)| >= 0.1."""
+    for _ in range(_MAX_TRIES):
         u = make()
-        if abs(u(u.b) - u(u.a)) >= min_span:
+        if abs(u(u.b) - u(u.a)) >= 0.1:
             return u
     raise GeneratorExhausted("could not sample a non-degenerate integrator")

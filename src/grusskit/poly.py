@@ -8,10 +8,10 @@ bisection.  Degrees 1 and 2 use closed forms.
 
 ``_derivative_entry`` derives the interval-free part of a piece's critical
 points once: p' and, when p' has degree <= 2, its raw closed-form roots.
-``pcritical``, ``pminmax_on`` and ``pvariation_on`` apply the interval
-filters of ``proots`` to that entry (``_critical``), so an entry kept per
-piece (``funcrep``'s solve tables) gives the same floats on every
-sub-interval as a fresh derivation.
+``pcritical``, ``pminmax_on`` and ``pvariation_on`` take that entry as an
+optional last argument and apply the interval filters of ``proots`` to it,
+so an entry kept per piece (``funcrep``'s solve tables) gives the same
+floats on every sub-interval as the fresh derivation they make without it.
 """
 
 from __future__ import annotations
@@ -100,20 +100,20 @@ def _coeff_scale(c: Coeffs, lo: float, hi: float) -> float:
     return s + 1e-300
 
 
-def effective_degree(c: Coeffs, rel: float = 1e-13) -> int:
+def effective_degree(c: Coeffs) -> int:
     mags = [abs(x) for x in c]
     top = max(mags) if mags else 0.0
     if top == 0.0:
         return -1  # identically zero
     deg = len(c) - 1
-    while deg > 0 and mags[deg] <= rel * top:
+    while deg > 0 and mags[deg] <= 1e-13 * top:
         deg -= 1
     return deg
 
 
-def is_zero_poly(c: Coeffs, rel: float = 1e-14) -> bool:
+def is_zero_poly(c: Coeffs) -> bool:
     mags = [abs(x) for x in c]
-    return max(mags, default=0.0) <= rel
+    return max(mags, default=0.0) <= 1e-14
 
 
 def _bisect_root(c: Coeffs, lo: float, hi: float, vlo: float) -> float:
@@ -223,38 +223,32 @@ def _derivative_entry(c: Coeffs) -> tuple:
     return dc, None
 
 
-def _critical(entry: tuple, lo: float, hi: float) -> list[float]:
-    """``pcritical`` from a ``_derivative_entry``: the filters of ``proots``
-    on the raw roots, or ``proots(p', lo, hi)`` without them, then the
+def pcritical(c: Coeffs, lo: float, hi: float,
+              entry: tuple | None = None) -> list[float]:
+    """Sign-change roots of p' strictly inside (lo, hi).  ``entry``, when
+    given, is ``_derivative_entry(c)``: the filters of ``proots`` apply to
+    its raw roots, or ``proots(p', lo, hi)`` runs without them, before the
     strict interior test."""
-    dc, raw = entry
+    dc, raw = _derivative_entry(c) if entry is None else entry
     roots = proots(dc, lo, hi) if raw is None else _window(raw, lo, hi)
     eps = 1e-14 * max(1.0, abs(lo), abs(hi))
     return [x for x in roots if lo + eps < x < hi - eps]
 
 
-def pcritical(c: Coeffs, lo: float, hi: float) -> list[float]:
-    """Sign-change roots of p' strictly inside (lo, hi)."""
-    return _critical(_derivative_entry(c), lo, hi)
-
-
-def _minmax_on(c: Coeffs, entry: tuple, lo: float,
-               hi: float) -> tuple[float, float]:
-    """``pminmax_on`` given ``entry = _derivative_entry(c)``."""
-    xs = [lo, hi] + _critical(entry, lo, hi)
+def pminmax_on(c: Coeffs, lo: float, hi: float,
+               entry: tuple | None = None) -> tuple[float, float]:
+    """Exact min/max of p over the closed interval [lo, hi]; ``entry`` as
+    in ``pcritical``."""
+    xs = [lo, hi] + pcritical(c, lo, hi, entry)
     vals = [pvalue(c, x) for x in xs]
     return min(vals), max(vals)
 
 
-def pminmax_on(c: Coeffs, lo: float, hi: float) -> tuple[float, float]:
-    """Exact min/max of p over the closed interval [lo, hi]."""
-    return _minmax_on(c, _derivative_entry(c), lo, hi)
-
-
-def _variation_on(c: Coeffs, entry: tuple, lo: float,
-                  hi: float) -> float:
-    """``pvariation_on`` given ``entry = _derivative_entry(c)``."""
-    nodes = [lo] + _critical(entry, lo, hi) + [hi]
+def pvariation_on(c: Coeffs, lo: float, hi: float,
+                  entry: tuple | None = None) -> float:
+    """Total variation of p over [lo, hi]: sum of |increments| between
+    consecutive extrema; ``entry`` as in ``pcritical``."""
+    nodes = [lo] + pcritical(c, lo, hi, entry) + [hi]
     total = 0.0
     prev = pvalue(c, nodes[0])
     for x in nodes[1:]:
@@ -262,9 +256,3 @@ def _variation_on(c: Coeffs, entry: tuple, lo: float,
         total += abs(cur - prev)
         prev = cur
     return total
-
-
-def pvariation_on(c: Coeffs, lo: float, hi: float) -> float:
-    """Total variation of p over [lo, hi]: sum of |increments| between
-    consecutive extrema."""
-    return _variation_on(c, _derivative_entry(c), lo, hi)

@@ -228,6 +228,16 @@ def _result(u: PiecewiseFunction, cells: list[_Cell]) -> QuadratureResult:
     return QuadratureResult(value, stated, tight, partition, per_cell)
 
 
+def _solve_copies(f: PiecewiseFunction, g: PiecewiseFunction,
+                  u: PiecewiseFunction) -> tuple[PiecewiseFunction, ...]:
+    """The solve's copies of f, g and u, which carry the piece data it
+    derives once, after checking that f and g share u's domain (else
+    DomainError)."""
+    for h in (f, g):
+        _same_domain(h, u)
+    return f._solve_copy(), g._solve_copy(), u._solve_copy()
+
+
 def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                          u: PiecewiseFunction,
                          partition: Partition) -> QuadratureResult:
@@ -240,11 +250,7 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"partition spans [{partition.points[0]!r}, "
                           f"{partition.points[-1]!r}], not u's domain "
                           f"{list(u.domain)!r}")
-    for h in (f, g):
-        _same_domain(h, u)
-    # the solve's copies carry the piece data it derives once
-    f, g = f._solve_copy(), g._solve_copy()
-    u = u._solve_copy(products=True)
+    f, g, u = _solve_copies(f, g, u)
     points = partition.points
     u_at = [u(t) for t in points]
     cells = []
@@ -321,11 +327,7 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"tol must be positive, got {tol!r}")
     if max_cells < 1:
         raise DomainError(f"max_cells must be >= 1, got {max_cells!r}")
-    for h in (f, g):
-        _same_domain(h, u)
-    # the solve's copies carry the piece data it derives once
-    f, g = f._solve_copy(), g._solve_copy()
-    u = u._solve_copy(products=True)
+    f, g, u = _solve_copies(f, g, u)
     a, b = u.domain
     u_a, u_b = u(a), u(b)
 

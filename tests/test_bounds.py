@@ -8,8 +8,9 @@ from numpy.polynomial import polynomial as nppoly
 
 from grusskit import battery, funcrep, instances, stieltjes
 from grusskit.errors import (BadExponent, CertificateInvalid, ClassMismatch,
-                             DegenerateWeight, HypothesisFailed,
-                             NegativeWeight, NotMonotone)
+                             DegenerateIntegrator, DegenerateWeight,
+                             DomainError, HypothesisFailed, NegativeWeight,
+                             NotMonotone)
 from grusskit.funcrep import (PiecewiseFunction, RegularityCertificate,
                               total_variation)
 from grusskit.bounds import (beta_int, bound_D_corollaries, bound_D_kernel,
@@ -76,6 +77,18 @@ class TestMonotoneBound:
         with pytest.raises(NotMonotone):
             bound_T_monotone(ident, ident, vee, B(0.0, 1.0))
 
+    @pytest.mark.parametrize("bound, cert", [
+        (bound_T_monotone, B(0.0, 1.0)),
+        (bound_T_holder_monotone, H(1.0, 1.0)),
+    ])
+    def test_falling_span_rejected(self, ident, bound, cert):
+        # u = 0 on [0, 1) and u(1) = -5e-13: the drop is below the jump
+        # threshold, so u passes as monotone, but its span is negative
+        u = PiecewiseFunction((0.0, 1.0), ((0.0,),), (0.0, -5e-13))
+        with pytest.raises(DegenerateIntegrator,
+                           match=r"^need u\(b\) > u\(a\)$"):
+            bound(ident, ident, u, cert)
+
 
 class TestLipschitzIntegratorBound:
     def test_step_witness(self, pm_step, ident):
@@ -139,6 +152,11 @@ class TestHolderLipschitzBound:
 
 
 class TestWeightedItems:
+    def test_unknown_item_rejected(self, ident, one):
+        with pytest.raises(DomainError,
+                           match="^unknown weighted item 'item9'$"):
+            weighted_bounds(ident, ident, one, "item9", f_bounds=B(0, 1))
+
     def test_unit_weight_monotone_item(self, ident, one):
         rep = weighted_bounds(ident, ident, one, "item2", f_bounds=B(0, 1))
         assert rep.lhs == pytest.approx(1 / 12, abs=1e-12)
@@ -229,6 +247,22 @@ class TestKernelBounds:
 
 
 class TestDividedDifferenceChains:
+    def test_a13_needs_a_lipschitz_certificate(self, ident, tsq):
+        with pytest.raises(CertificateInvalid,
+                           match="^a13 needs a Lipschitz certificate$"):
+            bound_D_corollaries(ident, tsq, "a13")
+
+    def test_a14_needs_a_monotone_f(self, tsq):
+        down = PiecewiseFunction.from_coeffs((1.0, -1.0), 0.0, 1.0)
+        with pytest.raises(CertificateInvalid,
+                           match="^a14 needs monotone f: derivative "):
+            bound_D_corollaries(down, tsq, "a14")
+
+    def test_unknown_selector_rejected(self, ident, tsq):
+        with pytest.raises(DomainError,
+                           match="^unknown corollary selector 'a99'$"):
+            bound_D_corollaries(ident, tsq, "a99")
+
     def test_sup_chain(self, ident, tsq):
         rep = bound_D_corollaries(ident, tsq, "a12")
         assert rep.tier("weighted_sup") == pytest.approx(0.25, abs=1e-9)

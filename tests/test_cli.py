@@ -11,6 +11,7 @@ from grusskit import cli, funcrep, jsonio, quadrature, stieltjes
 from grusskit.bounds import BoundReport
 from grusskit.cli import run
 from grusskit.errors import SchemaError
+from grusskit.functionals import weighted_Tw
 
 
 WITNESS_SPEC = {
@@ -135,6 +136,19 @@ def _strict_loads(text):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.mark.parametrize("option, message", [
+    (["--trials", "-3"], "input error: trials: must be >= 0, got -3\n"),
+    (["--theorem", "nope"],
+     "input error: theorem: unknown theorem id 'nope'\n"),
+], ids=["negative_trials", "unknown_theorem"])
+def test_verify_rejects_bad_input(option, message, capsys):
+    code = run(["verify", *option])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == message
+
+
 class TestStrictJson:
     def test_verify_without_trials(self, capsys):
         code = run(["verify", "--theorem", "thm_2_1a", "--trials", "0"])
@@ -237,6 +251,46 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 1
         assert "input error" in err
+
+    @pytest.mark.parametrize("command", [
+        ["integrate"], ["cheby"], ["dfunc", "--residual"],
+        ["bound", "--theorem", "thm_2_1a"],
+        ["quad", "--partition", "uniform:4"],
+    ])
+    def test_input_file_reads_as_inline_json(self, command, tmp_path, capsys):
+        # the reports differ only in the timestamp and the echoed command
+        text = json.dumps(WITNESS_SPEC)
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        reports = []
+        for argv in (command + ["--json", text],
+                     command + ["--input", str(path)]):
+            assert run(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc.pop("command") == argv
+            doc.pop("timestamp")
+            reports.append(json.dumps(doc, indent=2))
+        assert reports[0] == reports[1]
+
+    def test_missing_input_file_is_an_io_error(self, tmp_path, capsys):
+        code = run(["integrate", "--input", str(tmp_path / "missing.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("io error: ")
+
+    def test_cheby_with_a_weight(self, capsys):
+        # no u slot: the weighted functional of w = 1 + t
+        spec = {"domain": [0.0, 1.0], "f": LINE, "g": LINE,
+                "w": _slot([[1.0, 1.0]])}
+        code, doc = run_capture(["cheby", "--json", json.dumps(spec)],
+                                capsys)
+        parsed = jsonio.parse_document(spec).functions
+        want = weighted_Tw(parsed["f"], parsed["g"], parsed["w"])
+        assert code == 0
+        res = doc["results"]["functional"]
+        assert res["value"] == want.value
+        assert res["components"]["weight_total"] == 1.5
 
     def test_dfunc(self, capsys):
         spec = {"domain": [0.0, 1.0],
@@ -534,6 +588,7 @@ def quad_reports() -> dict:
 @pytest.mark.parametrize("option", [
     ["--partition", "uniform:x"], ["--partition", "uniform:"],
     ["--sweep", "4"], ["--sweep", "4:x"], ["--sweep", "8:4"],
+    ["--partition", "bogus:3"],
 ])
 def test_quad_rejects_malformed_counts(option, capsys):
     code = run(["quad", *option, "--json", json.dumps(QUAD_SPEC)])

@@ -182,6 +182,23 @@ class TestCertificates:
         down = PiecewiseFunction.from_coeffs((1.0, -1.0), 0.0, 1.0)
         assert not verify_certificate(down, mono).ok
 
+    def test_downward_jump_breaks_monotone(self):
+        chk = verify_certificate(PiecewiseFunction.step(0, 1, 0.5, 1, 0),
+                                 RegularityCertificate.monotone())
+        assert not chk.ok
+        assert chk.witness == 0.5
+        assert chk.detail == "downward jump at 0.5"
+
+    @pytest.mark.parametrize("cert, detail", [
+        (RegularityCertificate.lipschitz(1.9), "sup|f'| = 2.0 > L = 1.9"),
+        (RegularityCertificate.holder(1.9, 1.0), "sup|f'| = 2.0 > H = 1.9"),
+    ])
+    def test_steep_square_breaks_the_slope_bound(self, tsq, cert, detail):
+        chk = verify_certificate(tsq, cert)
+        assert not chk.ok
+        assert chk.witness is None
+        assert chk.detail == detail
+
     def test_bv(self, u_jump):
         assert verify_certificate(
             u_jump, RegularityCertificate.bounded_variation(2.0)).ok

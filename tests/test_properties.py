@@ -345,10 +345,10 @@ def _draw_cells(rng, c):
        st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=300, deadline=None)
 def test_derivative_entry_paths_equal_a_fresh_derivation(seed, kind, m):
-    """One entry per piece gives the floats that re-deriving on every
-    sub-interval gave, also for the constant shift of ``_centred_sup``
-    (the entry of c serves c - m); degrees 4 to 8 take the proots
-    fallback (raw roots None)."""
+    """One entry per piece, passed to the public critical-point functions,
+    gives the floats that re-deriving on every sub-interval gave, also for
+    the constant shift of ``_centred_sup`` (the entry of c serves c - m);
+    degrees 4 to 8 take the proots fallback (raw roots None)."""
     rng = _rng(seed)
     c = _draw_piece(rng, kind)
     entry = poly._derivative_entry(c)
@@ -356,14 +356,14 @@ def test_derivative_entry_paths_equal_a_fresh_derivation(seed, kind, m):
     shifted = poly.psub(c, (m,))
     for lo, hi in _draw_cells(rng, c):
         want = _fresh_pcritical(c, lo, hi)
-        assert poly._critical(entry, lo, hi) == want
+        assert poly.pcritical(c, lo, hi, entry) == want
         assert poly.pcritical(c, lo, hi) == want
         assert _fresh_pcritical(shifted, lo, hi) == want
         for p in (c, shifted):
             minmax = _fresh_pminmax_on(p, lo, hi)
-            assert poly._minmax_on(p, entry, lo, hi) == minmax
+            assert poly.pminmax_on(p, lo, hi, entry) == minmax
             assert poly.pminmax_on(p, lo, hi) == minmax
             variation = _fresh_pvariation_on(p, lo, hi)
-            assert poly._variation_on(p, entry, lo, hi) == variation
+            assert poly.pvariation_on(p, lo, hi, entry) == variation
             assert poly.pvariation_on(p, lo, hi) == variation
             assert poly.proots(p, lo, hi) == _fresh_proots(p, lo, hi)

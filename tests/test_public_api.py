@@ -57,6 +57,28 @@ def test_benchmark_tracer_finds_every_traced_name():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_benchmark_tracer_sees_the_critical_point_layers():
+    # the quadrature path reaches poly's critical points through the public
+    # names the tracer wraps, so the per-layer trace counts them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys; sys.path.insert(0, 'perfbench'); import spans\n"
+        "from grusskit import PiecewiseFunction, adaptive_quadrature\n"
+        "tracer = spans.Tracer(); spans.install(tracer)\n"
+        "f = PiecewiseFunction.build((0.0, 0.4, 1.0),\n"
+        "                            ((1.0, 2.0), (2.52, -2.0, 0.5)))\n"
+        "u = PiecewiseFunction.from_coeffs((0.0, 1.0, 1.0), 0.0, 1.0)\n"
+        "adaptive_quadrature(f, f, u, 1e-3)\n"
+        "print(tracer.calls['poly.pminmax_on'], "
+        "tracer.calls['poly.pcritical'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    minmax, critical = map(int, proc.stdout.split())
+    assert minmax > 0 and critical > 0
+
+
 def test_src_imports_neither_mpmath_nor_scipy():
     # both are test-side references only, never runtime dependencies
     banned = {"mpmath", "scipy"}

@@ -608,7 +608,7 @@ class TestSolveScope:
         assert "_derived" not in vars(cell) and counts["_derivative_entry"] == 0
 
     def test_restrict_slices_the_table_and_shares_the_map(self):
-        u = DERIVE_U._solve_copy(products=True)
+        u = DERIVE_U._solve_copy()
         entries, products = vars(u)["_derived"]
         for lo, hi, first, last in ((0.1, 0.5, 0, 1), (0.5, 0.9, 0, 2),
                                     (0.6, 1.0, 1, 2)):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from grusskit import battery
+from grusskit import battery, funcrep, poly
 from grusskit.cli import run
 from grusskit.sharpness import WITNESS_IDS, witness
 from grusskit.theorems import THEOREMS
@@ -155,3 +155,23 @@ def test_unexpected_exception_is_recorded_and_the_run_goes_on(monkeypatch,
         capsys)
     assert code == 2
     assert len(results["verify"][0]["violations"]) == 1
+
+
+# Calls over trials 0..9 of every registry id at seed 0, recorded on the
+# code that derives each piece's derivative ranges once per monotone check.
+BATTERY_WORK = {"proots": 1348, "pminmax_on": 2019, "pcritical": 2444,
+                "pderiv": 7268, "pmul": 5378, "_derivative_entry": 2339,
+                "gauss_integral": 233, "verify_certificate": 370}
+
+
+def test_battery_work_budget(count_calls):
+    counts = count_calls(poly.proots, poly.pminmax_on, poly.pcritical,
+                         poly.pderiv, poly.pmul, poly._derivative_entry,
+                         funcrep.gauss_integral, funcrep.verify_certificate)
+    for tid in battery.THEOREM_IDS:
+        for k in range(10):
+            battery.THEOREMS[tid](random.Random(f"0:{tid}:{k}"))
+    grown = {name: (counts[name], budget)
+             for name, budget in BATTERY_WORK.items()
+             if counts[name] > 1.05 * budget}
+    assert not grown
