@@ -565,15 +565,22 @@ def eval_sided(f: PiecewiseFunction, t: float, side: Side) -> float:
 def inf_sup_on(f: PiecewiseFunction) -> tuple[Enclosure, Enclosure]:
     """Certified enclosures of inf and sup of f over its domain, including
     the breakpoint point values."""
+    return _inf_sup(f.breakpoints, f.pieces,
+                    _derived(f)[0] or (None,) * len(f.pieces),
+                    f.point_values)
+
+
+def _inf_sup(bp: tuple, pieces: tuple, entries: tuple,
+             point_values: tuple) -> tuple[Enclosure, Enclosure]:
+    """``inf_sup_on`` of the function with these fields, one
+    ``poly._derivative_entry`` (or None) per piece in ``entries``."""
     lo = math.inf
     hi = -math.inf
-    bp = f.breakpoints
-    entries = _derived(f)[0] or (None,) * len(f.pieces)
-    for x0, x1, coeffs, entry in zip(bp, bp[1:], f.pieces, entries):
+    for x0, x1, coeffs, entry in zip(bp, bp[1:], pieces, entries):
         mn, mx = poly.pminmax_on(coeffs, x0, x1, entry)
         lo = min(lo, mn)
         hi = max(hi, mx)
-    for v in f.point_values:
+    for v in point_values:
         lo = min(lo, v)
         hi = max(hi, v)
     scale = max(abs(lo), abs(hi))
@@ -581,7 +588,12 @@ def inf_sup_on(f: PiecewiseFunction) -> tuple[Enclosure, Enclosure]:
 
 
 def sup_norm_on(f: PiecewiseFunction) -> Enclosure:
-    inf_e, sup_e = inf_sup_on(f)
+    return _sup_norm(*inf_sup_on(f))
+
+
+def _sup_norm(inf_e: Enclosure, sup_e: Enclosure) -> Enclosure:
+    """The sup norm enclosure of a function with these inf and sup
+    enclosures."""
     value = max(abs(inf_e.mid), abs(sup_e.mid))
     return _tight(value, value)
 

@@ -4,7 +4,12 @@ All helpers operate on plain sequences of floats ``(c0, c1, ...)`` meaning
 ``c0 + c1*t + c2*t**2 + ...``.  Root location is certified: roots are
 bracketed by sign changes on monotone segments (segment ends come from the
 recursively-located critical points of the derivative), then narrowed by
-bisection.  Degrees 1 and 2 use closed forms.
+bisection.  Degrees 1 and 2 use closed forms.  The quadratic closed form
+and the sign tests of higher degrees run on a polynomial whose largest
+coefficient is huge or tiny scaled by a power of two to unit size
+(``_unit_scaled``), which moves no root of a polynomial whose
+coefficients stay normal floats, so scaling the input by a huge or tiny
+factor does not make them overflow or underflow.
 
 ``_derivative_entry`` derives the interval-free part of a piece's critical
 points once: p' and, when p' has degree <= 2, its raw closed-form roots.
@@ -146,6 +151,7 @@ def proots(c: Coeffs, lo: float, hi: float) -> list[float]:
     ct = tuple(c[:deg + 1])
     if deg <= 2:
         return _window(_closed_roots(ct), lo, hi)
+    ct = _unit_scaled(ct)
     ztol = 1e-13 * _coeff_scale(ct, lo, hi)
     crit = proots(pderiv(ct), lo, hi)
     nodes = _dedupe([lo] + crit + [hi], lo, hi)
@@ -166,14 +172,28 @@ def proots(c: Coeffs, lo: float, hi: float) -> list[float]:
     return _dedupe(sorted(roots), lo, hi)
 
 
+def _unit_scaled(ct: tuple[float, ...]) -> tuple[float, ...]:
+    """ct times 2**-e, e the ``math.frexp`` exponent of its largest
+    magnitude, so the largest coefficient lies in [0.5, 1); ct itself when
+    that magnitude lies in [2**-256, 2**256], where neither the quadratic
+    discriminant nor the sign tests of ``proots`` come near overflow or
+    underflow.  A power of two scales every normal float exactly, so the
+    roots, and the signs and relative sizes of values, are those of ct."""
+    top = max(map(abs, ct))
+    if 2.0 ** -256 <= top <= 2.0 ** 256:
+        return ct
+    e = math.frexp(top)[1]
+    return tuple([math.ldexp(x, -e) for x in ct])
+
+
 def _closed_roots(ct: tuple[float, ...]) -> tuple[float, ...]:
     """The raw closed-form roots of ``ct``, trimmed to its effective degree
     1 or 2, before any interval filter: (r,) at degree 1, (r1, r2) or ()
-    at degree 2."""
+    at degree 2, whose discriminant is formed on ``_unit_scaled(ct)``."""
     if len(ct) == 2:
         c0, c1 = ct
         return (-c0 / c1,)
-    a2, a1, a0 = ct[2], ct[1], ct[0]
+    a0, a1, a2 = _unit_scaled(ct)
     disc = a1 * a1 - 4.0 * a2 * a0
     if disc < 0.0:
         return ()

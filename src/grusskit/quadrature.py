@@ -6,8 +6,15 @@ cell increment of u.  ``partition_quadrature`` (fixed partitions) and
 ``adaptive_quadrature`` solve each cell once and return one
 ``QuadratureResult``; ``composite_S`` and the oscillation and Holder
 remainder estimates are views of it.  Every cell quantity is computed on
-the cell alone: f, g and u are restricted to it once, and the centred sup
-of g comes from g's restricted pieces.  Nothing is derived twice:
+the cell alone: f and u are restricted to it once.  g's side of a cell,
+its integral against u and its centred sup, is read from the solve
+copies' tables when the closed cell holds no breakpoint of g or u
+(``_g_side``): one antiderivative difference from u's product map and the
+shifted piece's min and max, with no restricted g, no integral wrapper
+and no shifted copy of g.  A cell that holds a breakpoint, or on which a
+number of that path is not finite, restricts g and takes the general
+path, ``rs_integral`` and ``_centred_sup``; both give the same floats.
+Nothing is derived twice:
 
 - a solve first makes validated copies of f, g and u
   (``PiecewiseFunction._solve_copy``) that derive each piece's derivative
@@ -37,9 +44,9 @@ import numpy as np
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
 from .funcrep import (PiecewiseFunction, RegularityCertificate, _derived,
-                      inf_sup_on, require_certificate, sup_norm_on,
-                      total_variation)
-from .stieltjes import _same_domain, rs_integral
+                      _inf_sup, _sup_norm, inf_sup_on, require_certificate,
+                      sup_norm_on, total_variation)
+from .stieltjes import _piece_integral, _same_domain, rs_integral
 
 
 @dataclass(frozen=True)
@@ -162,7 +169,9 @@ def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
     so only those are checked (``PiecewiseFunction._trusted``), and it
     reuses g_cell's derivative entries: a constant shift leaves every
     derivative unchanged, up to the sign of zero coefficients, which no
-    root or comparison sees."""
+    root or comparison sees.  The general path of ``_solve_cell``, taken
+    where ``_g_side`` declines, and the reference that ``_g_side`` is
+    tested against."""
     pieces = tuple(poly.psub(c, (m,)) for c in g_cell.pieces)
     values = [v - m for v in g_cell.point_values]
     lo, hi = g_cell.domain
@@ -178,24 +187,81 @@ def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
     return sup_norm_on(shifted).hi
 
 
+def _inner_piece(h: PiecewiseFunction, lo: float, hi: float) -> int | None:
+    """The index of the piece of h whose open interval holds [lo, hi], or
+    None when [lo, hi] holds a breakpoint of h."""
+    i = h._piece_index(lo)
+    bp = h.breakpoints
+    return i if bp[i] < lo and hi < bp[i + 1] else None
+
+
+def _g_side(g: PiecewiseFunction, u: PiecewiseFunction, lo: float,
+            hi: float, du: float) -> tuple[float, float] | None:
+    """(integral of g du, sup |g - m|) over the cell [lo, hi], where m is
+    that integral over ``du = u(hi) - u(lo)``, read from the tables of the
+    solve copies g and u when [lo, hi] holds no breakpoint of g and none
+    of u.  The cell then lies inside one piece of each, and the two floats
+    come from the same operations in the same order as
+    ``rs_integral(g.restrict(lo, hi), u.restrict(lo, hi)).value`` and
+    ``_centred_sup`` of it: the antiderivative from u's product map
+    (``stieltjes._piece_integral``), the shifted piece's min and max with
+    g's derivative entry and the end values, then ``inf_sup_on`` and
+    ``sup_norm_on``'s steps, with no restricted g and no shifted copy.
+
+    None, for the general path, when [lo, hi] holds a breakpoint, when g
+    or u carries no solve tables, or when a number that path forms is not
+    finite; that path then raises where the inputs overflow."""
+    i, j = _inner_piece(g, lo, hi), _inner_piece(u, lo, hi)
+    entries, products = _derived(g)[0], _derived(u)[1]
+    if i is None or j is None or entries is None or products is None:
+        return None
+    piece = g.pieces[i]
+    # the end values g.restrict(lo, hi) checks
+    if not (math.isfinite(poly.pvalue(piece, lo))
+            and math.isfinite(poly.pvalue(piece, hi))):
+        return None
+    i_g = _piece_integral(piece, u.pieces[j], lo, hi, products)
+    if i_g is None:
+        return None
+    shifted = poly.psub(piece, (i_g / du,))
+    ends = (poly.pvalue(shifted, lo), poly.pvalue(shifted, hi))
+    if not all(map(math.isfinite, (shifted[0], *ends))):
+        return None
+    try:
+        sup_g = _sup_norm(*_inf_sup((lo, hi), (shifted,), (entries[i],),
+                                    ends)).hi
+    except DomainError:    # an enclosure of NaN
+        return None
+    return (i_g, sup_g) if math.isfinite(sup_g) else None
+
+
 def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
                 u: PiecewiseFunction, lo: float, hi: float, u_lo: float,
                 u_hi: float, state: str) -> _Cell:
     """Every quantity of the cell [lo, hi] whose ``_cell_state`` is
-    ``state``, given u_lo = u(lo) and u_hi = u(hi), from f, g and u
-    restricted to the cell once; constant and degenerate cells get zero
-    terms.  Raises DomainError when an "ok" cell's term or integral of
-    g du is not finite."""
+    ``state``, given u_lo = u(lo) and u_hi = u(hi); constant and
+    degenerate cells get zero terms.  f and u are restricted to the cell
+    once.  g's side, its integral against u and its centred sup, is read
+    from the solve tables by ``_g_side`` when the cell holds no breakpoint
+    of g or u; otherwise, or when ``_g_side`` declines, g is restricted
+    too, at the same point, and the side comes from ``rs_integral`` and
+    ``_centred_sup``, bit-identical where both apply.  Raises DomainError
+    when an "ok" cell's term or integral of g du is not finite."""
     if state != "ok":
         return _Cell(lo, hi, 0.0 if state == "constant" else math.inf,
                      state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, None, None)
-    f_cell, g_cell, u_cell = f.restrict(lo, hi), g.restrict(lo, hi), \
-        u.restrict(lo, hi)
+    f_cell = f.restrict(lo, hi)
+    g_side = _g_side(g, u, lo, hi, u_hi - u_lo)
+    g_cell = g.restrict(lo, hi) if g_side is None else None
+    u_cell = u.restrict(lo, hi)
     var_u = total_variation(u_cell).hi
     inf_e, sup_e = inf_sup_on(f_cell)
     osc = sup_e.hi - inf_e.lo
-    i_g = rs_integral(g_cell, u_cell).value
-    sup_g = _centred_sup(g, g_cell, i_g / (u_hi - u_lo))
+    if g_side is None:
+        i_g = rs_integral(g_cell, u_cell).value
+        sup_g = _centred_sup(g, g_cell, i_g / (u_hi - u_lo))
+    else:
+        i_g, sup_g = g_side
     term = 0.5 * osc * sup_g * var_u
     if not (math.isfinite(term) and math.isfinite(i_g)):
         raise DomainError(f"cell [{lo!r}, {hi!r}]: term {term!r} or "

@@ -56,6 +56,51 @@ def _check_shared_jumps(fs: list[PiecewiseFunction],
                 raise SharedDiscontinuity(t)
 
 
+def _cell_antiderivative(pcs: list, integrator: bool,
+                         products: dict | None) -> tuple:
+    """The antiderivative of one aligned cell's integrand: the product of
+    the pieces in the list ``pcs``, the last one differentiated (in place)
+    when ``integrator``.  With a product map it is looked up there by the
+    pieces and formed only on the first miss."""
+    if products is not None:
+        key = tuple(pcs)
+        prim = products.get(key)
+        if prim is not None:
+            return prim
+    if integrator:
+        pcs[-1] = poly.pderiv(pcs[-1])
+    prim = poly.pinteg(reduce(poly.pmul, pcs))
+    if products is not None:
+        products[key] = prim
+    return prim
+
+
+def _error_bound(value: float, scale: float, fv_worst: float,
+                 slack: float) -> float:
+    """The certified error of a closed-form integral ``value`` whose terms
+    sum to ``scale`` in magnitude, with jump slack ``slack`` weighted by
+    the largest factor value ``fv_worst`` at a jump."""
+    return 64.0 * _EPS * (scale + abs(value) + 1.0) + fv_worst * slack
+
+
+def _piece_integral(f_piece: tuple, u_piece: tuple, lo: float, hi: float,
+                    products: dict) -> float | None:
+    """``rs_integral(f, u).value`` for f and u that are each one piece on
+    [lo, hi] with no breakpoint there, such as two solve copies restricted
+    to a cell inside a piece of each: the same floats ``_product_core``
+    forms for that one aligned cell, with no jump of u and no slack, and
+    the antiderivative from u's product map.  None where
+    ``_product_core`` raises: when the value or its error bound is not
+    finite."""
+    prim = _cell_antiderivative([f_piece, u_piece], True, products)
+    term = poly.pvalue(prim, hi) - poly.pvalue(prim, lo)
+    value = 0.0 + term
+    if math.isfinite(value) and \
+            math.isfinite(_error_bound(value, abs(term), 1.0, 0.0)):
+        return value
+    return None
+
+
 def _product_core(factors: list[PiecewiseFunction],
                   u: PiecewiseFunction | None) -> IntegralResult:
     """Closed-form integral of (prod factors) du over the domain, or of
@@ -77,16 +122,7 @@ def _product_core(factors: list[PiecewiseFunction],
     scale = 0.0
     products = None if u is None else _derived(u)[1]
     for lo, hi, *pcs in aligned_pieces(*factors, *([] if u is None else [u])):
-        prim = None
-        if products is not None:
-            key = tuple(pcs)
-            prim = products.get(key)
-        if prim is None:
-            if u is not None:
-                pcs[-1] = poly.pderiv(pcs[-1])
-            prim = poly.pinteg(reduce(poly.pmul, pcs))
-            if products is not None:
-                products[key] = prim
+        prim = _cell_antiderivative(pcs, u is not None, products)
         term = poly.pvalue(prim, hi) - poly.pvalue(prim, lo)
         value += term
         scale += abs(term)
@@ -101,7 +137,7 @@ def _product_core(factors: list[PiecewiseFunction],
             value += fv * mass
             scale += abs(fv * mass)
         slack = u.jump_slack()
-    err = 64.0 * _EPS * (scale + abs(value) + 1.0) + fv_worst * slack
+    err = _error_bound(value, scale, fv_worst, slack)
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"integral is not finite (value {value!r}, "
                           f"error {err!r}): the inputs overflow")

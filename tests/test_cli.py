@@ -624,14 +624,17 @@ def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
     cells = sum(ns)
     assert counts["require_certificate"] == 1
     assert counts["rs_product_integral"] == 1
-    assert counts["rs_integral"] <= 2 * cells
     assert counts["_cell_state"] == cells
     solved = derived.args["_solve_cell"]
     assert len(solved) == cells
-    # restrict three times per cell, one sided table per function, and u
-    # (each solve's copy) evaluated once per cell end of each partition
+    # f and u restricted once per cell and g on the 33 cells that hold a
+    # breakpoint of g or u (the cells at 0 and 1, the two meeting at 0.5
+    # and, from n = 16 on, the one holding 0.6: 4 + 4 + 5 * 5), one sided
+    # table per function, and u (each solve's copy) evaluated once per
+    # cell end of each partition
     assert assert_derived_once(derived, in_result) == [
         t for n in ns for t in quadrature.Partition.uniform(0.0, 1.0, n).points]
+    assert counts["rs_integral"] == cells + 33
 
 
 def test_quad_sweep_work_budget(count_calls, capsys):
@@ -641,7 +644,9 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     from grusskit import poly
     counts = count_calls(poly.proots, poly.pderiv, poly.pmul,
                          poly._derivative_entry,
-                         funcrep.PiecewiseFunction._solve_copy)
+                         funcrep.PiecewiseFunction._solve_copy,
+                         funcrep.PiecewiseFunction.restrict,
+                         stieltjes._product_core)
     assert run(["quad", "--sweep", "4:256",
                 "--json", json.dumps(QUAD_SPEC_HOLDER)]) == 0
     capsys.readouterr()
@@ -652,6 +657,12 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     assert counts["proots"] == 0
     assert counts["pderiv"] == 106
     assert counts["pmul"] == 50
+    # and of the cell work over the 508 cells: f and u restricted on each,
+    # g on the 33 that hold a breakpoint of g or u; one integral of f du
+    # per cell, one of g du per cell that restricts g, and the report's
+    # exact integral of f g du
+    assert counts["restrict"] == 2 * 508 + 33
+    assert counts["_product_core"] == 508 + 33 + 1
 
 
 @pytest.mark.parametrize("option", [["--partition", "uniform:4"], []])

@@ -72,3 +72,33 @@ def test_cubic_with_inflection():
     mn, mx = poly.pminmax_on(c, 0.0, 1.0)
     assert mn == pytest.approx(-2.0 / (3.0 * math.sqrt(3.0)))
     assert mx == pytest.approx(0.0, abs=1e-12)
+
+
+# p = t^2 + 0.3 t - 0.25 has the root 0.37201532544552746 in [0, 1]; at
+# 2^520 times p its discriminant overflowed, and at 2^-560 times p it
+# underflowed to zero, each giving a wrong root set
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 520, 2.0 ** -560])
+def test_quadratic_roots_are_scale_free(scale):
+    c = tuple(scale * x for x in (-0.25, 0.3, 1.0))
+    assert poly.proots(c, 0.0, 1.0) == [0.37201532544552746]
+
+
+# t^3 - 1/8 on [-3, 3]: at 2^1020 its values overflowed, and at 2^-1040
+# they fell below the zero tolerance, so the sign tests found roots at
+# -3, 0 and 3
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 1020, 2.0 ** -1040])
+def test_cubic_sign_tests_are_scale_free(scale):
+    c = tuple(scale * x for x in (-0.125, 0.0, 0.0, 1.0))
+    assert poly.proots(c, -3.0, 3.0) == [0.5]
+
+
+def test_bounds_check_sees_the_minimum_of_a_huge_cubic():
+    # f = 2^520 (4t^3 - t) has its minimum -0.19 * 2^520 at t = 12^-1/2;
+    # an overflowing discriminant of f' hid that critical point
+    from grusskit.funcrep import (PiecewiseFunction, RegularityCertificate,
+                                  verify_certificate)
+    big = 2.0 ** 520
+    f = PiecewiseFunction.from_coeffs((0.0, -big, 0.0, 4.0 * big), 0.0, 1.0)
+    chk = verify_certificate(f, RegularityCertificate.bounds(0.0, 3.0 * big))
+    assert not chk.ok
+    assert chk.witness == pytest.approx(12.0 ** -0.5, rel=1e-12)

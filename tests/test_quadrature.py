@@ -1,10 +1,13 @@
 import math
 import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from grusskit import battery, instances, poly, quadrature
+from grusskit import (battery, funcrep, instances, poly, quadrature,
+                      stieltjes)
 from grusskit.bounds import bound_quadrature_remainder
 from grusskit.errors import (DegenerateCell, DomainError,
                              ToleranceUnreachable)
@@ -450,19 +453,22 @@ DERIVE_U = PiecewiseFunction((0.0, 0.6, 1.0), ((0.0, 1.0), (1.0, 0.5)),
 
 
 def derive_once_counts(count_calls, monkeypatch, solve):
-    """Run ``solve()`` with restrict, eval_sided, _sided_table and
-    _solve_cell counted; returns the counts, the restrict calls made
-    inside each ``_result`` and what ``solve()`` returned."""
-    from grusskit import funcrep
+    """Run ``solve()`` with restrict, eval_sided, _sided_table,
+    _solve_cell and _product_core counted; returns the counts, one
+    (restrict calls, _product_core calls, "ok" cells) triple per
+    ``_result`` call, made inside it, and what ``solve()`` returned."""
     counts = count_calls(PiecewiseFunction.restrict, funcrep.eval_sided,
-                         funcrep._sided_table, quadrature._solve_cell)
+                         funcrep._sided_table, quadrature._solve_cell,
+                         stieltjes._product_core)
     in_result = []
     inner = quadrature._result
 
-    def result(*args):
-        before = counts["restrict"]
-        out = inner(*args)
-        in_result.append(counts["restrict"] - before)
+    def result(u, cells):
+        restricts, cores = counts["restrict"], counts["_product_core"]
+        out = inner(u, cells)
+        in_result.append((counts["restrict"] - restricts,
+                          counts["_product_core"] - cores,
+                          sum(c.state == "ok" for c in cells)))
         return out
     monkeypatch.setattr(quadrature, "_result", result)
     out = solve()
@@ -470,15 +476,34 @@ def derive_once_counts(count_calls, monkeypatch, solve):
 
 
 def assert_derived_once(counts, in_result) -> list[float]:
-    """Check the restrict and sided-table counts of ``derive_once_counts``
-    and return the points at which u was evaluated, in call order; u is
-    each solve's copy of it, the u that the solve passes to
-    ``_solve_cell``."""
+    """Check the restrict, _product_core and sided-table counts of
+    ``derive_once_counts`` and return the points at which u was evaluated,
+    in call order; f, g and u are each solve's copies of them, the ones
+    that the solve passes to ``_solve_cell``."""
     solved = counts.args["_solve_cell"]
     assert solved and all(args[-1] == "ok" for args in solved)
-    # f, g and u restricted once per solved cell, never when summing
-    assert counts["restrict"] == 3 * len(solved)
-    assert in_result and not any(in_result)
+
+    def restricted(slot):
+        copies = {id(args[slot]) for args in solved}
+        return [args[1:3] for args in counts.args["restrict"]
+                if id(args[0]) in copies]
+    cells = [args[3:5] for args in solved]
+    # g's side falls back to restricting g only on a cell that holds a
+    # breakpoint of g or u
+    fallback = [(lo, hi) for _, g, u, lo, hi, *_ in solved
+                if any(lo <= t <= hi for t in g.breakpoints + u.breakpoints)]
+    # f and u restricted once per solved cell, never when summing
+    assert restricted(0) == cells and restricted(2) == cells
+    assert restricted(1) == fallback
+    assert counts["restrict"] == 2 * len(cells) + len(fallback)
+    # integrals against the solve's u (the one u carrying a product map):
+    # of g du on each fallback cell, and of f du on each final "ok" cell,
+    # summed in _result
+    assert in_result and all(restricts == 0 and cores == ok
+                             for restricts, cores, ok in in_result)
+    against_u = [args for args in counts.args["_product_core"]
+                 if funcrep._derived(args[1])[1] is not None]
+    assert len(against_u) == len(fallback) + sum(ok for *_, ok in in_result)
     # at most one sided table per function instance
     built = [id(args[0]) for args in counts.args["_sided_table"]]
     assert len(built) == len(set(built))
@@ -508,6 +533,75 @@ class TestDeriveOnce:
                                          Partition.uniform(0.0, 1.0, 9)))
         u_points = assert_derived_once(counts, in_result)
         assert u_points == list(Partition.uniform(0.0, 1.0, 9).points)
+
+
+def _draw_cell(rng, kind, g, u):
+    """A cell [lo, hi] of g's and u's domain: strictly inside one piece of
+    each ("inside"), ending at an interior breakpoint of either
+    ("touching"), from a or to b ("end"), or anywhere ("any")."""
+    a, b = u.domain
+    if kind == "inside":
+        grid = sorted(set(g.breakpoints + u.breakpoints))
+        x0, x1 = rng.choice(list(zip(grid, grid[1:])))
+        lo, hi = sorted(rng.uniform(x0, x1) for _ in range(2))
+        return (lo, hi) if x0 < lo < hi < x1 else None
+    if kind == "touching":
+        inner = g.breakpoints[1:-1] + u.breakpoints[1:-1]
+        if not inner:
+            return None
+        t = rng.choice(inner)
+        other = rng.uniform(a, b)
+        lo, hi = (other, t) if other < t else (t, other)
+    elif kind == "end":
+        lo, hi = (a, rng.uniform(a, b)) if rng.random() < 0.5 \
+            else (rng.uniform(a, b), b)
+    else:
+        lo, hi = sorted(rng.uniform(a, b) for _ in range(2))
+    return (lo, hi) if lo < hi else None
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["inside", "touching", "end", "any"]))
+@settings(max_examples=300, deadline=None)
+def test_g_side_equals_the_general_path(seed, kind):
+    rng = random.Random(seed)
+    a, b = instances.rand_interval(rng)
+    g = instances.rand_continuous(rng, a, b)
+    u = instances.ensure_span(rng, lambda: instances.rand_monotone(rng, a, b))
+    cell = _draw_cell(rng, kind, g, u)
+    if cell is None:
+        return
+    lo, hi = cell
+    du = u(hi) - u(lo)
+    if du == 0.0:
+        return
+    side = quadrature._g_side(g._solve_copy(), u._solve_copy(), lo, hi, du)
+    # declines exactly on a cell holding a breakpoint of g or u, and on
+    # functions without solve tables
+    assert (side is None) == any(lo <= t <= hi for t in g.breakpoints
+                                 + u.breakpoints)
+    assert quadrature._g_side(g, u, lo, hi, du) is None
+    if side is None:
+        return
+    # the general path, on copies whose product map the side did not fill
+    gr, ur = g._solve_copy(), u._solve_copy()
+    g_cell = gr.restrict(lo, hi)
+    i_g = rs_integral(g_cell, ur.restrict(lo, hi)).value
+    want = (i_g, quadrature._centred_sup(gr, g_cell, i_g / du))
+    assert list(map(float.hex, side)) == list(map(float.hex, want))
+
+
+def test_g_side_falls_back_where_g_restricts():
+    # g's piece overflows at the ends of [4.4, 4.6] (10^307 t^2 > 1.8e308
+    # from t = 4.25 on) while its point values at 0 and 5 are finite: the
+    # side declines, and restricting g raises as it did before the side
+    # was read from the tables
+    g = PiecewiseFunction((0.0, 5.0), ((0.0, 0.0, 1e307),), (0.0, 0.0))
+    u = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 5.0)
+    f, g, u = (h._solve_copy() for h in (u, g, u))    # f = u = t
+    assert quadrature._g_side(g, u, 4.4, 4.6, u(4.6) - u(4.4)) is None
+    with pytest.raises(DomainError, match="non-finite point value"):
+        quadrature._solve_cell(f, g, u, 4.4, 4.6, u(4.4), u(4.6), "ok")
 
 
 def _list_order_adaptive(f, g, u, tol, max_cells):
