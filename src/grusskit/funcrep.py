@@ -172,12 +172,11 @@ class PiecewiseFunction:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, breakpoints, pieces, point_values, new_coeffs=(),
-                 new_values=(), derived=None) -> "PiecewiseFunction":
+    def _trusted(cls, breakpoints, pieces, point_values, new_values=(),
+                 derived=None) -> "PiecewiseFunction":
         """A function assembled from the fields of a validated function,
         built without ``__post_init__``.  Only the numbers the caller formed
-        itself are checked: ``new_coeffs`` must be finite, else
-        DomainError("non-finite coefficient"), then ``new_values``, else
+        itself are checked: ``new_values`` must be finite, else
         DomainError("non-finite point value"), as the dataclass constructor
         would report them.
 
@@ -187,13 +186,10 @@ class PiecewiseFunction:
         pieces and interior point values are sliced one per open interval
         and one per breakpoint, so the counts still match; a copied
         coefficient tuple is non-empty, finite and within the degree cap
-        because it was when it was validated.  Callers: ``restrict`` (new
-        end values) and ``quadrature._centred_sup`` (shifted constant terms
-        and point values).  ``derived``, when given, becomes the new
-        function's ``_solve_copy`` tables: one derivative entry per piece
-        of ``pieces`` and the product map or None."""
-        if not all(math.isfinite(x) for x in new_coeffs):
-            raise DomainError("non-finite coefficient")
+        because it was when it was validated.  Caller: ``restrict`` (new
+        end values).  ``derived``, when given, becomes the new function's
+        ``_solve_copy`` tables: one derivative entry per piece of
+        ``pieces`` and the product map or None."""
         if not all(math.isfinite(v) for v in new_values):
             raise DomainError("non-finite point value")
         f = object.__new__(cls)

@@ -5,8 +5,8 @@ All helpers operate on plain sequences of floats ``(c0, c1, ...)`` meaning
 bracketed by sign changes on monotone segments (segment ends come from the
 recursively-located critical points of the derivative), then narrowed by
 bisection.  Degrees 1 and 2 use closed forms.  The quadratic closed form
-and the sign tests of higher degrees run on a polynomial whose largest
-coefficient is huge or tiny scaled by a power of two to unit size
+and the sign tests of higher degrees run on the polynomial scaled by a
+power of two so that its largest coefficient has unit size
 (``_unit_scaled``), which moves no root of a polynomial whose
 coefficients stay normal floats, so scaling the input by a huge or tiny
 factor does not make them overflow or underflow.
@@ -174,15 +174,11 @@ def proots(c: Coeffs, lo: float, hi: float) -> list[float]:
 
 def _unit_scaled(ct: tuple[float, ...]) -> tuple[float, ...]:
     """ct times 2**-e, e the ``math.frexp`` exponent of its largest
-    magnitude, so the largest coefficient lies in [0.5, 1); ct itself when
-    that magnitude lies in [2**-256, 2**256], where neither the quadratic
-    discriminant nor the sign tests of ``proots`` come near overflow or
+    magnitude, so the largest coefficient lies in [0.5, 1) and neither the
+    quadratic discriminant nor the sign tests of ``proots`` overflow or
     underflow.  A power of two scales every normal float exactly, so the
     roots, and the signs and relative sizes of values, are those of ct."""
-    top = max(map(abs, ct))
-    if 2.0 ** -256 <= top <= 2.0 ** 256:
-        return ct
-    e = math.frexp(top)[1]
+    e = math.frexp(max(map(abs, ct)))[1]
     return tuple([math.ldexp(x, -e) for x in ct])
 
 

@@ -10,11 +10,12 @@ the cell alone: f and u are restricted to it once.  g's side of a cell,
 its integral against u and its centred sup, is read from the solve
 copies' tables when the closed cell holds no breakpoint of g or u
 (``_g_side``): one antiderivative difference from u's product map and the
-shifted piece's min and max, with no restricted g, no integral wrapper
-and no shifted copy of g.  A cell that holds a breakpoint, or on which a
-number of that path is not finite, restricts g and takes the general
-path, ``rs_integral`` and ``_centred_sup``; both give the same floats.
-Nothing is derived twice:
+shifted piece's min and max, with no restricted g and no integral
+wrapper.  A cell that holds a breakpoint, or on which a number of that
+path is not finite, restricts g and takes the general path,
+``rs_integral``; both give the same floats.  On either path the centred
+sup comes from g's shifted pieces (``_centred_sup``), with no shifted
+copy of g.  Nothing is derived twice:
 
 - a solve first makes validated copies of f, g and u
   (``PiecewiseFunction._solve_copy``) that derive each piece's derivative
@@ -45,7 +46,7 @@ from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
 from .funcrep import (PiecewiseFunction, RegularityCertificate, _derived,
                       _inf_sup, _sup_norm, inf_sup_on, require_certificate,
-                      sup_norm_on, total_variation)
+                      total_variation)
 from .stieltjes import _piece_integral, _same_domain, rs_integral
 
 
@@ -159,32 +160,33 @@ class _Cell(NamedTuple):
     u_cell: PiecewiseFunction | None    # u.restrict(lo, hi) if state "ok"
 
 
-def _centred_sup(g: PiecewiseFunction, g_cell: PiecewiseFunction,
+def _centred_sup(g: PiecewiseFunction, bp: tuple, pieces: tuple,
+                 entries: tuple | None, point_values: tuple,
                  m: float) -> float:
-    """sup |g - m| over the domain of ``g_cell = g.restrict(lo, hi)``,
-    equal to ``sup_norm_on((g - m).restrict(lo, hi)).hi`` without forming
-    g - m over the whole domain: a cell end that is not a breakpoint of g
-    takes the value of its shifted piece there.  The shifted function keeps
-    g_cell's breakpoints and changes only constant terms and point values,
-    so only those are checked (``PiecewiseFunction._trusted``), and it
-    reuses g_cell's derivative entries: a constant shift leaves every
-    derivative unchanged, up to the sign of zero coefficients, which no
-    root or comparison sees.  The general path of ``_solve_cell``, taken
-    where ``_g_side`` declines, and the reference that ``_g_side`` is
-    tested against."""
-    pieces = tuple(poly.psub(c, (m,)) for c in g_cell.pieces)
-    values = [v - m for v in g_cell.point_values]
-    lo, hi = g_cell.domain
-    if g._bp_index(lo) is None:
-        values[0] = poly.pvalue(pieces[0], lo)
-    if g._bp_index(hi) is None:
-        values[-1] = poly.pvalue(pieces[-1], hi)
-    entries = _derived(g_cell)[0]
-    shifted = PiecewiseFunction._trusted(
-        g_cell.breakpoints, pieces, tuple(values),
-        new_coeffs=[c[0] for c in pieces], new_values=values,
-        derived=None if entries is None else (entries, None))
-    return sup_norm_on(shifted).hi
+    """sup |g - m| over [bp[0], bp[-1]], given the fields of
+    ``g.restrict(bp[0], bp[-1])`` (its breakpoints, pieces, derivative
+    entries or None, and point values): ``sup_norm_on((g - m).restrict(
+    bp[0], bp[-1])).hi`` without forming g - m, its restriction or any
+    function.  A cell end that is not a breakpoint of g takes the value of
+    its shifted piece there.  Only the numbers the shift forms are checked,
+    the constant terms and then the point values, and they raise the
+    DomainError the constructor would.  The shift keeps every derivative
+    entry: a constant shift leaves every derivative unchanged, up to the
+    sign of zero coefficients, which no root or comparison sees.  The
+    general path of ``_solve_cell`` passes a restricted g's fields, and
+    ``_g_side`` those of the one piece holding the cell."""
+    shifted = tuple(poly.psub(c, (m,)) for c in pieces)
+    values = [v - m for v in point_values]
+    if g._bp_index(bp[0]) is None:
+        values[0] = poly.pvalue(shifted[0], bp[0])
+    if g._bp_index(bp[-1]) is None:
+        values[-1] = poly.pvalue(shifted[-1], bp[-1])
+    if not all(math.isfinite(c[0]) for c in shifted):
+        raise DomainError("non-finite coefficient")
+    if not all(map(math.isfinite, values)):
+        raise DomainError("non-finite point value")
+    return _sup_norm(*_inf_sup(bp, shifted,
+                               entries or (None,) * len(shifted), values)).hi
 
 
 def _inner_piece(h: PiecewiseFunction, lo: float, hi: float) -> int | None:
@@ -203,10 +205,10 @@ def _g_side(g: PiecewiseFunction, u: PiecewiseFunction, lo: float,
     of u.  The cell then lies inside one piece of each, and the two floats
     come from the same operations in the same order as
     ``rs_integral(g.restrict(lo, hi), u.restrict(lo, hi)).value`` and
-    ``_centred_sup`` of it: the antiderivative from u's product map
-    (``stieltjes._piece_integral``), the shifted piece's min and max with
-    g's derivative entry and the end values, then ``inf_sup_on`` and
-    ``sup_norm_on``'s steps, with no restricted g and no shifted copy.
+    ``_centred_sup`` of that restriction: the antiderivative from u's
+    product map (``stieltjes._piece_integral``), then ``_centred_sup`` on
+    the piece, its derivative entry and its end values, with no restricted
+    g.
 
     None, for the general path, when [lo, hi] holds a breakpoint, when g
     or u carries no solve tables, or when a number that path forms is not
@@ -216,23 +218,18 @@ def _g_side(g: PiecewiseFunction, u: PiecewiseFunction, lo: float,
     if i is None or j is None or entries is None or products is None:
         return None
     piece = g.pieces[i]
-    # the end values g.restrict(lo, hi) checks
-    if not (math.isfinite(poly.pvalue(piece, lo))
-            and math.isfinite(poly.pvalue(piece, hi))):
+    # the end values g.restrict(lo, hi) checks and carries
+    ends = (poly.pvalue(piece, lo), poly.pvalue(piece, hi))
+    if not all(map(math.isfinite, ends)):
         return None
     i_g = _piece_integral(piece, u.pieces[j], lo, hi, products)
     if i_g is None:
         return None
-    shifted = poly.psub(piece, (i_g / du,))
-    ends = (poly.pvalue(shifted, lo), poly.pvalue(shifted, hi))
-    if not all(map(math.isfinite, (shifted[0], *ends))):
-        return None
     try:
-        sup_g = _sup_norm(*_inf_sup((lo, hi), (shifted,), (entries[i],),
-                                    ends)).hi
-    except DomainError:    # an enclosure of NaN
+        return i_g, _centred_sup(g, (lo, hi), (piece,), (entries[i],), ends,
+                                 i_g / du)
+    except DomainError:    # a shifted number, or an enclosure, not finite
         return None
-    return (i_g, sup_g) if math.isfinite(sup_g) else None
 
 
 def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -259,7 +256,9 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
     osc = sup_e.hi - inf_e.lo
     if g_side is None:
         i_g = rs_integral(g_cell, u_cell).value
-        sup_g = _centred_sup(g, g_cell, i_g / (u_hi - u_lo))
+        sup_g = _centred_sup(g, g_cell.breakpoints, g_cell.pieces,
+                             _derived(g_cell)[0], g_cell.point_values,
+                             i_g / (u_hi - u_lo))
     else:
         i_g, sup_g = g_side
     term = 0.5 * osc * sup_g * var_u

@@ -173,5 +173,4 @@ def test_validation_is_bypassed_only_by_the_trusted_constructor():
     # validated fields and hand it the numbers they form themselves
     found = _validation_bypasses(ROOT / "src" / "grusskit")
     assert found["bypass"] == {"funcrep.PiecewiseFunction._trusted"}
-    assert found["trusted"] == {"funcrep.PiecewiseFunction.restrict",
-                                "quadrature._centred_sup"}
+    assert found["trusted"] == {"funcrep.PiecewiseFunction.restrict"}

@@ -587,7 +587,9 @@ def test_g_side_equals_the_general_path(seed, kind):
     gr, ur = g._solve_copy(), u._solve_copy()
     g_cell = gr.restrict(lo, hi)
     i_g = rs_integral(g_cell, ur.restrict(lo, hi)).value
-    want = (i_g, quadrature._centred_sup(gr, g_cell, i_g / du))
+    want = (i_g, quadrature._centred_sup(
+        gr, g_cell.breakpoints, g_cell.pieces, funcrep._derived(g_cell)[0],
+        g_cell.point_values, i_g / du))
     assert list(map(float.hex, side)) == list(map(float.hex, want))
 
 
