@@ -32,8 +32,8 @@ from .funcrep import (PiecewiseFunction, RegularityCertificate,
                       integrate_against, p_norm, require_certificate,
                       sign_segments, sup_norm_on, total_variation,
                       verify_certificate)
-from .functionals import (cheby_T, functional_D, gamma_kernel,
-                          integrator_span, phi_kernel)
+from .functionals import (_weight_total, cheby_T, functional_D,
+                          gamma_kernel, integrator_span, phi_kernel)
 from .quadrature import Partition, partition_quadrature
 from .stieltjes import (riemann_integral, riemann_product_integral,
                         rs_integral, rs_product_integral)
@@ -368,21 +368,29 @@ def bound_T_holder_lipschitz(f: PiecewiseFunction, g: PiecewiseFunction,
 # weighted wrappers
 # ---------------------------------------------------------------------------
 
-_WEIGHT_ITEMS = {"item1", "item2", "item3", "item4", "item5", "item6"}
+# item: (the certificate of f it takes, the class of u = integral of w,
+# the unweighted bound it applies to u); the monotone items need w >= 0.
+# ``theorems`` samples and evaluates each item from its row.
+_WEIGHT_ITEMS = {
+    "item1": ("bounds", "bv", bound_T_bv),
+    "item2": ("bounds", "monotone", bound_T_monotone),
+    "item3": ("bounds", "lipschitz", bound_T_lipschitz_u),
+    "item4": ("holder", "bv", bound_T_holder_bv),
+    "item5": ("holder", "monotone", bound_T_holder_monotone),
+    "item6": ("holder", "lipschitz", bound_T_holder_lipschitz),
+}
 
 
-def _weight_checks(w: PiecewiseFunction, which: str) -> float:
-    total = riemann_integral(w).value
-    if which in {"item1", "item3", "item4", "item6"}:
-        if total == 0.0 or abs(total) < 1e-13:
-            raise DegenerateWeight("weight integrates to zero")
-    if which in {"item2", "item5"}:
+def _weight_checks(w: PiecewiseFunction, nonneg: bool) -> None:
+    """With ``nonneg``, w >= 0 (else NegativeWeight at its minimum); then
+    a total integral of w that does not vanish (``_weight_total``) and,
+    with ``nonneg``, is positive (else DegenerateWeight)."""
+    if nonneg:
         inf_e, _ = inf_sup_on(w)
         if inf_e.lo < -1e-12 * (1.0 + abs(inf_e.lo)):
             raise NegativeWeight(extremum_point(w, want_min=True))
-        if total <= 0.0 or abs(total) < 1e-13:
-            raise DegenerateWeight("weight integrates to zero")
-    return total
+    if _weight_total(w) < 0.0 and nonneg:
+        raise DegenerateWeight("weight integrates to zero")
 
 
 def weighted_bounds(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -390,35 +398,27 @@ def weighted_bounds(f: PiecewiseFunction, g: PiecewiseFunction,
                     f_bounds: RegularityCertificate | None = None,
                     f_holder: RegularityCertificate | None = None,
                     p: float | None = None) -> BoundReport:
-    """Weighted variants realised through u(t) = integral of w over [a, t].
-
-    item1/item2/item3 need a bounds certificate on f; item4/item5/item6 a
-    Holder certificate.  item2/item5 additionally require w >= 0.
+    """Weighted variants realised through u(t) = integral of w over [a, t],
+    one row of ``_WEIGHT_ITEMS`` each: item1/item2/item3 need a bounds
+    certificate on f, item4/item5/item6 a Holder certificate, and
+    item2/item5 (monotone u) require w >= 0.  Only item6 reads ``p``.
     """
     if which not in _WEIGHT_ITEMS:
         raise DomainError(f"unknown weighted item {which!r}")
-    total = _weight_checks(w, which)
+    kind, u_class, bound = _WEIGHT_ITEMS[which]
+    _weight_checks(w, u_class == "monotone")
     u = w.antiderivative()
-    if which in {"item1", "item4"}:
+    if u_class == "bv":
         var_u = total_variation(u).mid
         abs_w = abs_integral(w)
         if abs(var_u - abs_w) > 1e-9 * (1.0 + abs_w):
             raise GrussKitError("variation of the weight antiderivative "
                                 "does not match integral |w|")
-    if which == "item1":
-        rep = bound_T_bv(f, g, u, f_bounds)
-    elif which == "item2":
-        rep = bound_T_monotone(f, g, u, f_bounds)
-    elif which == "item3":
-        lip = RegularityCertificate.lipschitz(sup_norm_on(w).hi)
-        rep = bound_T_lipschitz_u(f, g, u, f_bounds, lip)
-    elif which == "item4":
-        rep = bound_T_holder_bv(f, g, u, f_holder)
-    elif which == "item5":
-        rep = bound_T_holder_monotone(f, g, u, f_holder)
-    else:
-        lip = RegularityCertificate.lipschitz(sup_norm_on(w).hi)
-        rep = bound_T_holder_lipschitz(f, g, u, f_holder, lip, p=p)
+    args = [f, g, u, f_bounds if kind == "bounds" else f_holder]
+    if u_class == "lipschitz":
+        args.append(RegularityCertificate.lipschitz(sup_norm_on(w).hi))
+    rep = bound(*args, p=p) if bound is bound_T_holder_lipschitz \
+        else bound(*args)
     return replace(rep, theorem_id=which,
                    inputs_digest=rep.inputs_digest + (("w", "weight"),))
 

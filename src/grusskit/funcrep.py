@@ -9,7 +9,9 @@ represented.
 Regularity quantities (sup norm, total variation, p-norms, inf/sup) are
 computed over the whole domain from closed forms on the pieces plus the
 jump data, and are returned as tight :class:`Enclosure` intervals; for a
-sub-interval [c, d], take them of ``f.restrict(c, d)``.
+sub-interval [c, d], take them of ``f.restrict(c, d)``.  The critical
+points behind them come from ``poly``'s derivative memo, which a function
+and its restrictions share through their coefficients.
 ``integrate_against`` is the one numeric integral against df (doubled
 Gauss panels per cell, exact jump terms).
 """
@@ -76,14 +78,14 @@ class RegularityCertificate:
             if len(p) != 2 or not (p[0] <= p[1]):
                 raise MalformedCertificate(f"bounds needs m <= M, got {p!r}")
         elif k == "lipschitz":
-            if len(p) != 1 or p[0] < 0:
+            if len(p) != 1 or not (p[0] >= 0):
                 raise MalformedCertificate(f"lipschitz needs L >= 0, got {p!r}")
         elif k == "holder":
-            if len(p) != 2 or p[0] < 0 or not (0.0 < p[1] <= 1.0):
+            if len(p) != 2 or not (p[0] >= 0) or not (0.0 < p[1] <= 1.0):
                 raise MalformedCertificate(
                     f"holder needs H >= 0 and 0 < r <= 1, got {p!r}")
         elif k == "bv":
-            if len(p) != 1 or p[0] < 0:
+            if len(p) != 1 or not (p[0] >= 0):
                 raise MalformedCertificate(f"bv needs V >= 0, got {p!r}")
         elif k == "monotone":
             if p:
@@ -133,9 +135,9 @@ class PiecewiseFunction:
     ``_trusted``.  The sided-value table behind the jump queries is built
     once per instance and kept in its ``__dict__``, outside the three
     fields, so equality, hashing, ``repr`` and ``dataclasses.replace``
-    never see it.  So are the derive-once tables of ``_solve_copy``, which
-    only copies made for one quadrature solve, and their restrictions,
-    carry."""
+    never see it.  It is the only thing kept there besides the fields:
+    piece derivatives and critical points come from ``poly``'s memo,
+    keyed by the coefficients, so restrictions need no table."""
 
     breakpoints: tuple[float, ...]
     pieces: tuple[tuple[float, ...], ...]
@@ -172,8 +174,8 @@ class PiecewiseFunction:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, breakpoints, pieces, point_values, new_values=(),
-                 derived=None) -> "PiecewiseFunction":
+    def _trusted(cls, breakpoints, pieces, point_values,
+                 new_values=()) -> "PiecewiseFunction":
         """A function assembled from the fields of a validated function,
         built without ``__post_init__``.  Only the numbers the caller formed
         itself are checked: ``new_values`` must be finite, else
@@ -187,33 +189,13 @@ class PiecewiseFunction:
         and one per breakpoint, so the counts still match; a copied
         coefficient tuple is non-empty, finite and within the degree cap
         because it was when it was validated.  Caller: ``restrict`` (new
-        end values).  ``derived``, when given, becomes the new function's
-        ``_solve_copy`` tables: one derivative entry per piece of
-        ``pieces`` and the product map or None."""
+        end values)."""
         if not all(math.isfinite(v) for v in new_values):
             raise DomainError("non-finite point value")
         f = object.__new__(cls)
         f.__dict__.update(breakpoints=breakpoints, pieces=pieces,
                           point_values=point_values)
-        if derived is not None:
-            f.__dict__["_derived"] = derived
         return f
-
-    def _solve_copy(self) -> "PiecewiseFunction":
-        """A validated copy (the dataclass constructor) carrying the data
-        one quadrature solve derives once from each piece: its
-        ``poly._derivative_entry``, and an empty map from (factor
-        pieces..., piece of this function) to the antiderivative of the
-        factors' product times this piece's derivative, which
-        ``stieltjes._product_core`` fills when this function is the
-        integrator.  ``restrict`` hands each restriction its slice of the
-        entries and the same map, so every cell of the solve shares them;
-        this function and what it was copied from carry neither."""
-        copy = PiecewiseFunction(self.breakpoints, self.pieces,
-                                 self.point_values)
-        copy.__dict__["_derived"] = (
-            tuple(map(poly._derivative_entry, self.pieces)), {})
-        return copy
 
     @classmethod
     def build(cls, breakpoints, pieces, values=None) -> "PiecewiseFunction":
@@ -348,10 +330,7 @@ class PiecewiseFunction:
         The result is validated by construction (``_trusted``): it slices
         this function's breakpoints, pieces and point values, and only the
         two new end values are checked; a non-finite one, such as a piece
-        whose Horner evaluation overflows at c or d, raises DomainError.
-        A ``_solve_copy`` passes on the slice of its derivative entries
-        for the pieces kept, and its product map; any other function gets
-        no table."""
+        whose Horner evaluation overflows at c or d, raises DomainError."""
         if not (self.a <= c < d <= self.b):
             raise DomainError(f"[{c!r}, {d!r}] is not a subinterval of "
                               f"{self.domain!r}")
@@ -367,13 +346,10 @@ class PiecewiseFunction:
             else poly.pvalue(self.pieces[first], c)
         at_d = values[last] if bp[last] == d \
             else poly.pvalue(self.pieces[last - 1], d)
-        entries, products = _derived(self)
         return PiecewiseFunction._trusted(
             (c,) + bp[first + 1:last] + (d,), self.pieces[first:last],
             (at_c,) + values[first + 1:last] + (at_d,),
-            new_values=(at_c, at_d),
-            derived=None if entries is None
-            else (entries[first:last], products))
+            new_values=(at_c, at_d))
 
     def antiderivative(self) -> "PiecewiseFunction":
         """Continuous F with F(a) = 0 and F' = f off the breakpoints."""
@@ -480,13 +456,6 @@ def _sided_table(f: PiecewiseFunction) -> tuple[tuple[tuple[float, ...],
     return tuple(jumps), slack
 
 
-def _derived(f: PiecewiseFunction) -> tuple:
-    """The ``_solve_copy`` tables of f, (derivative entries, product map
-    or None), shared with its restrictions; (None, None) for any other
-    function."""
-    return f.__dict__.get("_derived", (None, None))
-
-
 def _scalar_op(op, x: float, y: float) -> float:
     return poly.pvalue(op((x,), (y,)), 0.0)
 
@@ -561,19 +530,16 @@ def eval_sided(f: PiecewiseFunction, t: float, side: Side) -> float:
 def inf_sup_on(f: PiecewiseFunction) -> tuple[Enclosure, Enclosure]:
     """Certified enclosures of inf and sup of f over its domain, including
     the breakpoint point values."""
-    return _inf_sup(f.breakpoints, f.pieces,
-                    _derived(f)[0] or (None,) * len(f.pieces),
-                    f.point_values)
+    return _inf_sup(f.breakpoints, f.pieces, f.point_values)
 
 
-def _inf_sup(bp: tuple, pieces: tuple, entries: tuple,
+def _inf_sup(bp: tuple, pieces: tuple,
              point_values: tuple) -> tuple[Enclosure, Enclosure]:
-    """``inf_sup_on`` of the function with these fields, one
-    ``poly._derivative_entry`` (or None) per piece in ``entries``."""
+    """``inf_sup_on`` of the function with these fields."""
     lo = math.inf
     hi = -math.inf
-    for x0, x1, coeffs, entry in zip(bp, bp[1:], pieces, entries):
-        mn, mx = poly.pminmax_on(coeffs, x0, x1, entry)
+    for x0, x1, coeffs in zip(bp, bp[1:], pieces):
+        mn, mx = poly.pminmax_on(coeffs, x0, x1)
         lo = min(lo, mn)
         hi = max(hi, mx)
     for v in point_values:
@@ -601,9 +567,8 @@ def total_variation(u: PiecewiseFunction) -> Enclosure:
     ``_sided_table`` convention."""
     total = 0.0
     bp = u.breakpoints
-    entries = _derived(u)[0] or (None,) * len(u.pieces)
-    for lo, hi, coeffs, entry in zip(bp, bp[1:], u.pieces, entries):
-        total += poly.pvariation_on(coeffs, lo, hi, entry)
+    for lo, hi, coeffs in zip(bp, bp[1:], u.pieces):
+        total += poly.pvariation_on(coeffs, lo, hi)
     for _, left, v, right in u.jumps():
         total += abs(v - left) + abs(right - v)
     pad = 64.0 * _EPS * (1.0 + total) + u.jump_slack()

@@ -82,6 +82,9 @@ def parse_function(obj, domain: tuple[float, float],
         if not isinstance(po, dict) or "coeffs" not in po:
             raise SchemaError(f"{path}.pieces[{i}]",
                               "expected an object with 'coeffs'")
+        if len(po) > 1:
+            raise SchemaError(f"{path}.pieces[{i}]", f"unknown keys "
+                              f"{sorted(set(po) - {'coeffs'})!r}")
         coeffs = _number_list(po["coeffs"], f"{path}.pieces[{i}].coeffs")
         pieces.append(tuple(coeffs))
     values = None
@@ -90,17 +93,15 @@ def parse_function(obj, domain: tuple[float, float],
         if not isinstance(vo, dict):
             raise SchemaError(f"{path}.values",
                               "expected an object keyed by breakpoint index")
+        # one spelling per index, str(i) as function_to_jsonable writes it
+        indices = {str(i): i for i in range(len(bps))}
         values = [None] * len(bps)
         for key, val in vo.items():
-            try:
-                idx = int(key)
-            except ValueError:
+            if key not in indices:
                 raise SchemaError(f"{path}.values.{key}",
-                                  "key must be a breakpoint index") from None
-            if not (0 <= idx < len(bps)):
-                raise SchemaError(f"{path}.values.{key}",
-                                  "index out of range")
-            values[idx] = _number(val, f"{path}.values.{key}")
+                                  f"key must be a breakpoint index from 0 "
+                                  f"to {len(bps) - 1} in plain decimal")
+            values[indices[key]] = _number(val, f"{path}.values.{key}")
     try:
         if values is not None and None in values:
             defaults = PiecewiseFunction.build(bps, pieces).point_values

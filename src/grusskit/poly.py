@@ -12,19 +12,24 @@ coefficients stay normal floats, so scaling the input by a huge or tiny
 factor does not make them overflow or underflow.
 
 ``_derivative_entry`` derives the interval-free part of a piece's critical
-points once: p' and, when p' has degree <= 2, its raw closed-form roots.
-``pcritical``, ``pminmax_on`` and ``pvariation_on`` take that entry as an
-optional last argument and apply the interval filters of ``proots`` to it,
-so an entry kept per piece (``funcrep``'s solve tables) gives the same
-floats on every sub-interval as the fresh derivation they make without it.
+points: p' and, when p' has degree <= 2, its raw closed-form roots.  Both
+depend only on the coefficients past the constant term, so the entry is
+memoised on that tail in a bounded LRU memo (``_ENTRY_MEMO`` entries):
+a piece, its restrictions to sub-intervals and its constant shifts share
+one entry.  ``pcritical``, ``pminmax_on`` and ``pvariation_on`` read the
+entry and apply the interval filters of ``proots`` to it, which gives the
+floats a fresh derivation gives.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from functools import lru_cache
 
 Coeffs = Sequence[float]
+
+_ENTRY_MEMO = 256    # derivative entries kept by _tail_entry
 
 
 def pvalue(c: Coeffs, x: float) -> float:
@@ -229,8 +234,20 @@ def _derivative_entry(c: Coeffs) -> tuple:
     closed-form roots of p' as ``proots`` forms them (``()`` when p' is
     constant or has no real root); ``None`` for degree 3 and up, whose
     roots ``proots`` locates per interval.  Nothing here depends on an
-    interval, so one entry serves every sub-interval of the piece."""
-    dc = pderiv(c)
+    interval or on the constant term, so the memo keys the entry by the
+    tail ``c[1:]``, and by the signs of its zeros when it holds one:
+    0.0 == -0.0, but the sign of a zero can reach the sign of a root."""
+    tail = tuple(c[1:])
+    if 0.0 in tail:
+        return _tail_entry(tail, tuple(math.copysign(1.0, x) for x in tail))
+    return _tail_entry(tail)
+
+
+@lru_cache(maxsize=_ENTRY_MEMO)
+def _tail_entry(tail: tuple, zero_signs: tuple | None = None) -> tuple:
+    """``_derivative_entry`` of any piece whose coefficients past the
+    constant term are ``tail``; ``zero_signs`` only keys the memo."""
+    dc = pderiv((0.0,) + tail)
     deg = effective_degree(dc)
     if deg <= 0:
         return dc, ()
@@ -239,32 +256,28 @@ def _derivative_entry(c: Coeffs) -> tuple:
     return dc, None
 
 
-def pcritical(c: Coeffs, lo: float, hi: float,
-              entry: tuple | None = None) -> list[float]:
-    """Sign-change roots of p' strictly inside (lo, hi).  ``entry``, when
-    given, is ``_derivative_entry(c)``: the filters of ``proots`` apply to
-    its raw roots, or ``proots(p', lo, hi)`` runs without them, before the
-    strict interior test."""
-    dc, raw = _derivative_entry(c) if entry is None else entry
+def pcritical(c: Coeffs, lo: float, hi: float) -> list[float]:
+    """Sign-change roots of p' strictly inside (lo, hi): the filters of
+    ``proots`` applied to the raw roots of ``_derivative_entry(c)``, or
+    ``proots(p', lo, hi)`` where it has none, before the strict interior
+    test."""
+    dc, raw = _derivative_entry(c)
     roots = proots(dc, lo, hi) if raw is None else _window(raw, lo, hi)
     eps = 1e-14 * max(1.0, abs(lo), abs(hi))
     return [x for x in roots if lo + eps < x < hi - eps]
 
 
-def pminmax_on(c: Coeffs, lo: float, hi: float,
-               entry: tuple | None = None) -> tuple[float, float]:
-    """Exact min/max of p over the closed interval [lo, hi]; ``entry`` as
-    in ``pcritical``."""
-    xs = [lo, hi] + pcritical(c, lo, hi, entry)
+def pminmax_on(c: Coeffs, lo: float, hi: float) -> tuple[float, float]:
+    """Exact min/max of p over the closed interval [lo, hi]."""
+    xs = [lo, hi] + pcritical(c, lo, hi)
     vals = [pvalue(c, x) for x in xs]
     return min(vals), max(vals)
 
 
-def pvariation_on(c: Coeffs, lo: float, hi: float,
-                  entry: tuple | None = None) -> float:
+def pvariation_on(c: Coeffs, lo: float, hi: float) -> float:
     """Total variation of p over [lo, hi]: sum of |increments| between
-    consecutive extrema; ``entry`` as in ``pcritical``."""
-    nodes = [lo] + pcritical(c, lo, hi, entry) + [hi]
+    consecutive extrema."""
+    nodes = [lo] + pcritical(c, lo, hi) + [hi]
     total = 0.0
     prev = pvalue(c, nodes[0])
     for x in nodes[1:]:

@@ -7,22 +7,21 @@ cell increment of u.  ``partition_quadrature`` (fixed partitions) and
 ``QuadratureResult``; ``composite_S`` and the oscillation and Holder
 remainder estimates are views of it.  Every cell quantity is computed on
 the cell alone: f and u are restricted to it once.  g's side of a cell,
-its integral against u and its centred sup, is read from the solve
-copies' tables when the closed cell holds no breakpoint of g or u
-(``_g_side``): one antiderivative difference from u's product map and the
-shifted piece's min and max, with no restricted g and no integral
-wrapper.  A cell that holds a breakpoint, or on which a number of that
-path is not finite, restricts g and takes the general path,
-``rs_integral``; both give the same floats.  On either path the centred
-sup comes from g's shifted pieces (``_centred_sup``), with no shifted
-copy of g.  Nothing is derived twice:
+its integral against u and its centred sup, is read from the pieces of g
+and u when the closed cell holds no breakpoint of either (``_g_side``):
+one antiderivative difference and the shifted piece's min and max, with
+no restricted g and no integral wrapper.  A cell that holds a breakpoint,
+or on which a number of that path is not finite, restricts g and takes
+the general path, the closed-form integral of ``rs_integral``; both give
+the same floats.  On either path the centred sup comes from g's shifted
+pieces (``_centred_sup``), with no shifted copy of g.  Nothing is derived
+twice:
 
-- a solve first makes validated copies of f, g and u
-  (``PiecewiseFunction._solve_copy``) that derive each piece's derivative
-  and closed-form critical points once, and u's copy keeps a map of
-  product antiderivatives per pair of pieces; every restriction shares
-  them, so every cell reads them, and the caller's functions are left
-  untouched;
+- each solve keeps one map of product antiderivatives per pair of pieces
+  of (f or g, u), which every cell's integral against u reads;
+- derivatives and closed-form critical points come from ``poly``'s memo,
+  keyed by the coefficients, so a piece, its restrictions and its shifts
+  share them;
 - u is evaluated once at each cell end, and the value is shared by the
   cell state test, the split search and the cell increment;
 - each cell record keeps its restricted f and u until the result is
@@ -44,10 +43,10 @@ import numpy as np
 
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
-from .funcrep import (PiecewiseFunction, RegularityCertificate, _derived,
-                      _inf_sup, _sup_norm, inf_sup_on, require_certificate,
+from .funcrep import (PiecewiseFunction, RegularityCertificate, _inf_sup,
+                      _sup_norm, inf_sup_on, require_certificate,
                       total_variation)
-from .stieltjes import _piece_integral, _same_domain, rs_integral
+from .stieltjes import _piece_integral, _product_core, _same_domain
 
 
 @dataclass(frozen=True)
@@ -161,20 +160,16 @@ class _Cell(NamedTuple):
 
 
 def _centred_sup(g: PiecewiseFunction, bp: tuple, pieces: tuple,
-                 entries: tuple | None, point_values: tuple,
-                 m: float) -> float:
+                 point_values: tuple, m: float) -> float:
     """sup |g - m| over [bp[0], bp[-1]], given the fields of
-    ``g.restrict(bp[0], bp[-1])`` (its breakpoints, pieces, derivative
-    entries or None, and point values): ``sup_norm_on((g - m).restrict(
-    bp[0], bp[-1])).hi`` without forming g - m, its restriction or any
-    function.  A cell end that is not a breakpoint of g takes the value of
-    its shifted piece there.  Only the numbers the shift forms are checked,
-    the constant terms and then the point values, and they raise the
-    DomainError the constructor would.  The shift keeps every derivative
-    entry: a constant shift leaves every derivative unchanged, up to the
-    sign of zero coefficients, which no root or comparison sees.  The
-    general path of ``_solve_cell`` passes a restricted g's fields, and
-    ``_g_side`` those of the one piece holding the cell."""
+    ``g.restrict(bp[0], bp[-1])`` (its breakpoints, pieces and point
+    values): ``sup_norm_on((g - m).restrict(bp[0], bp[-1])).hi`` without
+    forming g - m, its restriction or any function.  A cell end that is
+    not a breakpoint of g takes the value of its shifted piece there.
+    Only the numbers the shift forms are checked, the constant terms and
+    then the point values, and they raise the DomainError the constructor
+    would.  The general path of ``_solve_cell`` passes a restricted g's
+    fields, and ``_g_side`` those of the one piece holding the cell."""
     shifted = tuple(poly.psub(c, (m,)) for c in pieces)
     values = [v - m for v in point_values]
     if g._bp_index(bp[0]) is None:
@@ -185,8 +180,7 @@ def _centred_sup(g: PiecewiseFunction, bp: tuple, pieces: tuple,
         raise DomainError("non-finite coefficient")
     if not all(map(math.isfinite, values)):
         raise DomainError("non-finite point value")
-    return _sup_norm(*_inf_sup(bp, shifted,
-                               entries or (None,) * len(shifted), values)).hi
+    return _sup_norm(*_inf_sup(bp, shifted, values)).hi
 
 
 def _inner_piece(h: PiecewiseFunction, lo: float, hi: float) -> int | None:
@@ -198,24 +192,23 @@ def _inner_piece(h: PiecewiseFunction, lo: float, hi: float) -> int | None:
 
 
 def _g_side(g: PiecewiseFunction, u: PiecewiseFunction, lo: float,
-            hi: float, du: float) -> tuple[float, float] | None:
+            hi: float, du: float,
+            products: dict | None = None) -> tuple[float, float] | None:
     """(integral of g du, sup |g - m|) over the cell [lo, hi], where m is
-    that integral over ``du = u(hi) - u(lo)``, read from the tables of the
-    solve copies g and u when [lo, hi] holds no breakpoint of g and none
-    of u.  The cell then lies inside one piece of each, and the two floats
-    come from the same operations in the same order as
-    ``rs_integral(g.restrict(lo, hi), u.restrict(lo, hi)).value`` and
-    ``_centred_sup`` of that restriction: the antiderivative from u's
-    product map (``stieltjes._piece_integral``), then ``_centred_sup`` on
-    the piece, its derivative entry and its end values, with no restricted
-    g.
+    that integral over ``du = u(hi) - u(lo)``, read from the pieces of g
+    and u when [lo, hi] holds no breakpoint of g and none of u.  The cell
+    then lies inside one piece of each, and the two floats come from the
+    same operations in the same order as ``rs_integral(g.restrict(lo, hi),
+    u.restrict(lo, hi)).value`` and ``_centred_sup`` of that restriction:
+    the antiderivative, from the solve's ``products`` map when given
+    (``stieltjes._piece_integral``), then ``_centred_sup`` on the piece
+    and its end values, with no restricted g.
 
-    None, for the general path, when [lo, hi] holds a breakpoint, when g
-    or u carries no solve tables, or when a number that path forms is not
-    finite; that path then raises where the inputs overflow."""
+    None, for the general path, when [lo, hi] holds a breakpoint, or when
+    a number that path forms is not finite; that path then raises where
+    the inputs overflow."""
     i, j = _inner_piece(g, lo, hi), _inner_piece(u, lo, hi)
-    entries, products = _derived(g)[0], _derived(u)[1]
-    if i is None or j is None or entries is None or products is None:
+    if i is None or j is None:
         return None
     piece = g.pieces[i]
     # the end values g.restrict(lo, hi) checks and carries
@@ -226,39 +219,40 @@ def _g_side(g: PiecewiseFunction, u: PiecewiseFunction, lo: float,
     if i_g is None:
         return None
     try:
-        return i_g, _centred_sup(g, (lo, hi), (piece,), (entries[i],), ends,
-                                 i_g / du)
+        return i_g, _centred_sup(g, (lo, hi), (piece,), ends, i_g / du)
     except DomainError:    # a shifted number, or an enclosure, not finite
         return None
 
 
 def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
                 u: PiecewiseFunction, lo: float, hi: float, u_lo: float,
-                u_hi: float, state: str) -> _Cell:
+                u_hi: float, state: str,
+                products: dict | None = None) -> _Cell:
     """Every quantity of the cell [lo, hi] whose ``_cell_state`` is
     ``state``, given u_lo = u(lo) and u_hi = u(hi); constant and
     degenerate cells get zero terms.  f and u are restricted to the cell
     once.  g's side, its integral against u and its centred sup, is read
-    from the solve tables by ``_g_side`` when the cell holds no breakpoint
-    of g or u; otherwise, or when ``_g_side`` declines, g is restricted
-    too, at the same point, and the side comes from ``rs_integral`` and
-    ``_centred_sup``, bit-identical where both apply.  Raises DomainError
-    when an "ok" cell's term or integral of g du is not finite."""
+    from the pieces by ``_g_side`` when the cell holds no breakpoint of g
+    or u; otherwise, or when ``_g_side`` declines, g is restricted too, at
+    the same point, and the side comes from the closed-form integral and
+    ``_centred_sup``, bit-identical where both apply.  Integrals against u
+    read and fill the solve's ``products`` map, if given.  Raises
+    DomainError when an "ok" cell's term or integral of g du is not
+    finite."""
     if state != "ok":
         return _Cell(lo, hi, 0.0 if state == "constant" else math.inf,
                      state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, None, None)
     f_cell = f.restrict(lo, hi)
-    g_side = _g_side(g, u, lo, hi, u_hi - u_lo)
+    g_side = _g_side(g, u, lo, hi, u_hi - u_lo, products)
     g_cell = g.restrict(lo, hi) if g_side is None else None
     u_cell = u.restrict(lo, hi)
     var_u = total_variation(u_cell).hi
     inf_e, sup_e = inf_sup_on(f_cell)
     osc = sup_e.hi - inf_e.lo
     if g_side is None:
-        i_g = rs_integral(g_cell, u_cell).value
+        i_g = _product_core([g_cell], u_cell, products).value
         sup_g = _centred_sup(g, g_cell.breakpoints, g_cell.pieces,
-                             _derived(g_cell)[0], g_cell.point_values,
-                             i_g / (u_hi - u_lo))
+                             g_cell.point_values, i_g / (u_hi - u_lo))
     else:
         i_g, sup_g = g_side
     term = 0.5 * osc * sup_g * var_u
@@ -270,15 +264,16 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
                  f_cell, u_cell)
 
 
-def _result(u: PiecewiseFunction, cells: list[_Cell]) -> QuadratureResult:
+def _result(u: PiecewiseFunction, cells: list[_Cell],
+            products: dict | None = None) -> QuadratureResult:
     """The result of solved cells, none degenerate, summed in cell order
-    from the cells' restricted f and u; the stated bound is
-    (1/2) max osc * max sup_g * Var(u).  Raises DomainError when the value
-    or a bound is not finite."""
+    from the cells' restricted f and u, with the solve's ``products`` map
+    if given; the stated bound is (1/2) max osc * max sup_g * Var(u).
+    Raises DomainError when the value or a bound is not finite."""
     value = 0.0
     for c in cells:
         if c.state == "ok":
-            i_f = rs_integral(c.f_cell, c.u_cell)
+            i_f = _product_core([c.f_cell], c.u_cell, products)
             value += i_f.value * c.i_g / (c.u_hi - c.u_lo)
     stated = 0.5 * max(c.terms[0] for c in cells) \
         * max(c.terms[1] for c in cells) * total_variation(u).hi
@@ -293,16 +288,6 @@ def _result(u: PiecewiseFunction, cells: list[_Cell]) -> QuadratureResult:
     return QuadratureResult(value, stated, tight, partition, per_cell)
 
 
-def _solve_copies(f: PiecewiseFunction, g: PiecewiseFunction,
-                  u: PiecewiseFunction) -> tuple[PiecewiseFunction, ...]:
-    """The solve's copies of f, g and u, which carry the piece data it
-    derives once, after checking that f and g share u's domain (else
-    DomainError)."""
-    for h in (f, g):
-        _same_domain(h, u)
-    return f._solve_copy(), g._solve_copy(), u._solve_copy()
-
-
 def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                          u: PiecewiseFunction,
                          partition: Partition) -> QuadratureResult:
@@ -315,7 +300,9 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"partition spans [{partition.points[0]!r}, "
                           f"{partition.points[-1]!r}], not u's domain "
                           f"{list(u.domain)!r}")
-    f, g, u = _solve_copies(f, g, u)
+    for h in (f, g):
+        _same_domain(h, u)
+    products: dict = {}
     points = partition.points
     u_at = [u(t) for t in points]
     cells = []
@@ -324,8 +311,9 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         state = _cell_state(u, lo, hi, u_lo, u_hi)
         if state == "degenerate":
             raise DegenerateCell(i, (lo, hi))
-        cells.append(_solve_cell(f, g, u, lo, hi, u_lo, u_hi, state))
-    return _result(u, cells)
+        cells.append(_solve_cell(f, g, u, lo, hi, u_lo, u_hi, state,
+                                 products))
+    return _result(u, cells, products)
 
 
 def composite_S(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -392,12 +380,14 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"tol must be positive, got {tol!r}")
     if max_cells < 1:
         raise DomainError(f"max_cells must be >= 1, got {max_cells!r}")
-    f, g, u = _solve_copies(f, g, u)
+    for h in (f, g):
+        _same_domain(h, u)
+    products: dict = {}
     a, b = u.domain
     u_a, u_b = u(a), u(b)
 
     cells = [_solve_cell(f, g, u, a, b, u_a, u_b,
-                         _cell_state(u, a, b, u_a, u_b))]
+                         _cell_state(u, a, b, u_a, u_b), products)]
     # the cells in cell order and their terms beside them: the stop test
     # sums the terms in cell order, and the worst cell is the first largest.
     # Only the first cell can carry an infinite term (a split is taken only
@@ -434,9 +424,9 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
                                            else tol)
             break
         cells[idx:idx + 1] = (
-            _solve_cell(f, g, u, lo, split, u_lo, u_cand, left),
-            _solve_cell(f, g, u, split, hi, u_cand, u_hi, right))
+            _solve_cell(f, g, u, lo, split, u_lo, u_cand, left, products),
+            _solve_cell(f, g, u, split, hi, u_cand, u_hi, right, products))
         terms[idx:idx + 1] = (cells[idx].term, cells[idx + 1].term)
 
     # the loop ends with no degenerate cell left
-    return _result(u, cells)
+    return _result(u, cells, products)

@@ -9,6 +9,8 @@ the functions restricted by ``PiecewiseFunction.restrict(c, d)``.  Jump
 bookkeeping at the domain ends follows the half-jump convention: at the
 left end only the (value -> right-limit) half counts, at the right end only
 (left-limit -> value), so integrals over adjacent sub-intervals add up.
+``_product_core`` takes an optional map of cell antiderivatives, which one
+quadrature solve keeps for all its cells; without one it forms each afresh.
 ``rs_oracle`` is a slow independent check based on midpoint-tagged
 Stieltjes sums with the jump part split off exactly.
 """
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import poly
 from .errors import DomainError, SharedDiscontinuity
-from .funcrep import PiecewiseFunction, _derived, aligned_pieces
+from .funcrep import PiecewiseFunction, aligned_pieces
 
 _EPS = 2.220446049250313e-16
 
@@ -84,12 +86,12 @@ def _error_bound(value: float, scale: float, fv_worst: float,
 
 
 def _piece_integral(f_piece: tuple, u_piece: tuple, lo: float, hi: float,
-                    products: dict) -> float | None:
+                    products: dict | None = None) -> float | None:
     """``rs_integral(f, u).value`` for f and u that are each one piece on
-    [lo, hi] with no breakpoint there, such as two solve copies restricted
-    to a cell inside a piece of each: the same floats ``_product_core``
-    forms for that one aligned cell, with no jump of u and no slack, and
-    the antiderivative from u's product map.  None where
+    [lo, hi] with no breakpoint there, such as two functions restricted to
+    a cell inside a piece of each: the same floats ``_product_core`` forms
+    for that one aligned cell, with no jump of u and no slack, and the
+    antiderivative from ``products`` as there.  None where
     ``_product_core`` raises: when the value or its error bound is not
     finite."""
     prim = _cell_antiderivative([f_piece, u_piece], True, products)
@@ -102,15 +104,16 @@ def _piece_integral(f_piece: tuple, u_piece: tuple, lo: float, hi: float,
 
 
 def _product_core(factors: list[PiecewiseFunction],
-                  u: PiecewiseFunction | None) -> IntegralResult:
+                  u: PiecewiseFunction | None,
+                  products: dict | None = None) -> IntegralResult:
     """Closed-form integral of (prod factors) du over the domain, or of
     (prod factors) dt when u is None: the product is formed on the
     coefficients of each aligned cell and integrated exactly, and every
-    jump of u adds the factors' point values times its mass.  When u
-    carries a product map (``PiecewiseFunction._solve_copy``), each
-    cell's antiderivative is looked up there by its pieces and formed
-    only on the first miss, then evaluated at the cell ends exactly as
-    ``poly.pintegrate`` evaluates it.
+    jump of u adds the factors' point values times its mass.  With a
+    product map, kept by the caller for integrals against pieces of one
+    u, each cell's antiderivative is looked up there by its pieces and
+    formed only on the first miss; either way it is evaluated at the cell
+    ends exactly as ``poly.pintegrate`` evaluates it.
 
     Raises DomainError when the value or its error bound is not finite."""
     ref = factors[0] if u is None else u
@@ -120,7 +123,6 @@ def _product_core(factors: list[PiecewiseFunction],
         _check_shared_jumps(factors, u)
     value = 0.0
     scale = 0.0
-    products = None if u is None else _derived(u)[1]
     for lo, hi, *pcs in aligned_pieces(*factors, *([] if u is None else [u])):
         prim = _cell_antiderivative(pcs, u is not None, products)
         term = poly.pvalue(prim, hi) - poly.pvalue(prim, lo)

@@ -173,15 +173,18 @@ def _holder_lipschitz_t(fractional: bool):
 
 
 def _weighted_sample(which: str):
-    weight = _nonneg_weight if which in {"item2", "item5"} else _signed_weight
-    if which == "item3":
-        f_make = _bounded(_jumpy)
-    elif which in {"item1", "item2"}:
-        f_make = _bounded(_continuous)
-    else:
+    """The sampler of a weighted item, from its ``bnd._WEIGHT_ITEMS`` row:
+    a jumping bounded f where u is Lipschitz, as for thm_2_3a, and p
+    choices for the one bound with a p-norm tier."""
+    kind, u_class, bound = bnd._WEIGHT_ITEMS[which]
+    weight = _nonneg_weight if u_class == "monotone" else _signed_weight
+    if kind == "holder":
         f_make = _holder(True)
+    else:
+        f_make = _bounded(_jumpy if u_class == "lipschitz" else _continuous)
     return _draw(("g", _continuous), ("w", weight), ("f", f_make),
-                 p_choices=(1.5, 2.0, 3.0) if which == "item6" else None)
+                 p_choices=(1.5, 2.0, 3.0)
+                 if bound is bnd.bound_T_holder_lipschitz else None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +200,12 @@ def _fu(s: ParsedSpec):
 
 
 def _weighted_eval(which: str):
+    kind = bnd._WEIGHT_ITEMS[which][0]
+
     def evaluate(s: ParsedSpec, p):
         f, g, w = s.require("f"), s.require("g"), s.require("w")
-        if which in {"item1", "item2", "item3"}:
-            return [bnd.weighted_bounds(f, g, w, which,
-                                        f_bounds=s.cert("f", "bounds"))]
-        return [bnd.weighted_bounds(f, g, w, which,
-                                    f_holder=s.cert("f", "holder"), p=p)]
+        return [bnd.weighted_bounds(f, g, w, which, p=p,
+                                    **{f"f_{kind}": s.cert("f", kind)})]
     return evaluate
 
 

@@ -3,7 +3,15 @@ import sys
 
 import pytest
 
+from grusskit import poly
 from grusskit.funcrep import PiecewiseFunction
+
+
+@pytest.fixture(autouse=True)
+def _empty_derivative_memo():
+    """Every test starts with an empty ``poly`` derivative memo, so exact
+    derivation counts do not depend on which tests ran before."""
+    poly._tail_entry.cache_clear()
 
 
 @pytest.fixture

@@ -101,6 +101,27 @@ class TestSchema:
             jsonio.parse_document(doc)
         assert "f.values.5" in str(exc.value)
 
+    @pytest.mark.parametrize("values", [
+        {"1": 5.0, "01": 7.0}, {"01": 7.0}, {" 1 ": 7.0}, {"-0": 7.0},
+        {"+1": 7.0}])
+    def test_value_index_has_one_spelling(self, values):
+        # only str(i), as function_to_jsonable writes it, names index i
+        doc = {"domain": [0.0, 1.0],
+               "f": {"breakpoints": [0.0, 1.0],
+                     "pieces": [{"coeffs": [0.0]}], "values": values}}
+        bad = [key for key in values if key != "1"]
+        with pytest.raises(SchemaError) as exc:
+            jsonio.parse_document(doc)
+        assert str(exc.value).startswith(f"f.values.{bad[0]}: ")
+
+    def test_unknown_piece_key_rejected(self):
+        doc = {"domain": [0.0, 1.0],
+               "f": {"breakpoints": [0.0, 1.0],
+                     "pieces": [{"coeffs": [0.0, 1.0], "extra": 1}]}}
+        with pytest.raises(SchemaError) as exc:
+            jsonio.parse_document(doc)
+        assert str(exc.value) == "f.pieces[0]: unknown keys ['extra']"
+
 
 # a function with a "values" key whose breakpoints or degree its build
 # rejects: the failure is a SchemaError on the slot, as without "values"
@@ -493,6 +514,19 @@ class TestBoundDispatch:
         assert captured.out == ""
         assert "input error: certificates.f" in captured.err
 
+    def test_nan_certificate_parameter_is_an_input_error(self, capsys):
+        # json.loads reads the NaN token; the certificate must refuse it
+        # rather than verify it and report a null rhs
+        doc = json.dumps({"domain": [0.0, 1.0], "f": LINE, "u": LINE,
+                          "certificates": [_cert("f", "lipschitz",
+                                                 math.nan)]})
+        assert "NaN" in doc
+        code = run(["bound", "--theorem", "thm_a_2", "--json", doc])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("input error: certificates[0]: ")
+
     @pytest.mark.parametrize("theorem", ["cor_a_7", "thm_a_6_i"])
     def test_jumping_integrator_is_refused(self, theorem, capsys):
         code = run(["bound", "--theorem", theorem, "--json",
@@ -630,32 +664,32 @@ def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
     # f and u restricted once per cell and g on the 33 cells that hold a
     # breakpoint of g or u (the cells at 0 and 1, the two meeting at 0.5
     # and, from n = 16 on, the one holding 0.6: 4 + 4 + 5 * 5), one sided
-    # table per function, and u (each solve's copy) evaluated once per
-    # cell end of each partition
+    # table per function, and u evaluated once per cell end of each
+    # partition
     assert assert_derived_once(derived, in_result) == [
         t for n in ns for t in quadrature.Partition.uniform(0.0, 1.0, n).points]
-    assert counts["rs_integral"] == cells + 33
+    # the cells' integrals read the solve's product map, not rs_integral
+    assert counts["rs_integral"] == 0
+    assert sum(len(args) > 2 and args[2] is not None
+               for args in derived.args["_product_core"]) == cells + 33
 
 
 def test_quad_sweep_work_budget(count_calls, capsys):
-    # exact counts of the derivation helpers over the seven solves: each
-    # solve derives one entry per piece of its three copies (6 pieces),
-    # and the 16 further entries come from the certificate check
+    # exact counts of the derivation helpers over the seven solves, from
+    # an empty derivative memo: one derivation (memo miss) per distinct
+    # piece tail of f, g and u (6) and of the certificate check's f'
+    # (1), shared by every solve; one pderiv per derivation and one per
+    # product antiderivative (48 over the seven per-solve maps)
     from grusskit import poly
     counts = count_calls(poly.proots, poly.pderiv, poly.pmul,
-                         poly._derivative_entry,
-                         funcrep.PiecewiseFunction._solve_copy,
                          funcrep.PiecewiseFunction.restrict,
                          stieltjes._product_core)
     assert run(["quad", "--sweep", "4:256",
                 "--json", json.dumps(QUAD_SPEC_HOLDER)]) == 0
     capsys.readouterr()
-    copied = counts.args["_solve_copy"]
-    assert len(copied) == 3 * 7
-    assert sum(len(args[0].pieces) for args in copied) == 7 * 6
-    assert counts["_derivative_entry"] == 7 * 6 + 16
+    assert poly._tail_entry.cache_info().misses == 7
     assert counts["proots"] == 0
-    assert counts["pderiv"] == 106
+    assert counts["pderiv"] == 7 + 48
     assert counts["pmul"] == 50
     # and of the cell work over the 508 cells: f and u restricted on each,
     # g on the 33 that hold a breakpoint of g or u; one integral of f du

@@ -239,12 +239,17 @@ class TestCertificates:
         assert "jump" in chk.detail
 
     def test_malformed(self):
-        with pytest.raises(MalformedCertificate):
-            RegularityCertificate.bounds(1.0, 0.0)
-        with pytest.raises(MalformedCertificate):
-            RegularityCertificate.holder(1.0, 0.0)
-        with pytest.raises(MalformedCertificate):
-            RegularityCertificate.lipschitz(-1.0)
+        nan = math.nan
+        for make in (lambda: RegularityCertificate.bounds(1.0, 0.0),
+                     lambda: RegularityCertificate.holder(1.0, 0.0),
+                     lambda: RegularityCertificate.lipschitz(-1.0),
+                     lambda: RegularityCertificate.lipschitz(nan),
+                     lambda: RegularityCertificate.holder(nan, 0.5),
+                     lambda: RegularityCertificate.holder(1.0, nan),
+                     lambda: RegularityCertificate.bounded_variation(nan),
+                     lambda: RegularityCertificate.bounds(nan, 1.0)):
+            with pytest.raises(MalformedCertificate):
+                make()
 
 
 class TestPNorm:

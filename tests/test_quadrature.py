@@ -362,12 +362,12 @@ class TestAdaptive:
         # cells evaluated 2n - 1 cells in the loop: one integral of g du
         # per evaluated cell, then one of f du per final cell
         calls = [0]
-        counted = quadrature.rs_integral
+        counted = quadrature._product_core
 
-        def rs_integral(*args, **kwargs):
+        def product_core(*args, **kwargs):
             calls[0] += 1
             return counted(*args, **kwargs)
-        monkeypatch.setattr(quadrature, "rs_integral", rs_integral)
+        monkeypatch.setattr(quadrature, "_product_core", product_core)
         for f, g, u, tol in ADAPTIVE_PROBLEMS:
             calls[0] = 0
             n = adaptive_quadrature(f, g, u, tol, max_cells=128).partition.n
@@ -463,9 +463,9 @@ def derive_once_counts(count_calls, monkeypatch, solve):
     in_result = []
     inner = quadrature._result
 
-    def result(u, cells):
+    def result(u, cells, products=None):
         restricts, cores = counts["restrict"], counts["_product_core"]
-        out = inner(u, cells)
+        out = inner(u, cells, products)
         in_result.append((counts["restrict"] - restricts,
                           counts["_product_core"] - cores,
                           sum(c.state == "ok" for c in cells)))
@@ -478,10 +478,10 @@ def derive_once_counts(count_calls, monkeypatch, solve):
 def assert_derived_once(counts, in_result) -> list[float]:
     """Check the restrict, _product_core and sided-table counts of
     ``derive_once_counts`` and return the points at which u was evaluated,
-    in call order; f, g and u are each solve's copies of them, the ones
-    that the solve passes to ``_solve_cell``."""
+    in call order; f, g and u are the ones that the solve passes to
+    ``_solve_cell``."""
     solved = counts.args["_solve_cell"]
-    assert solved and all(args[-1] == "ok" for args in solved)
+    assert solved and all(args[7] == "ok" for args in solved)
 
     def restricted(slot):
         copies = {id(args[slot]) for args in solved}
@@ -496,20 +496,19 @@ def assert_derived_once(counts, in_result) -> list[float]:
     assert restricted(0) == cells and restricted(2) == cells
     assert restricted(1) == fallback
     assert counts["restrict"] == 2 * len(cells) + len(fallback)
-    # integrals against the solve's u (the one u carrying a product map):
-    # of g du on each fallback cell, and of f du on each final "ok" cell,
-    # summed in _result
+    # integrals that read a solve's product map: of g du on each fallback
+    # cell, and of f du on each final "ok" cell, summed in _result
     assert in_result and all(restricts == 0 and cores == ok
                              for restricts, cores, ok in in_result)
     against_u = [args for args in counts.args["_product_core"]
-                 if funcrep._derived(args[1])[1] is not None]
+                 if len(args) > 2 and args[2] is not None]
     assert len(against_u) == len(fallback) + sum(ok for *_, ok in in_result)
     # at most one sided table per function instance
     built = [id(args[0]) for args in counts.args["_sided_table"]]
     assert len(built) == len(set(built))
-    u_copies = {id(args[2]) for args in solved}
+    us = {id(args[2]) for args in solved}
     u_points = [args[1] for args in counts.args["eval_sided"]
-                if id(args[0]) in u_copies]
+                if id(args[0]) in us]
     assert set(u_points) <= {t for args in solved for t in args[3:5]}
     return u_points
 
@@ -575,22 +574,23 @@ def test_g_side_equals_the_general_path(seed, kind):
     du = u(hi) - u(lo)
     if du == 0.0:
         return
-    side = quadrature._g_side(g._solve_copy(), u._solve_copy(), lo, hi, du)
-    # declines exactly on a cell holding a breakpoint of g or u, and on
-    # functions without solve tables
+    products = {}
+    side = quadrature._g_side(g, u, lo, hi, du, products)
+    # declines exactly on a cell holding a breakpoint of g or u
     assert (side is None) == any(lo <= t <= hi for t in g.breakpoints
                                  + u.breakpoints)
-    assert quadrature._g_side(g, u, lo, hi, du) is None
     if side is None:
         return
-    # the general path, on copies whose product map the side did not fill
-    gr, ur = g._solve_copy(), u._solve_copy()
-    g_cell = gr.restrict(lo, hi)
-    i_g = rs_integral(g_cell, ur.restrict(lo, hi)).value
+    # the general path, and the side without a map and from the map the
+    # first call filled
+    g_cell = g.restrict(lo, hi)
+    i_g = rs_integral(g_cell, u.restrict(lo, hi)).value
     want = (i_g, quadrature._centred_sup(
-        gr, g_cell.breakpoints, g_cell.pieces, funcrep._derived(g_cell)[0],
-        g_cell.point_values, i_g / du))
-    assert list(map(float.hex, side)) == list(map(float.hex, want))
+        g, g_cell.breakpoints, g_cell.pieces, g_cell.point_values, i_g / du))
+    assert len(products) == 1
+    for got in (side, quadrature._g_side(g, u, lo, hi, du),
+                quadrature._g_side(g, u, lo, hi, du, products)):
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
 
 
 def test_g_side_falls_back_where_g_restricts():
@@ -600,10 +600,10 @@ def test_g_side_falls_back_where_g_restricts():
     # was read from the tables
     g = PiecewiseFunction((0.0, 5.0), ((0.0, 0.0, 1e307),), (0.0, 0.0))
     u = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 5.0)
-    f, g, u = (h._solve_copy() for h in (u, g, u))    # f = u = t
-    assert quadrature._g_side(g, u, 4.4, 4.6, u(4.6) - u(4.4)) is None
+    assert quadrature._g_side(g, u, 4.4, 4.6, u(4.6) - u(4.4), {}) is None
     with pytest.raises(DomainError, match="non-finite point value"):
-        quadrature._solve_cell(f, g, u, 4.4, 4.6, u(4.4), u(4.6), "ok")
+        quadrature._solve_cell(u, g, u, 4.4, 4.6, u(4.4), u(4.6), "ok",
+                               {})    # f = u = t
 
 
 def _list_order_adaptive(f, g, u, tol, max_cells):
@@ -683,69 +683,66 @@ class TestRefinementLoop:
                                                     8)) == want
 
 
-def _fresh(h):
-    return PiecewiseFunction(h.breakpoints, h.pieces, h.point_values)
+FIELDS = {"breakpoints", "pieces", "point_values"}
 
 
 class TestSolveScope:
-    """Only the copies a solve makes carry derived piece data."""
+    """A solve leaves no derived data on any function: piece derivatives
+    live in ``poly``'s memo and the product map in the solve."""
 
     def test_caller_functions_carry_no_table(self):
-        f, g, u = _fresh(DERIVE_F), _fresh(DERIVE_G), _fresh(DERIVE_U)
-        adaptive_quadrature(f, g, u, 1e-5)
-        partition_quadrature(f, g, u, Partition.uniform(0.0, 1.0, 9))
-        for h in (f, g, u):
-            assert "_derived" not in vars(h)
-            assert h.restrict(0.25, 0.75).__dict__.get("_derived") is None
+        adaptive_quadrature(DERIVE_F, DERIVE_G, DERIVE_U, 1e-5)
+        partition_quadrature(DERIVE_F, DERIVE_G, DERIVE_U,
+                             Partition.uniform(0.0, 1.0, 9))
+        for h in (DERIVE_F, DERIVE_G, DERIVE_U):
+            assert set(vars(h)) <= FIELDS | {"_sided"}
+            assert set(vars(h.restrict(0.25, 0.75))) == FIELDS
 
-    def test_restrict_without_a_table_builds_none(self, count_calls):
-        counts = count_calls(poly._derivative_entry)
+    def test_restrict_without_a_table_builds_none(self):
         cell = DERIVE_U.restrict(0.2, 0.7)
-        assert "_derived" not in vars(cell) and counts["_derivative_entry"] == 0
+        assert set(vars(cell)) == FIELDS
+        assert poly._tail_entry.cache_info().misses == 0
 
-    def test_restrict_slices_the_table_and_shares_the_map(self):
-        u = DERIVE_U._solve_copy()
-        entries, products = vars(u)["_derived"]
-        for lo, hi, first, last in ((0.1, 0.5, 0, 1), (0.5, 0.9, 0, 2),
-                                    (0.6, 1.0, 1, 2)):
-            cell = u.restrict(lo, hi)
-            cell_entries, cell_products = vars(cell)["_derived"]
-            assert cell_entries == entries[first:last]
-            assert cell_products is products
-        assert u == DERIVE_U and hash(u) == hash(DERIVE_U)
-        assert repr(u) == repr(DERIVE_U)
+    def test_restrictions_and_shifts_share_one_entry(self):
+        entries = [poly._derivative_entry(c) for c in DERIVE_G.pieces]
+        for lo, hi in ((0.1, 0.5), (0.5, 0.9), (0.6, 1.0), (0.2, 0.3)):
+            cell = DERIVE_G.restrict(lo, hi)
+            for c in cell.pieces:
+                shifted = poly.psub(c, (0.375,))
+                assert poly._derivative_entry(shifted) \
+                    is poly._derivative_entry(c) \
+                    is entries[DERIVE_G.pieces.index(c)]
+        assert poly._tail_entry.cache_info().misses == len(entries)
 
-    def test_battery_builds_tables_only_for_quadrature(self, count_calls):
-        counts = count_calls(PiecewiseFunction._solve_copy,
-                             partition_quadrature)
+    def test_battery_solves_leave_only_the_sided_memo(self, count_calls):
+        counts = count_calls(partition_quadrature,
+                             PiecewiseFunction.restrict)
         for tid in battery.THEOREM_IDS:
-            before = dict(counts)
+            before = counts["partition_quadrature"]
             battery.THEOREMS[tid](random.Random(f"0:{tid}:0"))
-            solves = counts["partition_quadrature"] \
-                - before["partition_quadrature"]
-            # three copies per quadrature solve, none anywhere else
-            assert counts["_solve_copy"] - before["_solve_copy"] \
-                == 3 * solves
-            assert solves == (tid == "thm_3_2a")
-        for args in counts.args["_solve_copy"]:
-            assert "_derived" not in vars(args[0])
+            assert (counts["partition_quadrature"] > before) \
+                == (tid == "thm_3_2a")
+        solved = [h for args in counts.args["partition_quadrature"]
+                  for h in args[:3]]
+        restricted = [args[0] for args in counts.args["restrict"]]
+        assert solved
+        for h in solved + restricted:
+            assert set(vars(h)) <= FIELDS | {"_sided"}
 
 
 class TestWorkBudget:
-    """Exact call counts of the derivation helpers for one fixed solve:
-    a drop in table reuse shows up as a changed count."""
+    """Exact call counts of the derivation helpers for one fixed solve,
+    from an empty derivative memo: a drop in reuse shows up as a changed
+    count."""
 
     def test_adaptive_solve(self, count_calls):
-        counts = count_calls(poly.proots, poly.pderiv, poly.pmul,
-                             poly._derivative_entry,
-                             PiecewiseFunction._solve_copy)
+        counts = count_calls(poly.proots, poly.pderiv, poly.pmul)
         res = adaptive_quadrature(DERIVE_F, DERIVE_G, DERIVE_U, 1e-5)
         assert res.partition.n == 162
         pieces = sum(len(h.pieces) for h in (DERIVE_F, DERIVE_G, DERIVE_U))
-        # one derivative entry per piece of the three solve copies, and
-        # nothing else derives critical points
-        assert counts["_solve_copy"] == 3
-        assert counts["_derivative_entry"] == pieces == 6
+        # one derivation (memo miss) per piece of f, g and u, whose cells
+        # and shifts reuse it, and nothing else derives critical points
+        assert poly._tail_entry.cache_info().misses == pieces == 6
         assert counts["proots"] == 0
         # one pderiv per entry, and one per product antiderivative
         assert counts["pderiv"] == 12
