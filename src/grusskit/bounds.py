@@ -2,11 +2,12 @@
 
 Each operation returns a :class:`BoundReport` with the functional magnitude
 (lhs), the bound value (rhs, tightest tier first), the tightness ratio
-lhs/rhs and a conservative ``holds`` verdict.  Certificates are re-verified
-against their functions before use; integrals with |.| factors are split at
-certified sign changes so that every bound value is a closed form wherever
-one exists.  Divided-difference integrals that have no closed form go
-through ``funcrep.integrate_against`` (doubled Gauss panels, split at the
+lhs/rhs and a conservative ``holds`` verdict, all decided by the one rule
+``_mk_report``.  Certificates are re-verified against their functions
+before use; integrals with |.| factors are split at certified sign changes
+so that every bound value is a closed form wherever one exists.
+Divided-difference integrals that have no closed form go through
+``funcrep.integrate_against`` (doubled Gauss panels, split at the
 breakpoints and in-piece roots of the kernel numerator), whose residual is
 discarded: it does not enter the report tolerance.  Every
 divided-difference bound builds the kernel numerator ``gamma_kernel(u)``
@@ -68,27 +69,30 @@ def _mk_report(theorem_id: str, lhs: float, lhs_err: float,
                tiers: list[tuple[str, float]],
                digest: list[tuple[str, str]],
                mode: str = "chain",
-               extras: tuple[tuple[str, float], ...] = ()) -> BoundReport:
-    """mode: 'chain'  tiers must be nondecreasing;
-             'fan'    tiers[0] must not exceed any later tier;
-             'min'    unordered variants, rhs = smallest."""
+               extras: tuple[tuple[str, float], ...] = (),
+               rhs: float | None = None,
+               premise: bool = True) -> BoundReport:
+    """The one verdict rule: ``holds`` iff ``premise`` (a hypothesis the
+    caller checked) and lhs and the tiers keep their order within
+    tol = lhs_err + 1e-9 * max(1, |lhs|, |tiers|).
+
+    mode: 'chain'   tiers must be nondecreasing;
+          'fan'     tiers[0] must not exceed any later tier;
+          'refine'  no later tier may exceed tiers[0];
+          'min'     unordered variants, rhs = smallest.
+    rhs defaults to tiers[0] (the smallest in 'min'); ratio = lhs / rhs."""
     values = [v for _, v in tiers]
     scale = max([1.0, abs(lhs)] + [abs(v) for v in values])
     tol = lhs_err + 1e-9 * scale
-    if mode == "min":
-        rhs = min(values)
-    else:
-        rhs = values[0]
-    holds = all(lhs <= v + tol for v in values)
-    if mode == "chain":
-        holds = holds and all(values[i] <= values[i + 1] + tol
-                              for i in range(len(values) - 1))
-    elif mode == "fan":
-        holds = holds and all(values[0] <= v + tol for v in values[1:])
-    if rhs > tol:
-        ratio = lhs / rhs
-    else:
-        ratio = 0.0 if lhs <= tol else math.inf
+    if rhs is None:
+        rhs = min(values) if mode == "min" else values[0]
+    order = {"chain": zip(values, values[1:]),
+             "fan": ((values[0], v) for v in values[1:]),
+             "refine": ((v, values[0]) for v in values[1:]),
+             "min": ()}[mode]
+    pairs = [(lhs, v) for v in values] + list(order)
+    holds = premise and all(x <= y + tol for x, y in pairs)
+    ratio = lhs / rhs if rhs > tol else 0.0 if lhs <= tol else math.inf
     return BoundReport(theorem_id, lhs, rhs, ratio, holds,
                        tuple(digest), tuple(tiers), tuple(extras), lhs_err)
 
@@ -120,9 +124,11 @@ def _monotone_span(u: PiecewiseFunction) -> float:
 
 
 def _conjugate(p: float) -> float:
-    """The conjugate exponent q = p/(p-1) of an L^p branch, p > 1."""
-    if p <= 1.0:
-        raise BadExponent("p-branch needs p > 1")
+    """The conjugate exponent q = p/(p-1) of an L^p branch, the one check
+    of an exponent: p must be finite and > 1, else BadExponent.  The
+    p = 1 and p = inf ends are the branches' own L^1 and sup tiers."""
+    if not 1.0 < p < math.inf:
+        raise BadExponent(f"p-branch needs a finite p > 1, got {p!r}")
     return p / (p - 1.0)
 
 
@@ -232,10 +238,8 @@ def _delta_cuts(N: PiecewiseFunction) -> list[float]:
 
 
 def delta_norm(N: PiecewiseFunction, p: float) -> float:
-    """L^p norm (dt) of delta over (a, b) from its numerator N, p >= 1;
-    the sup is ``sup_abs_delta``."""
-    if p < 1.0:
-        raise BadExponent("p must be >= 1")
+    """L^p norm (dt) of delta over (a, b) from its numerator N, for p = 1
+    or a p that ``_conjugate`` passed; the sup is ``sup_abs_delta``."""
     dfn = _delta_fn(N)
     ident = PiecewiseFunction.from_coeffs((0.0, 1.0), N.a, N.b)
     total = integrate_against(lambda ts: np.abs(dfn(ts)) ** p, ident,
@@ -335,7 +339,9 @@ def bound_T_holder_lipschitz(f: PiecewiseFunction, g: PiecewiseFunction,
                              f_holder: RegularityCertificate,
                              u_lipschitz: RegularityCertificate,
                              p: float | None = None) -> BoundReport:
-    """First tier plus the sup / L^p / L^1 norm branches."""
+    """First tier plus the sup / L^p / L^1 norm branches; the L^p branch
+    runs when p is given, and p must be finite and > 1 (``_conjugate``):
+    its ends are the sup and L^1 tiers."""
     require_certificate(f, f_holder, "f")
     require_certificate(u, u_lipschitz, "u")
     span = integrator_span(u)
@@ -350,7 +356,7 @@ def bound_T_holder_lipschitz(f: PiecewiseFunction, g: PiecewiseFunction,
     sup_g = sup_norm_on(G).hi
     tiers.append(("sup", H * K * width ** (r + 1.0)
                   / (2.0 ** r * (r + 1.0) * abs(span)) * sup_g))
-    if p is not None and p != math.inf and p != 1.0:
+    if p is not None:
         q = _conjugate(p)
         tiers.append(("p_norm", H * K * width ** (r + 1.0 / q)
                       / (2.0 ** r * (q * r + 1.0) ** (1.0 / q) * abs(span))
@@ -620,16 +626,9 @@ def positivity_check_D(f: PiecewiseFunction,
                                "divided-difference gap is negative")
     inner = abs(_signed_gap_integral(f, u)) / width
     D = functional_D(f, u)
-    tol = D.abs_error + 1e-9 * max(1.0, abs(D.value), inner)
-    holds = (D.value >= inner - tol) and (inner >= -tol)
-    if D.value > tol:
-        ratio = inner / D.value
-    else:
-        ratio = 0.0 if inner <= tol else math.inf
-    return BoundReport("thm_a_11", inner, D.value, ratio, holds,
-                       (("f", "monotone()"), ("u", "delta>=0")),
-                       (("lower_bound", inner), ("functional", D.value)),
-                       (), D.abs_error)
+    return _mk_report("thm_a_11", inner, D.abs_error,
+                      [("lower_bound", inner), ("functional", D.value)],
+                      [("f", "monotone()"), ("u", "delta>=0")], rhs=D.value)
 
 
 def _signed_gap_integral(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
@@ -666,14 +665,12 @@ def _corrected_report(theorem_id: str, f: PiecewiseFunction,
     extra ``name``; a C below zero beyond rounding fails the report."""
     span = u(u.b) - u(u.a)
     D = functional_D(f, u)
-    rep = _mk_report(theorem_id, abs(D.value), D.abs_error,
-                     [("corrected", factor * (span - C)),
-                      ("plain", factor * span)],
-                     [("f", f_cert.describe()), ("u", "monotone()")],
-                     extras=((name, C),))
-    if C < -1e-9 * (1.0 + abs(span)):
-        rep = replace(rep, holds=False)
-    return rep
+    return _mk_report(theorem_id, abs(D.value), D.abs_error,
+                      [("corrected", factor * (span - C)),
+                       ("plain", factor * span)],
+                      [("f", f_cert.describe()), ("u", "monotone()")],
+                      extras=((name, C),),
+                      premise=C >= -1e-9 * (1.0 + abs(span)))
 
 
 def bound_D_monotone_K(f: PiecewiseFunction, u: PiecewiseFunction,
@@ -713,16 +710,14 @@ def bound_quadrature_remainder(f: PiecewiseFunction, g: PiecewiseFunction,
                                partition: Partition) -> BoundReport:
     """|integral of f g du - composite_S| <= the oscillation-form remainder
     estimate; holds also requires the per-cell sum not to exceed it."""
-    exact = rs_product_integral([f, g], u).value
+    exact = rs_product_integral([f, g], u)
     res = partition_quadrature(f, g, u, partition)
-    stated, tight = res.remainder_bound, res.tight_bound
-    lhs = abs(exact - res.value)
-    tol = 1e-9 * max(1.0, stated)
-    holds = lhs <= tight + tol and tight <= stated + tol
-    ratio = lhs / stated if stated > tol else 0.0
-    return BoundReport("thm_3_2a", lhs, stated, ratio, holds,
-                       (("f", "continuous"), ("g", "continuous")),
-                       (("stated", stated), ("tight", tight)))
+    return _mk_report("thm_3_2a", abs(exact.value - res.value),
+                      exact.abs_error,
+                      [("stated", res.remainder_bound),
+                       ("tight", res.tight_bound)],
+                      [("f", "continuous"), ("g", "continuous")],
+                      mode="refine")
 
 
 def ostrowski_pointwise(f: PiecewiseFunction, x: float, kind: str,

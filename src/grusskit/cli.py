@@ -143,12 +143,8 @@ def _cmd_quad(args) -> int:
             raise SchemaError("partition", "expected uniform:<n>")
         (n,) = _counts("partition", count, 1, "uniform:<n>")
         res = partition_quadrature(f, g, u, Partition.uniform(a, b, n))
-        results["quadrature"] = {
-            "value": res.value,
-            "remainder_bound": res.remainder_bound,
-            "tight_bound": res.tight_bound,
-            "partition": list(res.partition.points),
-        }
+        results["quadrature"] = jsonio.quadrature_to_jsonable(
+            res, per_cell=False)
     else:
         res = adaptive_quadrature(f, g, u, args.tol, args.max_cells)
         results["quadrature"] = jsonio.quadrature_to_jsonable(res)

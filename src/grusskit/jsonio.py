@@ -103,10 +103,6 @@ def parse_function(obj, domain: tuple[float, float],
                                   f"to {len(bps) - 1} in plain decimal")
             values[indices[key]] = _number(val, f"{path}.values.{key}")
     try:
-        if values is not None and None in values:
-            defaults = PiecewiseFunction.build(bps, pieces).point_values
-            values = [d if v is None else v
-                      for v, d in zip(values, defaults)]
         return PiecewiseFunction.build(bps, pieces, values)
     except DomainError as exc:
         raise SchemaError(path, str(exc)) from None
@@ -220,14 +216,13 @@ def bound_report_to_jsonable(rep) -> dict:
     }
 
 
-def quadrature_to_jsonable(res) -> dict:
-    return {
-        "value": res.value,
-        "remainder_bound": res.remainder_bound,
-        "tight_bound": res.tight_bound,
-        "partition": list(res.partition.points),
-        "per_cell": res.per_cell.tolist(),
-    }
+def quadrature_to_jsonable(res, per_cell: bool = True) -> dict:
+    doc = {"value": res.value, "remainder_bound": res.remainder_bound,
+           "tight_bound": res.tight_bound,
+           "partition": list(res.partition.points)}
+    if per_cell:
+        doc["per_cell"] = res.per_cell.tolist()
+    return doc
 
 
 def _finite_or_null(obj):

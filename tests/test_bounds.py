@@ -18,11 +18,13 @@ from grusskit.bounds import (beta_int, bound_D_corollaries, bound_D_kernel,
                              bound_D_prior, bound_T_bv, bound_T_holder_bv,
                              bound_T_holder_lipschitz,
                              bound_T_holder_monotone, bound_T_lipschitz_u,
-                             bound_T_monotone, delta_norm,
-                             ostrowski_pointwise, positivity_check_D,
+                             bound_T_monotone, bound_quadrature_remainder,
+                             delta_norm, ostrowski_pointwise,
+                             positivity_check_D,
                              sup_abs_delta, weighted_bounds)
 from grusskit.functionals import gamma_kernel
 from grusskit.stieltjes import riemann_integral
+from grusskit.theorems import THEOREMS
 
 
 B = RegularityCertificate.bounds
@@ -467,6 +469,31 @@ class TestPositivity:
         rep = positivity_check_D(ident, u)
         assert rep.holds
         assert rep.inputs_digest == (("f", "monotone()"), ("u", "delta>=0"))
+
+
+class TestQuadratureRemainderReport:
+    # seed 0, trial 7 of thm_3_2a has a constant g, so the exact remainder
+    # of the product-mean rule is 0
+    @staticmethod
+    def _trial_7():
+        rng = random.Random("0:thm_3_2a:7")
+        spec, part = THEOREMS["thm_3_2a"].sample(rng)
+        f, g, u = (spec.functions[k] for k in "fgu")
+        assert g.pieces == ((g.point_values[0],),) and g.is_continuous()
+        return f, g, u, part
+
+    def test_lhs_enclosure_contains_the_exact_remainder(self):
+        rep = bound_quadrature_remainder(*self._trial_7())
+        assert rep.lhs_error > 0.0
+        assert rep.lhs - rep.lhs_error <= 0.0 <= rep.lhs + rep.lhs_error
+        assert rep.holds
+
+    def test_g_scaled_by_two_to_the_sixty_holds(self):
+        # the scaling is exact; the integral's error scales with it
+        f, g, u, part = self._trial_7()
+        rep = bound_quadrature_remainder(f, g * 2.0 ** 60, u, part)
+        assert rep.lhs_error > 0.0
+        assert rep.holds
 
 
 class TestOneKernelBuild:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
@@ -547,6 +548,36 @@ class TestBoundDispatch:
         assert dict(rep["tiers"])["p_norm"] > 0.0
         assert rep["holds"]
 
+    @pytest.mark.parametrize("p", ["nan", "inf", "1", "0.5"])
+    @pytest.mark.parametrize("theorem", ["thm_2_5", "cor_2_6", "item_6",
+                                         "cor_a_8", "cor_a_9"])
+    def test_exponent_outside_the_p_branches_is_refused(self, theorem, p,
+                                                        capsys):
+        # every L^p branch takes a finite p > 1; its ends are the L^1 and
+        # sup tiers
+        slots, certs, _ = THEOREM_SPECS[theorem]
+        doc = {"domain": [0.0, 1.0], **slots, "certificates": certs}
+        code = run(["bound", "--theorem", theorem, "--p", p,
+                    "--json", json.dumps(doc)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "BadExponent" in captured.err
+
+    @pytest.mark.parametrize("p", ["4", "10", "50", "1e308"])
+    def test_fractional_holder_bound_holds_at_large_p(self, p, capsys):
+        doc = {"domain": [0.0, 1.0], "f": LINE, "g": LINE, "u": LINE,
+               "certificates": [_cert("f", "holder", 1.0, 0.5),
+                                _cert("u", "lipschitz", 1.0)]}
+        start = time.perf_counter()
+        code, report = run_capture(["bound", "--theorem", "thm_2_5", "--p",
+                                    p, "--json", json.dumps(doc)], capsys)
+        assert time.perf_counter() - start < 2.0
+        assert code == 0
+        (rep,) = report["results"]["bounds"]
+        assert rep["holds"]
+        assert dict(rep["tiers"])["p_norm"] > 0.0
+
 
 class TestDeterminism:
     BATTERY = [
@@ -846,13 +877,13 @@ SLOTS_WITH_ONE_MISSING_VALUE = {
           "values": {"0": 0.0, "1": 7.0}}}
 
 
-@pytest.mark.parametrize("doc, defaults", [
+@pytest.mark.parametrize("doc, missing", [
     (WITNESS_SPEC, 0),                    # u's values complete
     (jsonio.document_to_jsonable(jsonio.parse_document(QUAD_SPEC)), 0),
     (SLOTS_WITHOUT_VALUES, 0),
-    (SLOTS_WITH_ONE_MISSING_VALUE, 1),    # u builds its defaults first
+    (SLOTS_WITH_ONE_MISSING_VALUE, 1),    # build fills u's missing value
 ])
-def test_loads_document_builds_each_function_once(doc, defaults,
+def test_loads_document_builds_each_function_once(doc, missing,
                                                    monkeypatch):
     built = []
     build = funcrep.PiecewiseFunction.build.__func__
@@ -864,6 +895,8 @@ def test_loads_document_builds_each_function_once(doc, defaults,
     monkeypatch.setattr(funcrep.PiecewiseFunction, "build",
                         classmethod(counted))
     spec = jsonio.loads_document(json.dumps(doc))
-    # a defaults build is the one without a values argument
-    assert len(built) == len(spec.functions) + defaults
-    assert sum(len(args) == 2 for args in built) == defaults
+    # exactly one build per function; an index that ``values`` leaves out
+    # reaches that build as None, and build fills it
+    assert len(built) == len(spec.functions)
+    assert sum(v is None for args in built if args[2] is not None
+               for v in args[2]) == missing

@@ -267,6 +267,15 @@ class TestPNorm:
         with pytest.raises(DomainError):
             p_norm(ident, 0.5)
 
+    @pytest.mark.parametrize("p", [4.0, 10.0, 50.0, 1e3, 1e4, 1e5, 1e308])
+    def test_centred_line_contains_the_exact_value(self, p):
+        # ||t - 1/2|| over [0, 1] is (1/2) (p + 1)^(-1/p); a closed form in
+        # monomials cancels from p = 10 on, and p = 1e308 must not loop
+        f = PiecewiseFunction.from_coeffs((-0.5, 1.0), 0.0, 1.0)
+        enc = p_norm(f, p)
+        assert enc.lo <= 0.5 * math.exp(-math.log1p(p) / p) <= enc.hi
+        assert enc.hi <= 0.5 * (1.0 + 1e-12)
+
     def test_normalised_monotone_in_p(self, vee):
         # on |f| <= 1 the normalised p-norms increase with p
         norms = [p_norm(vee, p).mid / 1.0 ** (1 / p)

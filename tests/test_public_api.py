@@ -174,3 +174,44 @@ def test_validation_is_bypassed_only_by_the_trusted_constructor():
     found = _validation_bypasses(ROOT / "src" / "grusskit")
     assert found["bypass"] == {"funcrep.PiecewiseFunction._trusted"}
     assert found["trusted"] == {"funcrep.PiecewiseFunction.restrict"}
+
+
+def _call_name(node: ast.Call) -> str | None:
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def test_one_verdict_rule_and_one_exponent_rule():
+    # a report's holds and ratio are decided in bounds._mk_report alone:
+    # nothing else builds a BoundReport or replaces its verdict
+    builders, overrides = set(), set()
+    for path in sorted((ROOT / "src" / "grusskit").glob("*.py")):
+        for scope, node in _nodes_by_scope(path):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node)
+            if name == "BoundReport":
+                builders.add(scope)
+            elif name == "replace" and {kw.arg for kw in node.keywords} \
+                    & {"holds", "ratio"}:
+                overrides.add(scope)
+    assert builders == {"bounds._mk_report"}
+    assert not overrides
+    # the L^p branches read p only to ask whether it was given; the
+    # exponent itself is checked by bounds._conjugate
+    compared = set()
+    for scope, node in _nodes_by_scope(ROOT / "src" / "grusskit"
+                                       / "bounds.py"):
+        if not isinstance(node, ast.Compare) or scope == "bounds._conjugate":
+            continue
+        operands = [node.left, *node.comparators]
+        if any(isinstance(x, ast.Name) and x.id == "p" for x in operands) \
+                and not (isinstance(node.ops[0], ast.IsNot)
+                         and isinstance(node.comparators[0], ast.Constant)
+                         and node.comparators[0].value is None):
+            compared.add(scope)
+    assert not compared
