@@ -611,8 +611,10 @@ def _high_p_norm(f: PiecewiseFunction, p: float) -> Enclosure:
     and critical points of each piece, and narrows like 1/p there; each
     segment is cut into panels halving toward both ends down to about
     1/(2p) of its length, and the Gauss residual widens the root's ends.
+    S is the sup over the pieces alone: the integral ignores the point
+    values, and one far above the pieces would underflow every panel.
     Above _P_GRADED it returns the enclosure [0, S (b-a)^(1/p)]."""
-    sup = sup_norm_on(f)
+    sup = _sup_norm(*_inf_sup(f.breakpoints, f.pieces, ()))
     if p > _P_GRADED or sup.mid == 0.0:
         return Enclosure(0.0, sup.hi * (f.b - f.a) ** (1.0 / p))
     s = sup.mid

@@ -4,7 +4,6 @@ import io
 import json
 import math
 import pathlib
-import time
 
 import pytest
 
@@ -564,15 +563,27 @@ class TestBoundDispatch:
         assert captured.out == ""
         assert "BadExponent" in captured.err
 
-    @pytest.mark.parametrize("p", ["4", "10", "50", "1e308"])
-    def test_fractional_holder_bound_holds_at_large_p(self, p, capsys):
-        doc = {"domain": [0.0, 1.0], "f": LINE, "g": LINE, "u": LINE,
+    @pytest.mark.parametrize("g_values", [None, {"0": 0.0, "1": 1000.0}],
+                             ids=["line", "jump_at_b"])
+    @pytest.mark.parametrize("p", ["4", "10", "50", "1000", "1e308"])
+    def test_fractional_holder_bound_holds_at_large_p(self, p, g_values,
+                                                      capsys, monkeypatch):
+        # no monomial power beyond the closed form's p <= 3 is expanded (at
+        # p = 1e308 that was a loop of int(p) products), and a point value
+        # of g far above its pieces leaves the p_norm tier of G positive
+        real_ppow = funcrep.poly.ppow
+
+        def small_ppow(a, n):
+            assert n <= 3, f"expands a monomial power {n}"
+            return real_ppow(a, n)
+
+        monkeypatch.setattr(funcrep.poly, "ppow", small_ppow)
+        g = LINE if g_values is None else {**LINE, "values": g_values}
+        doc = {"domain": [0.0, 1.0], "f": LINE, "g": g, "u": LINE,
                "certificates": [_cert("f", "holder", 1.0, 0.5),
                                 _cert("u", "lipschitz", 1.0)]}
-        start = time.perf_counter()
         code, report = run_capture(["bound", "--theorem", "thm_2_5", "--p",
                                     p, "--json", json.dumps(doc)], capsys)
-        assert time.perf_counter() - start < 2.0
         assert code == 0
         (rep,) = report["results"]["bounds"]
         assert rep["holds"]

@@ -276,6 +276,26 @@ class TestPNorm:
         assert enc.lo <= 0.5 * math.exp(-math.log1p(p) / p) <= enc.hi
         assert enc.hi <= 0.5 * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("p", [100.0, 1e3])
+    def test_point_value_far_above_the_pieces_leaves_the_norm(self, p):
+        # the point value at b has measure zero: scaling by it instead of
+        # the pieces' sup would underflow |f/S|^p to 0 on every panel
+        f = PiecewiseFunction.build((0.0, 1.0), ((-0.5, 1.0),), (0.0, 1e3))
+        exact = 0.5 * math.exp(-math.log1p(p) / p)
+        enc = p_norm(f, p)
+        assert enc.lo <= exact <= enc.hi
+        assert enc.hi - enc.lo <= 1e-9 * exact
+
+    def test_huge_p_expands_and_integrates_nothing(self, monkeypatch):
+        # above the graded range the norm is the enclosure [0, S (b-a)^(1/p)]
+        def refuse(*args, **kwargs):
+            raise AssertionError("no power or quadrature at p = 1e308")
+        monkeypatch.setattr(funcrep.poly, "ppow", refuse)
+        monkeypatch.setattr(funcrep, "gauss_integral", refuse)
+        f = PiecewiseFunction.from_coeffs((-0.5, 1.0), 0.0, 1.0)
+        enc = p_norm(f, 1e308)
+        assert enc.lo == 0.0 and 0.5 <= enc.hi <= 0.5 * (1.0 + 1e-12)
+
     def test_normalised_monotone_in_p(self, vee):
         # on |f| <= 1 the normalised p-norms increase with p
         norms = [p_norm(vee, p).mid / 1.0 ** (1 / p)
