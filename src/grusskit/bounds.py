@@ -6,12 +6,14 @@ lhs/rhs and a conservative ``holds`` verdict, all decided by the one rule
 ``_mk_report``.  Certificates are re-verified against their functions
 before use; integrals with |.| factors are split at certified sign changes
 so that every bound value is a closed form wherever one exists.
-Divided-difference integrals that have no closed form go through
-``funcrep.integrate_against`` (doubled Gauss panels, split at the
-breakpoints and in-piece roots of the kernel numerator), whose residual is
-discarded: it does not enter the report tolerance.  Every
+Divided-difference integrals that have no closed form go through one
+``funcrep.integrate_against`` pass per bound (``_delta_integrals``: doubled
+Gauss panels split at the breakpoints and in-piece roots of the kernel
+numerator, every power of |delta| a row of the same rule), whose residual
+is discarded: it does not enter the report tolerance.  Every
 divided-difference bound builds the kernel numerator ``gamma_kernel(u)``
-once and hands it to the norms.
+once and hands it to the norms.  A non-finite lhs or tier raises
+DomainError in ``_mk_report``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import polynomial as nppoly
 
 from . import poly
 from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
@@ -80,8 +83,13 @@ def _mk_report(theorem_id: str, lhs: float, lhs_err: float,
           'fan'     tiers[0] must not exceed any later tier;
           'refine'  no later tier may exceed tiers[0];
           'min'     unordered variants, rhs = smallest.
-    rhs defaults to tiers[0] (the smallest in 'min'); ratio = lhs / rhs."""
+    rhs defaults to tiers[0] (the smallest in 'min'); ratio = lhs / rhs.
+    A non-finite lhs, lhs_err or tier (one that overflowed) decides
+    nothing: it raises DomainError."""
     values = [v for _, v in tiers]
+    if not all(map(math.isfinite, [lhs, lhs_err, *values])):
+        raise DomainError(f"{theorem_id}: non-finite value in lhs {lhs!r}, "
+                          f"error {lhs_err!r} or tiers {tiers!r}")
     scale = max([1.0, abs(lhs)] + [abs(v) for v in values])
     tol = lhs_err + 1e-9 * scale
     if rhs is None:
@@ -207,44 +215,36 @@ def sup_abs_delta(N: PiecewiseFunction) -> float:
     return worst
 
 
-def _delta_fn(N: PiecewiseFunction):
-    """Vectorised delta evaluator from its numerator N; the interval ends
-    get their one-sided limits."""
+def _delta_integrals(N: PiecewiseFunction, f: PiecewiseFunction,
+                     powers: tuple[float, ...],
+                     tol: float = 1e-10) -> list[float]:
+    """The integral of |delta|^r df over (a, b) for each r in ``powers``,
+    from delta's numerator N, in one ``integrate_against`` pass: its cells
+    are split at N's breakpoints (where delta' jumps) and at the roots of
+    each piece inside it (where |delta| kinks), so a Gauss panel sees a
+    smooth integrand.  On a cell delta is one piece of N over (t-a)(b-t).
+    Where a node rounds onto a cell end, and at the jumps of f, it is N's
+    piece value there over (t-a)(b-t), and at a and b its one-sided
+    limit."""
     a, b = N.domain
     lim_a = poly.pvalue(poly.pderiv(N.pieces[0]), a) / (b - a)
     lim_b = -poly.pvalue(poly.pderiv(N.pieces[-1]), b) / (b - a)
+    roots = [t for lo, hi, c in aligned_pieces(N)
+             for t in poly.proots(c, lo, hi) if lo < t < hi]
 
-    def fn(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
+    def rows(ts, c):
         denom = (ts - a) * (b - ts)
-        regular = denom != 0.0
-        if regular.all():
-            return N.piece_values(ts) / denom
-        out = np.empty_like(ts)
-        out[regular] = N.piece_values(ts[regular]) / denom[regular]
-        out[ts == a] = lim_a
-        out[ts == b] = lim_b
-        return out
-    return fn
-
-
-def _delta_cuts(N: PiecewiseFunction) -> list[float]:
-    """N's breakpoints and the roots of each piece inside that piece:
-    delta' jumps at the former and |delta| kinks at the latter, so a Gauss
-    panel between two cuts sees a smooth integrand."""
-    return list(N.breakpoints) + [
-        t for lo, hi, c in aligned_pieces(N)
-        for t in poly.proots(c, lo, hi) if lo < t < hi]
-
-
-def delta_norm(N: PiecewiseFunction, p: float) -> float:
-    """L^p norm (dt) of delta over (a, b) from its numerator N, for p = 1
-    or a p that ``_conjugate`` passed; the sup is ``sup_abs_delta``."""
-    dfn = _delta_fn(N)
-    ident = PiecewiseFunction.from_coeffs((0.0, 1.0), N.a, N.b)
-    total = integrate_against(lambda ts: np.abs(dfn(ts)) ** p, ident,
-                              _delta_cuts(N), tol=1e-11)
-    return max(total, 0.0) ** (1.0 / p)
+        if c is not None:
+            delta = nppoly.polyval(ts, c) / denom
+        else:
+            regular = denom != 0.0
+            delta = np.empty_like(ts)
+            delta[regular] = N.piece_values(ts[regular]) / denom[regular]
+            delta[ts == a] = lim_a
+            delta[ts == b] = lim_b
+        delta = np.abs(delta)
+        return [delta ** r for r in powers]
+    return integrate_against(rows, f, N, roots, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +567,19 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         tier1 = L / width * abs_integral(dnum)
         tiers = [("weighted_l1", tier1),
                  ("sup", L * width ** 2 / 6.0 * sup_abs_delta(dnum))]
+        powers = (1.0,)
         if p is not None:
             q = _conjugate(p)
+            powers = (1.0, p)
+        ident = PiecewiseFunction.from_coeffs((0.0, 1.0), a, b)
+        int_absdelta, *int_deltap = _delta_integrals(dnum, ident, powers,
+                                                     tol=1e-11)
+        if p is not None:
             tiers.append(("p_norm", L * width ** (1.0 + 1.0 / q)
                           * _beta_root(q)
-                          * delta_norm(dnum, p)))
-        tiers.append(("one_norm", L * width / 4.0 * delta_norm(dnum, 1.0)))
+                          * max(int_deltap[0], 0.0) ** (1.0 / p)))
+        tiers.append(("one_norm",
+                      L * width / 4.0 * max(int_absdelta, 0.0)))
         return _mk_report("cor_a_8", abs(D.value), D.abs_error, tiers,
                           [("f", f_lipschitz.describe()),
                            ("u", "continuous")], mode="fan")
@@ -581,21 +588,18 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         if not chk.ok:
             raise CertificateInvalid(f"a14 needs monotone f: {chk.detail}")
         tier1 = abs_integral(dnum, f) / width
-        dfn = _delta_fn(dnum)
-        splits = _delta_cuts(dnum)
-        int_absdelta_df = integrate_against(lambda ts: np.abs(dfn(ts)),
-                                            f, splits)
+        powers = (1.0,)
+        if p is not None:
+            q = _conjugate(p)
+            powers = (1.0, p)
+        int_absdelta_df, *int_deltap_df = _delta_integrals(dnum, f, powers)
         tiers = [("weighted", tier1),
                  ("plain", width / 4.0 * int_absdelta_df)]
         if p is not None:
-            q = _conjugate(p)
-            int_dq_df = integrate_against(
-                lambda ts: ((ts - a) * (b - ts)) ** q, f)
-            int_deltap_df = integrate_against(
-                lambda ts: np.abs(dfn(ts)) ** p, f, splits)
-            tiers.append(("p_norm",
-                          int_dq_df ** (1.0 / q) * int_deltap_df ** (1.0 / p)
-                          / width))
+            (int_dq_df,) = integrate_against(
+                lambda ts, _: [((ts - a) * (b - ts)) ** q], f)
+            tiers.append(("p_norm", int_dq_df ** (1.0 / q)
+                          * int_deltap_df[0] ** (1.0 / p) / width))
         dpf = PiecewiseFunction.from_coeffs((-a * b, a + b, -1.0), a, b)
         int_d_df = rs_integral(dpf, f).value
         tiers.append(("sup", sup_abs_delta(dnum) * int_d_df / width))

@@ -12,8 +12,12 @@ jump data, and are returned as tight :class:`Enclosure` intervals; for a
 sub-interval [c, d], take them of ``f.restrict(c, d)``.  The critical
 points behind them come from ``poly``'s derivative memo, which a function
 and its restrictions share through their coefficients.
-``integrate_against`` is the one numeric integral against df (doubled
-Gauss panels per cell, exact jump terms).
+``integrate_against`` is the one numeric integral against df: one pass
+over the cells, with one doubled Gauss rule per cell for several integrand
+rows (nodes and f' formed once per level, a stop test per row; a row may
+read a second function as its one piece on the cell, and falls back to
+the whole function where a node rounds onto a cell end), plus exact jump
+terms.
 """
 
 from __future__ import annotations
@@ -646,57 +650,90 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 def gauss_integral(fun, a: float, b: float, tol: float = 1e-12,
-                   max_doublings: int = 14) -> tuple[float, float]:
+                   max_doublings: int = 14):
     """Integrate a vectorised smooth function over [a, b].
 
     Returns (value, error_estimate); the estimate is the last inter-level
-    difference of the doubled composite rule.
+    difference of the doubled composite rule.  ``fun`` may instead return
+    one row per integrand, a (k, n) array at n nodes: each level then
+    evaluates the nodes once for all k rows, each row keeps its own stop
+    test (so it gets the value a call with that row alone returns), and
+    the result is a pair of length-k lists.  An empty [a, b] gives
+    (0.0, 0.0) without calling ``fun``.
     """
     if b <= a:
         return 0.0, 0.0
 
-    def composite(panels: int) -> float:
+    def composite(panels: int) -> tuple[list[float], bool]:
         edges = np.linspace(a, b, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
         mid = 0.5 * (edges[1:] + edges[:-1])
         ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = fun(ts.ravel()).reshape(ts.shape)
-        return float(np.sum(half[:, None] * _GL_WEIGHTS[None, :] * vals))
+        vals = np.asarray(fun(ts.ravel()))
+        hw = half[:, None] * _GL_WEIGHTS[None, :]
+        return ([float(np.sum(hw * row.reshape(ts.shape)))
+                 for row in vals.reshape(-1, ts.size)], vals.ndim == 1)
 
-    prev = composite(1)
+    prev, single = composite(1)
+    done = [None] * len(prev)
     panels = 2
     for _ in range(max_doublings):
-        cur = composite(panels)
-        diff = abs(cur - prev)
-        if diff <= tol * max(1.0, abs(cur)):
-            return cur, diff + _EPS * abs(cur)
+        cur, _ = composite(panels)
+        for i, (c, p) in enumerate(zip(cur, prev)):
+            diff = abs(c - p)
+            if done[i] is None and diff <= tol * max(1.0, abs(c)):
+                done[i] = (c, diff + _EPS * abs(c))
+        if None not in done:
+            break
         prev = cur
         panels *= 2
-    return prev, abs(prev) * 1e-9 + tol
+    out = [d or (p, abs(p) * 1e-9 + tol) for d, p in zip(done, prev)]
+    if single:
+        return out[0]
+    return [v for v, _ in out], [e for _, e in out]
 
 
-def integrate_against(fun, f: PiecewiseFunction, splits=(),
-                      tol: float = 1e-10) -> float:
-    """integral of fun(t) df(t) for a continuous vectorised fun and a
-    piecewise-polynomial integrator f: one doubled Gauss panel per cell of
-    f's breakpoints merged with ``splits``, plus fun(t) times the mass of
-    every jump of f.  Cells narrower than 1e-14 of the domain and cells on
-    which f is constant are skipped; the panel residual is discarded."""
+def integrate_against(fun, f: PiecewiseFunction,
+                      over: PiecewiseFunction | None = None, splits=(),
+                      tol: float = 1e-10) -> list[float]:
+    """The integrals against df of the rows of ``fun``, in one pass over
+    the cells of ``aligned_pieces(f, over, splits=splits)`` (of f alone
+    without ``over``).  ``fun(ts, c)`` returns one row of values at the
+    nodes ts per integrand, each continuous on the cell, where c is the
+    coefficient array of over's piece on the cell.  Each cell takes one
+    doubled Gauss rule (``gauss_integral``): a level forms the nodes, f'
+    and ``fun`` once for every row, and each row keeps its own stop test.
+    When a node rounds onto an end of its cell (a, b, a breakpoint or a
+    split), and at the jumps of f, c is None and ``fun`` falls back to
+    evaluating the whole function; without ``over`` it always is.  Every
+    jump of f adds fun at the jump times its mass.  Cells narrower than
+    1e-14 of the domain and cells on which f is constant are skipped; the
+    panel residual is discarded."""
     tiny = 1e-14 * (f.b - f.a)
-    total = 0.0
-    for lo, hi, fc in aligned_pieces(f, splits=splits):
+    fns = (f,) if over is None else (f, over)
+    terms = []     # one list of row values per cell and per jump, in order
+    for lo, hi, fc, *oc in aligned_pieces(*fns, splits=splits):
         if hi - lo <= tiny:
             continue
         dc = poly.pderiv(fc)
         if poly.is_zero_poly(dc):
             continue
-        val, _ = gauss_integral(
-            lambda ts, dc=dc: fun(ts) * nppoly.polyval(ts, np.asarray(dc)),
-            lo, hi, tol=tol)
-        total += val
+
+        def rows(ts, lo=lo, hi=hi, dc=np.asarray(dc),
+                 c=np.asarray(oc[0]) if oc else None):
+            inside = c is not None and lo < ts.min() and ts.max() < hi
+            return (np.asarray(fun(ts, c if inside else None))
+                    * nppoly.polyval(ts, dc))
+        terms.append(gauss_integral(rows, lo, hi, tol=tol)[0])
     for t, mass in f.jump_masses():
-        total += float(fun(np.array([t]))[0]) * mass
-    return total
+        terms.append([float(r[0]) * mass
+                      for r in fun(np.array([t]), None)])
+    if not terms:      # nothing to add: one evaluation gives the row count
+        return [0.0] * len(fun(np.array([f.a]), None))
+    totals = [0.0] * len(terms[0])
+    for values in terms:
+        totals = [x + v for x, v in zip(totals, values)]
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ The D functional admits three equivalent kernel representations against
 df: an affine-interpolation defect ``phi``, its unnormalised sibling
 ``gamma = (b-a) * phi``, and the divided-difference form
 ``(t-a)(b-t) * delta``.  ``identity_residual_D`` evaluates all three
-independently and reports the worst deviation from D.
+independently and reports the worst deviation from D; the
+divided-difference form is one ``integrate_against`` pass over the cells
+of f and u, reading u as its piece on each cell (its point values where a
+node rounds onto a breakpoint).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial import polynomial as nppoly
 
 from . import poly
 from .errors import DegenerateIntegrator, DegenerateWeight, DomainError
@@ -198,15 +202,15 @@ def identity_residual_D(f: PiecewiseFunction,
 
 
 def _delta_form_numeric(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
-    """integral of (t-a)(b-t) delta(t) df(t), via pointwise kernel values
-    and ``integrate_against`` split at u's breakpoints."""
+    """integral of (t-a)(b-t) delta(t) df(t), via pointwise values of u in
+    one ``integrate_against`` pass over the cells of f and u: u is its
+    cell's piece, or ``values_at`` where a node rounds onto a cell end."""
     a, b = u.domain
+    ua, ub = u(a), u(b)
 
-    def weighted_delta(ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        uv = u.values_at(ts)
-        ub = u(b)
-        ua = u(a)
-        return (ts - a) * (ub - uv) - (b - ts) * (uv - ua)
+    def weighted_delta(ts: np.ndarray, c) -> list[np.ndarray]:
+        uv = u.values_at(ts) if c is None else nppoly.polyval(ts, c)
+        return [(ts - a) * (ub - uv) - (b - ts) * (uv - ua)]
 
-    return integrate_against(weighted_delta, f, u.breakpoints, tol=1e-13)
+    (total,) = integrate_against(weighted_delta, f, u, tol=1e-13)
+    return total

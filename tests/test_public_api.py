@@ -79,6 +79,27 @@ def test_benchmark_tracer_sees_the_critical_point_layers():
     assert minmax > 0 and critical > 0
 
 
+def test_benchmark_tracer_sees_the_divided_difference_integrals():
+    # the cor_a_8 and cor_a_9 integrals of |delta|^p reach the Gauss rule
+    # through the public name the tracer wraps, so it counts their nodes
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import random, sys; sys.path.insert(0, 'perfbench'); import spans\n"
+        "from grusskit import battery\n"
+        "tracer = spans.Tracer(); spans.install(tracer)\n"
+        "for tid in ('cor_a_8', 'cor_a_9'):\n"
+        "    battery.THEOREMS[tid](random.Random(f'0:{tid}:0'))\n"
+        "print(tracer.counts['funcrep.gauss_integral.nodes'], "
+        "tracer.calls['bounds.bound_D_corollaries.a13'], "
+        "tracer.calls['bounds.bound_D_corollaries.a14'])\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    nodes, a13, a14 = map(int, proc.stdout.split())
+    assert nodes > 0 and a13 > 0 and a14 > 0
+
+
 def test_src_imports_neither_mpmath_nor_scipy():
     # both are test-side references only, never runtime dependencies
     banned = {"mpmath", "scipy"}
