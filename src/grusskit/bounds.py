@@ -7,10 +7,11 @@ lhs/rhs and a conservative ``holds`` verdict, all decided by the one rule
 before use; integrals with |.| factors are split at certified sign changes
 so that every bound value is a closed form wherever one exists.
 Divided-difference integrals that have no closed form go through one
-``funcrep.integrate_against`` pass per bound (``_delta_integrals``: doubled
-Gauss panels split at the breakpoints and in-piece roots of the kernel
-numerator, every power of |delta| a row of the same rule), whose residual
-is discarded: it does not enter the report tolerance.  Every
+``funcrep.integrate_against`` call per bound (``_delta_integrals``: the
+substituted Gauss pair over cells split at the breakpoints and in-piece
+roots of the kernel numerator, every power of |delta| and the A.14 weight
+a row of the same call), whose error estimate is discarded: it does not
+enter the report tolerance.  Every
 divided-difference bound builds the kernel numerator ``gamma_kernel(u)``
 once and hands it to the norms.  A non-finite lhs or tier raises
 DomainError in ``_mk_report``.
@@ -24,7 +25,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as nppoly
 
 from . import poly
 from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
@@ -216,35 +216,47 @@ def sup_abs_delta(N: PiecewiseFunction) -> float:
 
 
 def _delta_integrals(N: PiecewiseFunction, f: PiecewiseFunction,
-                     powers: tuple[float, ...],
+                     powers: tuple[float, ...], weight: float | None = None,
                      tol: float = 1e-10) -> list[float]:
     """The integral of |delta|^r df over (a, b) for each r in ``powers``,
-    from delta's numerator N, in one ``integrate_against`` pass: its cells
-    are split at N's breakpoints (where delta' jumps) and at the roots of
-    each piece inside it (where |delta| kinks), so a Gauss panel sees a
-    smooth integrand.  On a cell delta is one piece of N over (t-a)(b-t).
-    Where a node rounds onto a cell end, and at the jumps of f, it is N's
-    piece value there over (t-a)(b-t), and at a and b its one-sided
-    limit."""
+    then, with ``weight`` = q, that of ((t-a)(b-t)/h^2)^q df with
+    h = (b-a)/2, from delta's numerator N, in one ``integrate_against``
+    call.  Its cells are split at N's breakpoints (where delta' jumps) and
+    at the roots of each piece inside it (where |delta| kinks).
+
+    On a cell delta is one piece of N over the factors of (t-a)(b-t) it
+    keeps: on the first piece the factor t - a, and on the last b - t, is
+    divided out of N by synthetic division, so delta has no 0/0 at a or b
+    and the Gauss rule does not chase the rounding of N(a) ~ 0.  The
+    remainders, N's values at a and b, are zero for a continuous u but for
+    the rounding of forming N; they are dropped, as the jump table drops
+    gaps below its threshold.  A node that rounds onto a cell end, and a
+    jump of f, reads the piece to its right (the last at b)."""
     a, b = N.domain
-    lim_a = poly.pvalue(poly.pderiv(N.pieces[0]), a) / (b - a)
-    lim_b = -poly.pvalue(poly.pderiv(N.pieces[-1]), b) / (b - a)
+    h = 0.5 * (b - a)
+    last = len(N.pieces) - 1
+    kept = list(N.pieces)
+    kept[0] = poly.pdivroot(kept[0], a)[0]
+    kept[last] = poly.pneg(poly.pdivroot(kept[last], b)[0])
+    P = PiecewiseFunction(N.breakpoints, tuple(kept), N.point_values)
+    bp = np.asarray(N.breakpoints)
     roots = [t for lo, hi, c in aligned_pieces(N)
              for t in poly.proots(c, lo, hi) if lo < t < hi]
 
-    def rows(ts, c):
-        denom = (ts - a) * (b - ts)
-        if c is not None:
-            delta = nppoly.polyval(ts, c) / denom
-        else:
-            regular = denom != 0.0
-            delta = np.empty_like(ts)
-            delta[regular] = N.piece_values(ts[regular]) / denom[regular]
-            delta[ts == a] = lim_a
-            delta[ts == b] = lim_b
-        delta = np.abs(delta)
-        return [delta ** r for r in powers]
-    return integrate_against(rows, f, N, roots, tol)
+    def rows(ts, values, piece):
+        ends = piece < 0
+        if ends.any():
+            values, piece = values.copy(), piece.copy()
+            piece[ends] = np.clip(np.searchsorted(bp, ts[ends], "right") - 1,
+                                  0, last)
+            values[ends] = P.piece_values(ts[ends])
+        delta = np.abs(values / (np.where(piece == 0, 1.0, ts - a)
+                                 * np.where(piece == last, 1.0, b - ts)))
+        out = [delta ** r for r in powers]
+        if weight is not None:
+            out.append(((ts - a) / h * ((b - ts) / h)) ** weight)
+        return out
+    return integrate_against(rows, f, P, roots, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -588,18 +600,18 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         if not chk.ok:
             raise CertificateInvalid(f"a14 needs monotone f: {chk.detail}")
         tier1 = abs_integral(dnum, f) / width
-        powers = (1.0,)
+        powers, q = (1.0,), None
         if p is not None:
-            q = _conjugate(p)
-            powers = (1.0, p)
-        int_absdelta_df, *int_deltap_df = _delta_integrals(dnum, f, powers)
+            powers, q = (1.0, p), _conjugate(p)
+        # with q: the integral of ((t-a)(b-t))^q df over h^(2q), h = width/2,
+        # so that it does not underflow as p -> 1
+        int_absdelta_df, *rest = _delta_integrals(dnum, f, powers, q)
         tiers = [("weighted", tier1),
                  ("plain", width / 4.0 * int_absdelta_df)]
         if p is not None:
-            (int_dq_df,) = integrate_against(
-                lambda ts, _: [((ts - a) * (b - ts)) ** q], f)
-            tiers.append(("p_norm", int_dq_df ** (1.0 / q)
-                          * int_deltap_df[0] ** (1.0 / p) / width))
+            int_deltap_df, int_w_df = rest
+            tiers.append(("p_norm", width / 4.0 * int_w_df ** (1.0 / q)
+                          * int_deltap_df ** (1.0 / p)))
         dpf = PiecewiseFunction.from_coeffs((-a * b, a + b, -1.0), a, b)
         int_d_df = rs_integral(dpf, f).value
         tiers.append(("sup", sup_abs_delta(dnum) * int_d_df / width))

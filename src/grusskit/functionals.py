@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import polynomial as nppoly
 
 from . import poly
 from .errors import DegenerateIntegrator, DegenerateWeight, DomainError
@@ -204,13 +203,22 @@ def identity_residual_D(f: PiecewiseFunction,
 def _delta_form_numeric(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
     """integral of (t-a)(b-t) delta(t) df(t), via pointwise values of u in
     one ``integrate_against`` pass over the cells of f and u: u is its
-    cell's piece, or ``values_at`` where a node rounds onto a cell end."""
+    cell's piece, or ``values_at`` where a node rounds onto a cell end.
+    On a cell the integrand is a polynomial of degree at most 16 for u and
+    f of degree 8 at most (``build``'s cap), which one round of the Gauss
+    pair integrates exactly (24 points are exact to degree 47 in s, 23 in
+    t); more rounds would only chase the rounding of its cancelling
+    terms."""
     a, b = u.domain
     ua, ub = u(a), u(b)
 
-    def weighted_delta(ts: np.ndarray, c) -> list[np.ndarray]:
-        uv = u.values_at(ts) if c is None else nppoly.polyval(ts, c)
+    def weighted_delta(ts: np.ndarray, uv: np.ndarray,
+                       piece: np.ndarray) -> list[np.ndarray]:
+        ends = piece < 0
+        if ends.any():
+            uv = uv.copy()
+            uv[ends] = u.values_at(ts[ends])
         return [(ts - a) * (ub - uv) - (b - ts) * (uv - ua)]
 
-    (total,) = integrate_against(weighted_delta, f, u, tol=1e-13)
+    (total,) = integrate_against(weighted_delta, f, u, max_doublings=0)
     return total

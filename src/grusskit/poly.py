@@ -90,6 +90,16 @@ def ppow(a: Coeffs, n: int) -> tuple[float, ...]:
     return out
 
 
+def pdivroot(c: Coeffs, r: float) -> tuple[tuple[float, ...], float]:
+    """(q, rem) with c(t) = (t - r) q(t) + rem, by synthetic division."""
+    q = [0.0] * max(len(c) - 1, 1)
+    acc = 0.0
+    for k in range(len(c) - 1, 0, -1):
+        acc = c[k] + r * acc
+        q[k - 1] = acc
+    return tuple(q), c[0] + r * acc
+
+
 def precenter(c: Coeffs, m: float) -> tuple[float, ...]:
     """Coefficients of p(m + s) as a polynomial in s (Taylor shift by
     repeated synthetic division)."""

@@ -381,6 +381,17 @@ class TestMonotoneChainAccuracy:
         assert rep.tier("plain") == pytest.approx(plain, rel=1e-10)
         assert rep.tier("p_norm") == pytest.approx(p_norm, rel=1e-10)
 
+    @pytest.mark.parametrize("p", [1.001, 1.0001, 1.000001])
+    def test_weight_integral_survives_p_near_one(self, p):
+        # q = p/(p-1) runs to 1e6: ((t-a)(b-t))^q underflowed to 0 before
+        # ((b-a)/2)^(2q) was factored out, and the p_norm tier read 0
+        f = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 1.0)
+        u = PiecewiseFunction.from_coeffs((0.0, 0.0, 1.0), 0.0, 1.0)
+        rep = bound_D_corollaries(f, u, "a14", p=p)
+        # delta = 1, so the tier is (integral of (t(1-t))^q)^(1/q) -> 1/4
+        assert 0.24 < rep.tier("p_norm") <= 0.25
+        assert rep.holds
+
     def test_quadrature_cost_over_battery_trials(self, monkeypatch):
         levels = 1 + inspect.signature(
             funcrep.gauss_integral).parameters["max_doublings"].default
@@ -503,18 +514,18 @@ class TestQuadratureRemainderReport:
 
 
 class TestNonFiniteTiers:
-    # seed-0 trials whose g scaled by 1e300 overflows the p_norm tier to
-    # inf; with lhs and every other tier finite, the verdict rule read
-    # that as holds with ratio 0
+    # seed-0 trials whose g scaled by 1e306 takes a tier past the float
+    # range while lhs stays finite; the verdict rule read an infinite tier
+    # as holds with ratio 0
     @staticmethod
-    def _scaled_trial(tid, k):
+    def _scaled_trial(tid, k, scale=1e306):
         spec, p = THEOREMS[tid].sample(random.Random(f"0:{tid}:{k}"))
-        g = spec.functions["g"] * 1e300
+        g = spec.functions["g"] * scale
         return replace(spec, functions={**spec.functions, "g": g}), p
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("tid, k", [("thm_2_5", 27), ("cor_2_6", 4),
-                                        ("item_6", 0)])
+    @pytest.mark.parametrize("tid, k", [("thm_2_5", 11), ("cor_2_6", 0),
+                                        ("item_6", 6)])
     def test_overflowed_tier_is_a_domain_error(self, tid, k):
         spec, p = self._scaled_trial(tid, k)
         with pytest.raises(DomainError, match=": non-finite value in lhs"):
@@ -522,7 +533,7 @@ class TestNonFiniteTiers:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_cli_exits_one_on_an_overflowed_tier(self, capsys):
-        spec, p = self._scaled_trial("thm_2_5", 27)
+        spec, p = self._scaled_trial("thm_2_5", 11)
         doc = json.dumps(jsonio.document_to_jsonable(spec))
         code = run(["bound", "--theorem", "thm_2_5", "--p", repr(p),
                     "--json", doc])
@@ -530,6 +541,17 @@ class TestNonFiniteTiers:
         assert code == 1
         assert captured.out == ""
         assert "DomainError" in captured.err
+
+    @pytest.mark.parametrize("tid, k", [("thm_2_5", 27), ("cor_2_6", 4),
+                                        ("item_6", 0)])
+    def test_g_scaled_by_1e300_keeps_its_norms_finite(self, tid, k):
+        # p_norm scales |G|^p by a power of two near sup|G|, so these
+        # trials, whose p_norm tier once overflowed to inf, now hold with
+        # every tier finite
+        spec, p = self._scaled_trial(tid, k, 1e300)
+        for rep in THEOREMS[tid].run(spec, p):
+            assert all(math.isfinite(v) for _, v in rep.tiers)
+            assert rep.holds
 
 
 class TestOneKernelBuild:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from grusskit import funcrep
@@ -296,6 +297,24 @@ class TestPNorm:
         enc = p_norm(f, 1e308)
         assert enc.lo == 0.0 and 0.5 <= enc.hi <= 0.5 * (1.0 + 1e-12)
 
+    def test_small_function_at_p_1_5_contains_the_exact_value(self):
+        # the root's ends are the 1/p-th roots of total -/+ error; a pad of
+        # err * max(1, value) on the root missed (0.4e-6)^(2/3)
+        f = PiecewiseFunction.from_coeffs((0.0, 1e-4), 0.0, 1.0)
+        enc = p_norm(f, 1.5)
+        assert enc.lo <= 0.4e-6 ** (2.0 / 3.0) <= enc.hi
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_huge_function_keeps_a_finite_enclosure(self, p):
+        # |f|^p is integrated as |f/S|^p: unscaled, 1e300 t gave [0, inf]
+        # at p = 1.5 and a NaN end at p = 2
+        f = PiecewiseFunction.from_coeffs((0.0, 1e300), 0.0, 1.0)
+        enc = p_norm(f, p)
+        exact = 1e300 * math.exp(-math.log1p(p) / p)
+        assert math.isfinite(enc.hi)
+        assert enc.lo <= exact <= enc.hi
+        assert enc.hi - enc.lo <= 1e-12 * exact
+
     def test_normalised_monotone_in_p(self, vee):
         # on |f| <= 1 the normalised p-norms increase with p
         norms = [p_norm(vee, p).mid / 1.0 ** (1 / p)
@@ -432,3 +451,41 @@ class TestSidedTable:
         u_jump.jumps().clear()
         u_jump.jump_masses().clear()
         assert u_jump.jump_masses() == [(0.0, 1.0), (1.0, 1.0)]
+
+
+class TestGaussIntegral:
+    def test_stop_test_is_relative(self):
+        # both orders read about 0 on the first round; an absolute stop
+        # test below 1 accepted 3.8e-24 for 1/40001
+        value, err = funcrep.gauss_integral(lambda t: t ** 40000, 0.0, 1.0)
+        assert abs(value - 1.0 / 40001.0) <= err
+        assert err <= 2e-12 * value
+
+    @pytest.mark.parametrize("r", [0.5, 1.5, 2.5])
+    def test_power_singularity_at_both_ends(self, r):
+        # |t - end|^r is smooth in s after t = end +- h s^2: no round cap
+        calls = []
+
+        def fun(ts):
+            calls.append(ts.size)
+            return (ts * (1.0 - ts)) ** r
+        value, err = funcrep.gauss_integral(fun, 0.0, 1.0)
+        exact = math.gamma(r + 1.0) ** 2 / math.gamma(2.0 * r + 2.0)
+        assert abs(value - exact) <= max(err, 1e-15 * exact)
+        assert len(calls) <= 3
+
+    def test_spans_sum_and_rows_keep_their_own_values(self):
+        def rows(ts):
+            return np.array([np.cos(ts), ts ** 3])
+        values, errors = funcrep.gauss_integral(rows, [0.0, 1.0], [1.0, 2.5])
+        assert values[0] == funcrep.gauss_integral(np.cos, [0.0, 1.0],
+                                                   [1.0, 2.5])[0]
+        assert values[0] == pytest.approx(math.sin(2.5), rel=1e-14)
+        assert values[1] == pytest.approx(2.5 ** 4 / 4.0, rel=1e-14)
+        assert len(errors) == 2
+
+    def test_empty_spans_call_nothing(self):
+        def refuse(ts):
+            raise AssertionError("no node for an empty span")
+        assert funcrep.gauss_integral(refuse, [1.0, 2.0], [1.0, 2.0]) \
+            == (0.0, 0.0)

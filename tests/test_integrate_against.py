@@ -1,8 +1,8 @@
-"""The one Gauss pass per cell (``funcrep.integrate_against`` with several
-integrand rows) against the route it replaced: one doubled Gauss call per
-integrand, cell and level, with delta and u evaluated over the whole
-function at every node.  That route is kept below as the reference, and
-every number must agree bit for bit (``float.hex``)."""
+"""The one Gauss call per integral (``funcrep.integrate_against`` with
+several integrand rows) against one ``gauss_integral`` call per integrand
+over the same cells, with delta and u evaluated over the whole function
+at every node.  That route is kept below as the reference, and every
+number must agree bit for bit (``float.hex``)."""
 
 import math
 import random
@@ -12,92 +12,80 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from numpy.polynomial import polynomial as nppoly
-from numpy.polynomial.legendre import leggauss
 
 from grusskit import bounds, functionals, instances, poly
 from grusskit.bounds import _beta_root, _delta_integrals, bound_D_corollaries
-from grusskit.funcrep import PiecewiseFunction, aligned_pieces
+from grusskit.funcrep import PiecewiseFunction, aligned_pieces, gauss_integral
 from grusskit.functionals import _delta_form_numeric, gamma_kernel
 from grusskit.theorems import THEOREMS
 
-_NODES, _WEIGHTS = leggauss(24)
-_EPS = 2.220446049250313e-16
 
+# -- the reference: one integrand per gauss_integral call --------------------
 
-# -- the reference: one integrand per doubled Gauss call --------------------
-
-def _ref_gauss(fun, a, b, tol=1e-12, max_doublings=14):
-    if b <= a:
-        return 0.0, 0.0
-
-    def composite(panels):
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        ts = mid[:, None] + half[:, None] * _NODES[None, :]
-        vals = fun(ts.ravel()).reshape(ts.shape)
-        return float(np.sum(half[:, None] * _WEIGHTS[None, :] * vals))
-
-    prev = composite(1)
-    panels = 2
-    for _ in range(max_doublings):
-        cur = composite(panels)
-        diff = abs(cur - prev)
-        if diff <= tol * max(1.0, abs(cur)):
-            return cur, diff + _EPS * abs(cur)
-        prev = cur
-        panels *= 2
-    return prev, abs(prev) * 1e-9 + tol
-
-
-def _ref_integrate_against(fun, f, splits=(), tol=1e-10):
+def _ref_integrate_against(fun, f, over, splits=(), tol=1e-10,
+                           max_doublings=14):
+    """The integral against df of ``fun``, a whole-function evaluator of
+    one integrand, over the cells the pass uses; f' at a node is the
+    derivative of f's piece on the last cell starting at or before it."""
     tiny = 1e-14 * (f.b - f.a)
+    cells = [(lo, hi, poly.pderiv(fc))
+             for lo, hi, fc, _ in aligned_pieces(f, over, splits=splits)
+             if hi - lo > tiny and not poly.is_zero_poly(poly.pderiv(fc))]
     total = 0.0
-    for lo, hi, fc in aligned_pieces(f, splits=splits):
-        if hi - lo <= tiny:
-            continue
-        dc = poly.pderiv(fc)
-        if poly.is_zero_poly(dc):
-            continue
-        val, _ = _ref_gauss(
-            lambda ts, dc=dc: fun(ts) * nppoly.polyval(ts, np.asarray(dc)),
-            lo, hi, tol=tol)
-        total += val
+    if cells:
+        starts = np.array([lo for lo, _, _ in cells])
+
+        def integrand(ts):
+            cell = np.maximum(np.searchsorted(starts, ts, "right") - 1, 0)
+            slope = np.empty_like(ts)
+            for i, (_, _, dc) in enumerate(cells):
+                m = cell == i
+                slope[m] = nppoly.polyval(ts[m], np.asarray(dc))
+            return fun(ts) * slope
+        total, _ = gauss_integral(integrand, [lo for lo, _, _ in cells],
+                                  [hi for _, hi, _ in cells], tol,
+                                  max_doublings)
     for t, mass in f.jump_masses():
         total += float(fun(np.array([t]))[0]) * mass
     return total
 
 
+def _ref_kept(N):
+    """N with the end factors of (t-a)(b-t) divided out of its first and
+    last pieces, as the pass divides them."""
+    a, b = N.domain
+    kept = list(N.pieces)
+    kept[0] = poly.pdivroot(kept[0], a)[0]
+    kept[-1] = poly.pneg(poly.pdivroot(kept[-1], b)[0])
+    return PiecewiseFunction(N.breakpoints, tuple(kept), N.point_values)
+
+
 def _ref_delta_fn(N):
     a, b = N.domain
-    lim_a = poly.pvalue(poly.pderiv(N.pieces[0]), a) / (b - a)
-    lim_b = -poly.pvalue(poly.pderiv(N.pieces[-1]), b) / (b - a)
+    kept = _ref_kept(N)
+    last = len(N.pieces) - 1
 
     def fn(ts):
         ts = np.asarray(ts, dtype=float)
-        denom = (ts - a) * (b - ts)
-        regular = denom != 0.0
-        if regular.all():
-            return N.piece_values(ts) / denom
-        out = np.empty_like(ts)
-        out[regular] = N.piece_values(ts[regular]) / denom[regular]
-        out[ts == a] = lim_a
-        out[ts == b] = lim_b
-        return out
+        piece = np.clip(np.searchsorted(np.asarray(N.breakpoints), ts,
+                                        "right") - 1, 0, last)
+        return kept.piece_values(ts) / (np.where(piece == 0, 1.0, ts - a)
+                                        * np.where(piece == last, 1.0,
+                                                   b - ts))
     return fn
 
 
 def _ref_delta_cuts(N):
-    return list(N.breakpoints) + [
-        t for lo, hi, c in aligned_pieces(N)
-        for t in poly.proots(c, lo, hi) if lo < t < hi]
+    return [t for lo, hi, c in aligned_pieces(N)
+            for t in poly.proots(c, lo, hi) if lo < t < hi]
 
 
 def _ref_delta_norm(N, p):
     dfn = _ref_delta_fn(N)
     ident = PiecewiseFunction.from_coeffs((0.0, 1.0), N.a, N.b)
     total = _ref_integrate_against(lambda ts: np.abs(dfn(ts)) ** p, ident,
-                                   _ref_delta_cuts(N), tol=1e-11)
+                                   _ref_kept(N), _ref_delta_cuts(N),
+                                   tol=1e-11)
     return max(total, 0.0) ** (1.0 / p)
 
 
@@ -105,17 +93,19 @@ def _ref_a14(N, f, p):
     """(plain, p_norm) tiers of Corollary A.14 by the reference route."""
     a, b = f.domain
     width = b - a
+    h = 0.5 * width
     dfn = _ref_delta_fn(N)
-    splits = _ref_delta_cuts(N)
+    kept, splits = _ref_kept(N), _ref_delta_cuts(N)
     int_absdelta_df = _ref_integrate_against(lambda ts: np.abs(dfn(ts)),
-                                             f, splits)
+                                             f, kept, splits)
     q = p / (p - 1.0)
-    int_dq_df = _ref_integrate_against(
-        lambda ts: ((ts - a) * (b - ts)) ** q, f)
+    int_w_df = _ref_integrate_against(
+        lambda ts: ((ts - a) / h * ((b - ts) / h)) ** q, f, kept, splits)
     int_deltap_df = _ref_integrate_against(
-        lambda ts: np.abs(dfn(ts)) ** p, f, splits)
+        lambda ts: np.abs(dfn(ts)) ** p, f, kept, splits)
     return (width / 4.0 * int_absdelta_df,
-            int_dq_df ** (1.0 / q) * int_deltap_df ** (1.0 / p) / width)
+            width / 4.0 * int_w_df ** (1.0 / q)
+            * int_deltap_df ** (1.0 / p))
 
 
 def _ref_delta_form(f, u):
@@ -128,8 +118,7 @@ def _ref_delta_form(f, u):
         ua = u(a)
         return (ts - a) * (ub - uv) - (b - ts) * (uv - ua)
 
-    return _ref_integrate_against(weighted_delta, f, u.breakpoints,
-                                  tol=1e-13)
+    return _ref_integrate_against(weighted_delta, f, u, max_doublings=0)
 
 
 # -- inputs ------------------------------------------------------------------
@@ -166,18 +155,18 @@ def _split_near(f, s, ulps):
 
 
 def _spy_fallbacks(monkeypatch, module):
-    """Count the cell levels on which the pass in ``module`` fell back to
-    the whole-function evaluator (jump terms are one node and not
-    counted)."""
+    """Count the Gauss rounds on which the pass in ``module`` fell back to
+    the whole-function evaluator at some node (jump terms are one node and
+    not counted)."""
     real = module.integrate_against
     seen = []
 
-    def spying(fun, f, over=None, splits=(), tol=1e-10):
-        def spy(ts, c):
-            if c is None and over is not None and ts.size > 1:
-                seen.append(ts.size)
-            return fun(ts, c)
-        return real(spy, f, over, splits, tol)
+    def spying(fun, f, over, splits=(), tol=1e-10, max_doublings=14):
+        def spy(ts, values, piece):
+            if ts.size > 1 and (piece < 0).any():
+                seen.append(int((piece < 0).sum()))
+            return fun(ts, values, piece)
+        return real(spy, f, over, splits, tol, max_doublings)
     monkeypatch.setattr(module, "integrate_against", spying)
     return seen
 
@@ -196,7 +185,7 @@ def _assert_a13_matches(f, cert, u, p):
     powers = (1.0,) if p is None else (1.0, p)
     ref = [_ref_integrate_against(
         lambda ts, r=r, dfn=_ref_delta_fn(N): np.abs(dfn(ts)) ** r, ident,
-        _ref_delta_cuts(N), tol=1e-11) for r in powers]
+        _ref_kept(N), _ref_delta_cuts(N), tol=1e-11) for r in powers]
     assert _hex(_delta_integrals(N, ident, powers, tol=1e-11)) == _hex(ref)
     rep = bound_D_corollaries(f, u, "a13", p=p, f_lipschitz=cert)
     tiers = {"one_norm": L * width / 4.0 * _ref_delta_norm(N, 1.0)}
@@ -223,11 +212,18 @@ def test_a13_rows_equal_one_call_per_integrand(seed, p):
 def _assert_a14_matches(f, u, p):
     N = gamma_kernel(u)
     dfn = _ref_delta_fn(N)
-    splits = _ref_delta_cuts(N)
-    ref = [_ref_integrate_against(lambda ts: np.abs(dfn(ts)), f, splits),
-           _ref_integrate_against(lambda ts: np.abs(dfn(ts)) ** p, f,
-                                  splits)]
-    assert _hex(_delta_integrals(N, f, (1.0, p))) == _hex(ref)
+    kept, splits = _ref_kept(N), _ref_delta_cuts(N)
+    a, b = f.domain
+    h = 0.5 * (b - a)
+    q = p / (p - 1.0)
+    ref = [_ref_integrate_against(lambda ts: np.abs(dfn(ts)), f, kept,
+                                  splits),
+           _ref_integrate_against(lambda ts: np.abs(dfn(ts)) ** p, f, kept,
+                                  splits),
+           _ref_integrate_against(
+               lambda ts: ((ts - a) / h * ((b - ts) / h)) ** q, f, kept,
+               splits)]
+    assert _hex(_delta_integrals(N, f, (1.0, p), q)) == _hex(ref)
     rep = bound_D_corollaries(f, u, "a14", p=p)
     assert _hex([rep.tier("plain"), rep.tier("p_norm")]) \
         == _hex(_ref_a14(N, f, p))
@@ -291,7 +287,7 @@ def test_constant_integrator_gives_one_zero_per_row():
     f = PiecewiseFunction.constant(2.0, 0.0, 1.0)
     u = PiecewiseFunction.from_coeffs((0.0, 0.0, 1.0), 0.0, 1.0)
     N = gamma_kernel(u)
-    assert _delta_integrals(N, f, (1.0, 3.0)) == [0.0, 0.0]
+    assert _delta_integrals(N, f, (1.0, 3.0), 1.5) == [0.0, 0.0, 0.0]
     assert _delta_form_numeric(f, u) == 0.0
     rep = bound_D_corollaries(f, u, "a14", p=3.0)
     assert rep.tier("plain") == rep.tier("p_norm") == 0.0

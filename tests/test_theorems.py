@@ -159,20 +159,32 @@ def test_unexpected_exception_is_recorded_and_the_run_goes_on(monkeypatch,
 
 # Calls over trials 0..9 of every registry id at seed 0, recorded on the
 # code that derives each piece's derivative ranges once per monotone check;
-# gauss_integral re-recorded when every divided-difference integrand of a
-# bound went into one Gauss pass per cell.
+# gauss_integral re-recorded when each integral became one call of the
+# substituted two-order Gauss rule, and its nodes (148 calls and 99 744
+# nodes under the doubled rule) with it.
 BATTERY_WORK = {"proots": 1348, "pminmax_on": 2019, "pcritical": 2444,
                 "pderiv": 7268, "pmul": 5378, "_derivative_entry": 2339,
-                "gauss_integral": 148, "verify_certificate": 370}
+                "gauss_integral": 32, "verify_certificate": 370}
+BATTERY_GAUSS_NODES = 13104
 
 
-def test_battery_work_budget(count_calls):
+def test_battery_work_budget(count_calls, monkeypatch):
     counts = count_calls(poly.proots, poly.pminmax_on, poly.pcritical,
                          poly.pderiv, poly.pmul, poly._derivative_entry,
                          funcrep.gauss_integral, funcrep.verify_certificate)
+    nodes = []
+    counted = funcrep.gauss_integral
+
+    def counting_nodes(fun, *args, **kwargs):
+        def fun_counted(ts):
+            nodes.append(ts.size)
+            return fun(ts)
+        return counted(fun_counted, *args, **kwargs)
+    monkeypatch.setattr(funcrep, "gauss_integral", counting_nodes)
     for tid in battery.THEOREM_IDS:
         for k in range(10):
             battery.THEOREMS[tid](random.Random(f"0:{tid}:{k}"))
+    assert 0 < sum(nodes) <= 1.05 * BATTERY_GAUSS_NODES
     grown = {name: (counts[name], budget)
              for name, budget in BATTERY_WORK.items()
              if counts[name] > 1.05 * budget}
