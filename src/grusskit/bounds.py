@@ -10,7 +10,8 @@ Divided-difference integrals that have no closed form go through one
 ``funcrep.integrate_against`` call per bound (``_delta_integrals``: the
 substituted Gauss pair over cells split at the breakpoints and in-piece
 roots of the kernel numerator, every power of |delta| and the A.14 weight
-a row of the same call), whose error estimate is discarded: it does not
+a row of the same call, each node reading the numerator's piece to its
+right, the last at b), whose error estimate is discarded: it does not
 enter the report tolerance.  Every
 divided-difference bound builds the kernel numerator ``gamma_kernel(u)``
 once and hands it to the norms.  A non-finite lhs or tier raises
@@ -31,11 +32,11 @@ from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
                      DegenerateIntegrator, DegenerateWeight, DomainError,
                      GrussKitError, HypothesisFailed, NegativeWeight,
                      NotMonotone)
-from .funcrep import (PiecewiseFunction, RegularityCertificate,
-                      aligned_pieces, extremum_point, inf_sup_on,
-                      integrate_against, p_norm, require_certificate,
-                      sign_segments, sup_norm_on, total_variation,
-                      verify_certificate)
+from .funcrep import (PiecewiseFunction, RegularityCertificate, _coeff_matrix,
+                      _horner, _span_lookup, aligned_pieces, extremum_point,
+                      inf_sup_on, integrate_against, p_norm,
+                      require_certificate, sign_segments, sup_norm_on,
+                      total_variation, verify_certificate)
 from .functionals import (_weight_total, cheby_T, functional_D,
                           gamma_kernel, integrator_span, phi_kernel)
 from .quadrature import Partition, partition_quadrature
@@ -224,39 +225,35 @@ def _delta_integrals(N: PiecewiseFunction, f: PiecewiseFunction,
     call.  Its cells are split at N's breakpoints (where delta' jumps) and
     at the roots of each piece inside it (where |delta| kinks).
 
-    On a cell delta is one piece of N over the factors of (t-a)(b-t) it
-    keeps: on the first piece the factor t - a, and on the last b - t, is
-    divided out of N by synthetic division, so delta has no 0/0 at a or b
-    and the Gauss rule does not chase the rounding of N(a) ~ 0.  The
-    remainders, N's values at a and b, are zero for a continuous u but for
-    the rounding of forming N; they are dropped, as the jump table drops
-    gaps below its threshold.  A node that rounds onto a cell end, and a
-    jump of f, reads the piece to its right (the last at b)."""
+    delta is one piece of N over the factors of (t-a)(b-t) it keeps: on
+    the first piece the factor t - a, and on the last b - t, is divided
+    out of N by synthetic division, so delta has no 0/0 at a or b and the
+    Gauss rule does not chase the rounding of N(a) ~ 0.  The remainders,
+    N's values at a and b, are zero for a continuous u but for the
+    rounding of forming N; they are dropped, as the jump table drops gaps
+    below its threshold.  Every node, and every jump of f, reads the
+    piece to its right (the last at b), by the lookup of ``piece_values``;
+    the same index picks the first or last piece's kept factor."""
     a, b = N.domain
     h = 0.5 * (b - a)
     last = len(N.pieces) - 1
     kept = list(N.pieces)
     kept[0] = poly.pdivroot(kept[0], a)[0]
     kept[last] = poly.pneg(poly.pdivroot(kept[last], b)[0])
-    P = PiecewiseFunction(N.breakpoints, tuple(kept), N.point_values)
-    bp = np.asarray(N.breakpoints)
+    starts, mat = np.asarray(N.breakpoints[:-1]), _coeff_matrix(kept)
     roots = [t for lo, hi, c in aligned_pieces(N)
              for t in poly.proots(c, lo, hi) if lo < t < hi]
 
-    def rows(ts, values, piece):
-        ends = piece < 0
-        if ends.any():
-            values, piece = values.copy(), piece.copy()
-            piece[ends] = np.clip(np.searchsorted(bp, ts[ends], "right") - 1,
-                                  0, last)
-            values[ends] = P.piece_values(ts[ends])
-        delta = np.abs(values / (np.where(piece == 0, 1.0, ts - a)
-                                 * np.where(piece == last, 1.0, b - ts)))
+    def rows(ts):
+        piece = _span_lookup(starts, ts)
+        delta = np.abs(_horner(mat[piece], ts)
+                       / (np.where(piece == 0, 1.0, ts - a)
+                          * np.where(piece == last, 1.0, b - ts)))
         out = [delta ** r for r in powers]
         if weight is not None:
             out.append(((ts - a) / h * ((b - ts) / h)) ** weight)
         return out
-    return integrate_against(rows, f, P, roots, tol)
+    return integrate_against(rows, f, [*N.breakpoints, *roots], tol)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,12 @@ rule on each interval of s give a value and, by their gap, an error, and
 only the intervals whose gap is too large are bisected.  One call covers
 every span and several integrand rows, each row with its own stop test,
 relative to its integral of |row|.  ``integrate_against`` is the one
-numeric integral against df: one ``gauss_integral`` call over all cells
-(a row may read a second function as its piece on a node's cell, and
-falls back to the whole function where a node rounds onto a cell end),
-plus exact jump terms; ``p_norm`` at non-integer p is one call over all
-sign segments, and at p > 3 one call over all graded panels.
+numeric integral against df: one ``gauss_integral`` call over all cells,
+whose rows evaluate their functions whole at every node (a node that
+rounds onto a cell end reads the piece to its right, the last at b, and
+so does f'), plus exact jump terms; ``p_norm`` at non-integer p is one
+call over all sign segments, and at p > 3 one call over all graded
+panels.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as nppoly
 
 from . import poly
 from .errors import CertificateInvalid, DomainError, MalformedCertificate
@@ -421,25 +421,19 @@ class PiecewiseFunction:
         return not self._sided_values()[0]
 
     def piece_values(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorised piece-polynomial evaluation, ignoring point values
-        (breakpoints get the right-piece value, b the last piece)."""
+        """Piece-polynomial values at nodes ts of any shape, ignoring point
+        values: a node reads the piece to its right (at a breakpoint), the
+        last at b."""
         ts = np.asarray(ts, dtype=float)
-        if len(self.pieces) == 1:
-            return nppoly.polyval(ts, np.asarray(self.pieces[0]))
-        bp = np.asarray(self.breakpoints)
-        idx = np.clip(np.searchsorted(bp, ts, side="right") - 1,
-                      0, len(self.pieces) - 1)
-        out = np.empty_like(ts)
-        for i, c in enumerate(self.pieces):
-            m = idx == i
-            if m.any():
-                out[m] = nppoly.polyval(ts[m], np.asarray(c))
-        return out
+        starts = np.asarray(self.breakpoints[:-1])
+        return _horner(_coeff_matrix(self.pieces)[_span_lookup(starts, ts)],
+                       ts)
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorised point ('at') evaluation."""
+        """Point ('at') values at nodes ts of any shape: ``piece_values``,
+        with the point value at every breakpoint."""
         ts = np.asarray(ts, dtype=float)
-        out = self.piece_values(ts)
+        out = np.asarray(self.piece_values(ts))    # a 0-d array for a scalar
         for j, t in enumerate(self.breakpoints):
             m = ts == t
             if m.any():
@@ -838,12 +832,13 @@ def _coeff_matrix(pieces) -> np.ndarray:
 
 
 def _horner(rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Row k of ``rows`` (coefficients low to high) at ts[k]: the steps of
-    ``nppoly.polyval``, node by node, so a zero-padded row gives the
-    polyval of the unpadded one bit for bit."""
-    out = rows[:, -1] + ts * 0.0
-    for k in range(rows.shape[1] - 2, -1, -1):
-        out = rows[:, k] + out * ts
+    """Row ``rows[i]`` (coefficients low to high, on the last axis) at
+    ``ts[i]``, for ts of any shape: the steps of numpy's ``polyval``, node
+    by node, so a zero-padded row gives the polyval of the unpadded one bit
+    for bit."""
+    out = rows[..., -1] + ts * 0.0
+    for k in range(rows.shape[-1] - 2, -1, -1):
+        out = rows[..., k] + out * ts
     return out
 
 
@@ -866,49 +861,40 @@ def _abs_power_integral(segments, p: float):
     return gauss_integral(fun, los, his, tol=1e-13)
 
 
-def integrate_against(fun, f: PiecewiseFunction, over: PiecewiseFunction,
-                      splits=(), tol: float = 1e-10,
+def integrate_against(fun, f: PiecewiseFunction, splits=(),
+                      tol: float = 1e-10,
                       max_doublings: int = 14) -> list[float]:
     """The integrals against df of the rows of ``fun``, in one
     ``gauss_integral`` call over the cells of
-    ``aligned_pieces(f, over, splits=splits)``, plus exact jump terms.
+    ``aligned_pieces(f, splits=splits)``, plus exact jump terms.
 
-    ``fun(ts, values, piece)`` returns one row of values at the nodes ts
-    per integrand, each continuous on every cell: ``piece`` is the index of
-    over's piece on the node's cell and ``values`` that piece at the node.
-    Where a node rounds onto an end of its cell (a, b, a breakpoint or a
-    split), and at the jumps of f, ``piece`` is -1 and ``fun`` falls back
-    to evaluating the whole function there.  f' at a node is the
-    derivative of f's piece on its cell.  Every jump of f adds fun at the
-    jump times its mass.  Cells narrower than 1e-14 of the domain and
-    cells on which f is constant are skipped; ``tol`` and
-    ``max_doublings`` go to ``gauss_integral``, whose error estimate is
-    discarded."""
+    ``fun(ts)`` returns one row of values at the nodes ts per integrand,
+    each evaluated over its whole function and continuous on every cell:
+    a caller passes the breakpoints of the functions its rows read in
+    ``splits``.  f' at a node is the derivative of f's piece on the last
+    cell starting at or before it.  Every jump of f adds fun at the jump
+    times its mass.  Cells narrower than 1e-14 of the domain and cells on
+    which f is constant are skipped; ``tol`` and ``max_doublings`` go to
+    ``gauss_integral``, whose error estimate is discarded."""
     tiny = 1e-14 * (f.b - f.a)
     cells = []
-    for lo, hi, fc, oc in aligned_pieces(f, over, splits=splits):
+    for lo, hi, fc in aligned_pieces(f, splits=splits):
         dc = poly.pderiv(fc)
         if hi - lo > tiny and not poly.is_zero_poly(dc):
-            cells.append((lo, hi, dc, oc,
-                          bisect_right(over.breakpoints, lo) - 1))
+            cells.append((lo, hi, dc))
     terms = []     # the Gauss values of all cells, then one list per jump
     if cells:
-        los, his, dcs, ocs, index = zip(*cells)
-        los, his, index = np.array(los), np.array(his), np.array(index)
-        dmat, omat = _coeff_matrix(dcs), _coeff_matrix(ocs)
+        los, his, dcs = zip(*cells)
+        los, dmat = np.array(los), _coeff_matrix(dcs)
 
         def rows(ts):
-            i = _span_lookup(los, ts)
-            piece = np.where((los[i] < ts) & (ts < his[i]), index[i], -1)
-            return (np.asarray(fun(ts, _horner(omat[i], ts), piece))
-                    * _horner(dmat[i], ts))
+            return (np.asarray(fun(ts))
+                    * _horner(dmat[_span_lookup(los, ts)], ts))
         terms.append(gauss_integral(rows, los, his, tol, max_doublings)[0])
     for t, mass in f.jump_masses():
-        terms.append([float(r[0]) * mass for r in
-                      fun(np.array([t]), np.zeros(1), np.full(1, -1))])
+        terms.append([float(r[0]) * mass for r in fun(np.array([t]))])
     if not terms:      # nothing to add: one evaluation gives the row count
-        return [0.0] * len(fun(np.array([f.a]), np.zeros(1),
-                               np.full(1, -1)))
+        return [0.0] * len(fun(np.array([f.a])))
     totals = [0.0] * len(terms[0])
     for values in terms:
         totals = [x + v for x, v in zip(totals, values)]

@@ -15,8 +15,8 @@ df: an affine-interpolation defect ``phi``, its unnormalised sibling
 ``(t-a)(b-t) * delta``.  ``identity_residual_D`` evaluates all three
 independently and reports the worst deviation from D; the
 divided-difference form is one ``integrate_against`` pass over the cells
-of f and u, reading u as its piece on each cell (its point values where a
-node rounds onto a breakpoint).
+of f and u, reading u by ``values_at`` at every node: its point value at
+its breakpoints, its piece elsewhere.
 """
 
 from __future__ import annotations
@@ -202,23 +202,20 @@ def identity_residual_D(f: PiecewiseFunction,
 
 def _delta_form_numeric(f: PiecewiseFunction, u: PiecewiseFunction) -> float:
     """integral of (t-a)(b-t) delta(t) df(t), via pointwise values of u in
-    one ``integrate_against`` pass over the cells of f and u: u is its
-    cell's piece, or ``values_at`` where a node rounds onto a cell end.
-    On a cell the integrand is a polynomial of degree at most 16 for u and
-    f of degree 8 at most (``build``'s cap), which one round of the Gauss
-    pair integrates exactly (24 points are exact to degree 47 in s, 23 in
-    t); more rounds would only chase the rounding of its cancelling
-    terms."""
+    one ``integrate_against`` pass over the cells of f split at u's
+    breakpoints: every node reads ``u.values_at``, so a node that rounds
+    onto a breakpoint of u reads u's point value there.  On a cell the
+    integrand is a polynomial of degree at most 16 for u and f of degree 8
+    at most (``build``'s cap), which one round of the Gauss pair
+    integrates exactly (24 points are exact to degree 47 in s, 23 in t);
+    more rounds would only chase the rounding of its cancelling terms."""
     a, b = u.domain
     ua, ub = u(a), u(b)
 
-    def weighted_delta(ts: np.ndarray, uv: np.ndarray,
-                       piece: np.ndarray) -> list[np.ndarray]:
-        ends = piece < 0
-        if ends.any():
-            uv = uv.copy()
-            uv[ends] = u.values_at(ts[ends])
+    def weighted_delta(ts: np.ndarray) -> list[np.ndarray]:
+        uv = u.values_at(ts)
         return [(ts - a) * (ub - uv) - (b - ts) * (uv - ua)]
 
-    (total,) = integrate_against(weighted_delta, f, u, max_doublings=0)
+    (total,) = integrate_against(weighted_delta, f, u.breakpoints,
+                                 max_doublings=0)
     return total

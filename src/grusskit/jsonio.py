@@ -119,6 +119,9 @@ def function_to_jsonable(f: PiecewiseFunction) -> dict:
 def parse_certificate(obj, path: str) -> tuple[str, RegularityCertificate]:
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
+    unknown = set(obj) - {"slot", "kind", "params"}
+    if unknown:
+        raise SchemaError(path, f"unknown keys {sorted(unknown)!r}")
     slot = obj.get("slot")
     if slot not in FUNCTION_SLOTS:
         raise SchemaError(f"{path}.slot",

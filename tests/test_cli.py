@@ -122,6 +122,22 @@ class TestSchema:
             jsonio.parse_document(doc)
         assert str(exc.value) == "f.pieces[0]: unknown keys ['extra']"
 
+    @pytest.mark.parametrize("cert, unknown", [
+        ({"slot": "f", "kind": "monotone", "parms": [1]}, ["parms"]),
+        ({"slot": "f", "kind": "bounds", "param": [0, 1]}, ["param"]),
+        ({"slot": "f", "kind": "bounds", "params": [0, 1], "note": "x",
+          "Params": []}, ["Params", "note"])])
+    def test_unknown_certificate_key_rejected(self, cert, unknown):
+        # a misspelt params key read as no params: "monotone" parsed, and
+        # "bounds" reported a missing m <= M, not the key
+        doc = {"domain": [0.0, 1.0],
+               "f": {"breakpoints": [0.0, 1.0],
+                     "pieces": [{"coeffs": [0.0, 1.0]}]},
+               "certificates": [cert]}
+        with pytest.raises(SchemaError) as exc:
+            jsonio.parse_document(doc)
+        assert str(exc.value) == f"certificates[0]: unknown keys {unknown!r}"
+
 
 # a function with a "values" key whose breakpoints or degree its build
 # rejects: the failure is a SchemaError on the slot, as without "values"

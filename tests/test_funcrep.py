@@ -1,8 +1,12 @@
 import dataclasses
 import math
+import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from numpy.polynomial import polynomial as nppoly
 
 from grusskit import funcrep
 from grusskit.errors import DomainError, MalformedCertificate
@@ -451,6 +455,77 @@ class TestSidedTable:
         u_jump.jumps().clear()
         u_jump.jump_masses().clear()
         assert u_jump.jump_masses() == [(0.0, 1.0), (1.0, 1.0)]
+
+
+def _masked_piece_values(f, ts):
+    """The per-piece evaluation that ``piece_values`` replaced, kept as its
+    reference: a clipped right-side lookup in the breakpoints, then one
+    masked ``nppoly.polyval`` per piece."""
+    ts = np.asarray(ts, dtype=float)
+    if len(f.pieces) == 1:
+        return nppoly.polyval(ts, np.asarray(f.pieces[0]))
+    bp = np.asarray(f.breakpoints)
+    idx = np.clip(np.searchsorted(bp, ts, side="right") - 1,
+                  0, len(f.pieces) - 1)
+    out = np.empty_like(ts)
+    for i, c in enumerate(f.pieces):
+        m = idx == i
+        if m.any():
+            out[m] = nppoly.polyval(ts[m], np.asarray(c))
+    return out
+
+
+def _masked_values_at(f, ts):
+    out = _masked_piece_values(f, ts)
+    for j, t in enumerate(f.breakpoints):
+        out[ts == t] = f.point_values[j]
+    return out
+
+
+class TestPieceValues:
+    """``piece_values`` (one zero-padded coefficient matrix, one span
+    lookup, one Horner) and ``values_at`` equal the per-piece masked
+    polyval bit for bit, on node arrays of any shape."""
+
+    @staticmethod
+    def _function(rng, degrees):
+        a = rng.uniform(-3.0, 1.0)
+        cuts = sorted(rng.uniform(a, a + 4.0) for _ in degrees[1:])
+        bp = (a, *cuts, a + 4.0)
+        pieces = tuple(tuple(rng.uniform(-5.0, 5.0)
+                             * 10.0 ** rng.randint(-3, 3)
+                             for _ in range(d + 1)) for d in degrees)
+        values = tuple(rng.uniform(-9.0, 9.0) for _ in bp)
+        return PiecewiseFunction(bp, pieces, values)
+
+    @staticmethod
+    def _nodes(rng, f):
+        # every breakpoint (a and b too), its neighbouring floats, and
+        # uniform draws, as a 2-D array
+        ts = [x for t in f.breakpoints for x in
+              (t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf))]
+        ts = [t for t in ts if f.a <= t <= f.b]
+        ts += [rng.uniform(f.a, f.b) for _ in range(60 - len(ts) % 3)]
+        rng.shuffle(ts)
+        return np.array(ts).reshape(3, -1)
+
+    @given(st.integers(min_value=0, max_value=10 ** 9),
+           st.sampled_from([1, 2, 5, 9]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_masked_polyval_bit_for_bit(self, seed, k):
+        # with k = 9 the degrees are 0..8 in one function, so every row
+        # but one is zero-padded
+        rng = random.Random(seed)
+        f = self._function(rng, rng.sample(range(9), k))
+        ts = self._nodes(rng, f)
+        for got, want in ((f.piece_values(ts), _masked_piece_values(f, ts)),
+                          (f.values_at(ts), _masked_values_at(f, ts))):
+            assert got.shape == ts.shape
+            assert [x.hex() for x in got.ravel().tolist()] \
+                == [x.hex() for x in want.ravel().tolist()]
+        # a scalar node on a breakpoint reads the point value there
+        assert [float(f.values_at(t)) for t in f.breakpoints] \
+            == list(f.point_values)
 
 
 class TestGaussIntegral:
