@@ -97,14 +97,18 @@ def _cmd_bound(args) -> int:
     return 0
 
 
-def _counts(option: str, text: str, k: int, form: str) -> list[int]:
-    """``k`` colon-separated integers from an option value."""
+def _counts(option: str, text: str, k: int, form: str, cap: int) -> list[int]:
+    """``k`` colon-separated cell counts from an option value, none above
+    ``cap``, the cell budget of ``--max-cells``; checked before any
+    partition is built."""
     try:
         counts = [int(x) for x in text.split(":")]
     except ValueError:
         counts = []
     if len(counts) != k:
         raise SchemaError(option, f"expected {form}, got {text!r}")
+    if max(counts) > cap:
+        raise SchemaError(option, f"{text!r} exceeds --max-cells {cap}")
     return counts
 
 
@@ -114,7 +118,8 @@ def _cmd_quad(args) -> int:
     a, b = spec.domain
     results: dict = {}
     if args.sweep:
-        lo_n, hi_n = _counts("sweep", args.sweep, 2, "<nmin>:<nmax>")
+        lo_n, hi_n = _counts("sweep", args.sweep, 2, "<nmin>:<nmax>",
+                             args.max_cells)
         if lo_n > hi_n:
             raise SchemaError("sweep", f"nmin {lo_n} exceeds nmax {hi_n}")
         holder = next((c for c in spec.certificates.get("f", [])
@@ -141,7 +146,7 @@ def _cmd_quad(args) -> int:
         kind, _, count = args.partition.partition(":")
         if kind != "uniform":
             raise SchemaError("partition", "expected uniform:<n>")
-        (n,) = _counts("partition", count, 1, "uniform:<n>")
+        (n,) = _counts("partition", count, 1, "uniform:<n>", args.max_cells)
         res = partition_quadrature(f, g, u, Partition.uniform(a, b, n))
         results["quadrature"] = jsonio.quadrature_to_jsonable(
             res, per_cell=False)

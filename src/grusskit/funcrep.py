@@ -68,9 +68,11 @@ class Enclosure:
         return 0.5 * (self.hi - self.lo)
 
 
-def _tight(value: float, scale: float = 0.0) -> Enclosure:
+def _padded(value: float, scale: float = 0.0) -> tuple[float, float]:
+    """The ends of the tight enclosure of a computed ``value`` whose
+    terms reach ``scale`` in magnitude."""
     pad = 64.0 * _EPS * (1.0 + abs(value) + abs(scale))
-    return Enclosure(value - pad, value + pad)
+    return value - pad, value + pad
 
 
 @dataclass(frozen=True)
@@ -548,8 +550,15 @@ def _inf_sup(bp: tuple, pieces: tuple,
     for v in point_values:
         lo = min(lo, v)
         hi = max(hi, v)
+    inf_ends, sup_ends = _extreme_ends(lo, hi)
+    return Enclosure(*inf_ends), Enclosure(*sup_ends)
+
+
+def _extreme_ends(lo: float, hi: float) -> tuple[tuple[float, float], ...]:
+    """The ends of the inf and sup enclosures of a function whose computed
+    min and max are lo and hi: both padded at the larger magnitude."""
     scale = max(abs(lo), abs(hi))
-    return _tight(lo, scale), _tight(hi, scale)
+    return _padded(lo, scale), _padded(hi, scale)
 
 
 def sup_norm_on(f: PiecewiseFunction) -> Enclosure:
@@ -559,8 +568,22 @@ def sup_norm_on(f: PiecewiseFunction) -> Enclosure:
 def _sup_norm(inf_e: Enclosure, sup_e: Enclosure) -> Enclosure:
     """The sup norm enclosure of a function with these inf and sup
     enclosures."""
-    value = max(abs(inf_e.mid), abs(sup_e.mid))
-    return _tight(value, value)
+    return Enclosure(*_norm_ends(inf_e.mid, sup_e.mid))
+
+
+def _norm_ends(inf_mid: float, sup_mid: float) -> tuple[float, float]:
+    """The ends of ``_sup_norm`` of enclosures with these midpoints: the
+    larger magnitude, padded at its own scale."""
+    value = max(abs(inf_mid), abs(sup_mid))
+    return _padded(value, value)
+
+
+def _sup_norm_hi(lo: float, hi: float) -> float:
+    """``_sup_norm(*_inf_sup(...)).hi`` of a function whose computed min
+    and max are lo and hi, in floats: no enclosure is built, so nothing
+    is checked, and the caller passes finite lo and hi."""
+    (a, b), (c, d) = _extreme_ends(lo, hi)
+    return _norm_ends(0.5 * (a + b), 0.5 * (c + d))[1]    # the .mid of each
 
 
 def total_variation(u: PiecewiseFunction) -> Enclosure:

@@ -6,16 +6,20 @@ cell increment of u.  ``partition_quadrature`` (fixed partitions) and
 ``adaptive_quadrature`` solve each cell once and return one
 ``QuadratureResult``; ``composite_S`` and the oscillation and Holder
 remainder estimates are views of it.  Every cell quantity is computed on
-the cell alone: f and u are restricted to it once.  g's side of a cell,
-its integral against u and its centred sup, is read from the pieces of g
-and u when the closed cell holds no breakpoint of either (``_g_side``):
-one antiderivative difference and the shifted piece's min and max, with
-no restricted g and no integral wrapper.  A cell that holds a breakpoint,
-or on which a number of that path is not finite, restricts g and takes
-the general path, the closed-form integral of ``rs_integral``; both give
-the same floats.  On either path the centred sup comes from g's shifted
-pieces (``_centred_sup``), with no shifted copy of g.  Nothing is derived
-twice:
+the cell alone: f and u are restricted to it once, for the oscillation of
+f and the variation of u.  g's side of a cell, its integral against u and
+its centred sup, is read from the pieces of g and u when the closed cell
+holds no breakpoint of either (``_g_side``): one antiderivative
+difference and the shifted piece's values at the cell ends and critical
+points, each formed once, with no restricted g, no integral wrapper and
+no enclosure.  A cell that holds a breakpoint, or on which a number of
+that path is not finite, restricts g and takes the general path, the
+closed-form integral of ``rs_integral``; both give the same floats.  On
+either path the centred sup comes from g's shifted pieces
+(``_centred_sup``), with no shifted copy of g.  The integral of f du is
+read from the pieces in the same way when the closed cell holds no
+breakpoint of f or u; only the other cells keep their restricted f and u
+for the closed form in ``_result``.  Nothing is derived twice:
 
 - each solve keeps one map of product antiderivatives per pair of pieces
   of (f or g, u), which every cell's integral against u reads;
@@ -24,8 +28,9 @@ twice:
   share them;
 - u is evaluated once at each cell end, and the value is shared by the
   cell state test, the split search and the cell increment;
-- each cell record keeps its restricted f and u until the result is
-  summed, and restricted functions are validated by construction
+- a cell record keeps its integral of f du, or, on a cell that holds a
+  breakpoint of f or u, its restricted f and u until the result is
+  summed; restricted functions are validated by construction
   (``PiecewiseFunction._trusted``).
 
 A cell whose term or integral of g du overflows, or a result whose value
@@ -44,8 +49,8 @@ import numpy as np
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
 from .funcrep import (PiecewiseFunction, RegularityCertificate, _inf_sup,
-                      _sup_norm, inf_sup_on, require_certificate,
-                      total_variation)
+                      _sup_norm, _sup_norm_hi, inf_sup_on,
+                      require_certificate, total_variation)
 from .stieltjes import _piece_integral, _product_core, _same_domain
 
 
@@ -155,12 +160,16 @@ class _Cell(NamedTuple):
     i_g: float     # integral of g du over the cell
     u_lo: float    # u(lo)
     u_hi: float    # u(hi)
-    f_cell: PiecewiseFunction | None    # f.restrict(lo, hi) if state "ok"
-    u_cell: PiecewiseFunction | None    # u.restrict(lo, hi) if state "ok"
+    # integral of f du on an "ok" cell inside one piece of f and one of u,
+    # read from the pieces; else None, as where that integral overflows
+    i_f: float | None
+    # (f.restrict(lo, hi), u.restrict(lo, hi)) on any other "ok" cell, for
+    # _result to integrate; else None
+    f_u_cells: tuple[PiecewiseFunction, PiecewiseFunction] | None
 
 
 def _centred_sup(g: PiecewiseFunction, bp: tuple, pieces: tuple,
-                 point_values: tuple, m: float) -> float:
+                 point_values: tuple | None, m: float) -> float | None:
     """sup |g - m| over [bp[0], bp[-1]], given the fields of
     ``g.restrict(bp[0], bp[-1])`` (its breakpoints, pieces and point
     values): ``sup_norm_on((g - m).restrict(bp[0], bp[-1])).hi`` without
@@ -169,8 +178,20 @@ def _centred_sup(g: PiecewiseFunction, bp: tuple, pieces: tuple,
     Only the numbers the shift forms are checked, the constant terms and
     then the point values, and they raise the DomainError the constructor
     would.  The general path of ``_solve_cell`` passes a restricted g's
-    fields, and ``_g_side`` those of the one piece holding the cell."""
+    fields.
+
+    ``_g_side`` passes bp = (lo, hi), the one piece of g whose open
+    interval holds [lo, hi] and no point values: neither end is then a
+    breakpoint of g, so the shifted piece at lo, at hi and at its
+    critical points gives every value, each formed once, and the sup
+    comes from their min and max in floats (``funcrep._sup_norm_hi``),
+    with no enclosure.  It returns None, for the general path to decide,
+    where one of those values or the sup is not finite."""
     shifted = tuple(poly.psub(c, (m,)) for c in pieces)
+    if point_values is None:
+        vals = poly._extreme_values(shifted[0], bp[0], bp[-1])
+        vals.append(_sup_norm_hi(min(vals), max(vals)))
+        return vals[-1] if all(map(math.isfinite, vals)) else None
     values = [v - m for v in point_values]
     if g._bp_index(bp[0]) is None:
         values[0] = poly.pvalue(shifted[0], bp[0])
@@ -183,12 +204,12 @@ def _centred_sup(g: PiecewiseFunction, bp: tuple, pieces: tuple,
     return _sup_norm(*_inf_sup(bp, shifted, values)).hi
 
 
-def _inner_piece(h: PiecewiseFunction, lo: float, hi: float) -> int | None:
-    """The index of the piece of h whose open interval holds [lo, hi], or
-    None when [lo, hi] holds a breakpoint of h."""
-    i = h._piece_index(lo)
-    bp = h.breakpoints
-    return i if bp[i] < lo and hi < bp[i + 1] else None
+def _inner_piece(h: PiecewiseFunction, lo: float,
+                 hi: float) -> tuple | None:
+    """The piece of h whose open interval holds [lo, hi], or None when
+    [lo, hi] holds a breakpoint of h."""
+    i, bp = h._piece_index(lo), h.breakpoints
+    return h.pieces[i] if bp[i] < lo and hi < bp[i + 1] else None
 
 
 def _g_side(g: PiecewiseFunction, u: PiecewiseFunction, lo: float,
@@ -201,27 +222,22 @@ def _g_side(g: PiecewiseFunction, u: PiecewiseFunction, lo: float,
     same operations in the same order as ``rs_integral(g.restrict(lo, hi),
     u.restrict(lo, hi)).value`` and ``_centred_sup`` of that restriction:
     the antiderivative, from the solve's ``products`` map when given
-    (``stieltjes._piece_integral``), then ``_centred_sup`` on the piece
-    and its end values, with no restricted g.
+    (``stieltjes._piece_integral``), then ``_centred_sup`` on the one
+    piece, with no restricted g.
 
     None, for the general path, when [lo, hi] holds a breakpoint, or when
     a number that path forms is not finite; that path then raises where
     the inputs overflow."""
-    i, j = _inner_piece(g, lo, hi), _inner_piece(u, lo, hi)
-    if i is None or j is None:
+    piece, u_piece = _inner_piece(g, lo, hi), _inner_piece(u, lo, hi)
+    if piece is None or u_piece is None:
         return None
-    piece = g.pieces[i]
-    # the end values g.restrict(lo, hi) checks and carries
-    ends = (poly.pvalue(piece, lo), poly.pvalue(piece, hi))
-    if not all(map(math.isfinite, ends)):
+    # the end values g.restrict(lo, hi) checks
+    if not all(math.isfinite(poly.pvalue(piece, t)) for t in (lo, hi)):
         return None
-    i_g = _piece_integral(piece, u.pieces[j], lo, hi, products)
-    if i_g is None:
-        return None
-    try:
-        return i_g, _centred_sup(g, (lo, hi), (piece,), ends, i_g / du)
-    except DomainError:    # a shifted number, or an enclosure, not finite
-        return None
+    i_g = _piece_integral(piece, u_piece, lo, hi, products)
+    sup_g = None if i_g is None \
+        else _centred_sup(g, (lo, hi), (piece,), None, i_g / du)
+    return None if sup_g is None else (i_g, sup_g)
 
 
 def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -231,14 +247,19 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
     """Every quantity of the cell [lo, hi] whose ``_cell_state`` is
     ``state``, given u_lo = u(lo) and u_hi = u(hi); constant and
     degenerate cells get zero terms.  f and u are restricted to the cell
-    once.  g's side, its integral against u and its centred sup, is read
-    from the pieces by ``_g_side`` when the cell holds no breakpoint of g
-    or u; otherwise, or when ``_g_side`` declines, g is restricted too, at
-    the same point, and the side comes from the closed-form integral and
-    ``_centred_sup``, bit-identical where both apply.  Integrals against u
-    read and fill the solve's ``products`` map, if given.  Raises
-    DomainError when an "ok" cell's term or integral of g du is not
-    finite."""
+    once, for the oscillation of f and the variation of u.  g's side, its
+    integral against u and its centred sup, is read from the pieces by
+    ``_g_side`` when the cell holds no breakpoint of g or u; otherwise, or
+    when ``_g_side`` declines, g is restricted too, at the same point, and
+    the side comes from the closed-form integral and ``_centred_sup``,
+    bit-identical where both apply.  The integral of f du is read from the
+    pieces likewise (``stieltjes._piece_integral``) when the cell holds no
+    breakpoint of f or u, and equals ``rs_integral(f.restrict(lo, hi),
+    u.restrict(lo, hi)).value``; otherwise, or when that integral is not
+    finite, the record keeps the restricted f and u, and ``_result``
+    integrates them.  Integrals against u read and fill the solve's
+    ``products`` map, if given.  Raises DomainError when an "ok" cell's
+    term or integral of g du is not finite."""
     if state != "ok":
         return _Cell(lo, hi, 0.0 if state == "constant" else math.inf,
                      state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, None, None)
@@ -260,21 +281,26 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"cell [{lo!r}, {hi!r}]: term {term!r} or "
                           f"integral of g du {i_g!r} is not finite: the "
                           f"inputs overflow")
+    fu = _inner_piece(f, lo, hi), _inner_piece(u, lo, hi)
+    i_f = None if None in fu else _piece_integral(*fu, lo, hi, products)
     return _Cell(lo, hi, term, state, (osc, sup_g, var_u), i_g, u_lo, u_hi,
-                 f_cell, u_cell)
+                 i_f, (f_cell, u_cell) if i_f is None else None)
 
 
 def _result(u: PiecewiseFunction, cells: list[_Cell],
             products: dict | None = None) -> QuadratureResult:
-    """The result of solved cells, none degenerate, summed in cell order
-    from the cells' restricted f and u, with the solve's ``products`` map
-    if given; the stated bound is (1/2) max osc * max sup_g * Var(u).
-    Raises DomainError when the value or a bound is not finite."""
+    """The result of solved cells, none degenerate, summed in cell order;
+    the integral of f du of an "ok" cell is its ``i_f``, or, where that is
+    None, the closed form on its restricted f and u, with the solve's
+    ``products`` map if given.  The stated bound is (1/2) max osc *
+    max sup_g * Var(u).  Raises DomainError when the value or a bound is
+    not finite."""
     value = 0.0
     for c in cells:
         if c.state == "ok":
-            i_f = _product_core([c.f_cell], c.u_cell, products)
-            value += i_f.value * c.i_g / (c.u_hi - c.u_lo)
+            i_f = c.i_f if c.f_u_cells is None else _product_core(
+                [c.f_u_cells[0]], c.f_u_cells[1], products).value
+            value += i_f * c.i_g / (c.u_hi - c.u_lo)
     stated = 0.5 * max(c.terms[0] for c in cells) \
         * max(c.terms[1] for c in cells) * total_variation(u).hi
     tight = sum(c.term for c in cells)
@@ -368,10 +394,12 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
     Bisection points where u would repeat a cell-end value are shifted by a
     quarter cell; cells on which u is constant are frozen with a zero term.
     Each cell is solved once, when it is made, and keeps its terms, its
-    integral of g du, u at its ends and its restricted f and u; the result
-    is built from the final cells' records, so it equals
-    ``partition_quadrature`` on the final partition, with one more integral
-    (of f du) per cell.  u is evaluated once per split candidate.
+    integral of g du, u at its ends and either its integral of f du, read
+    from the pieces, or, on a cell that holds a breakpoint of f or u, its
+    restricted f and u, whose integral is taken only if the cell is final.
+    The result is built from the final cells' records, so it equals
+    ``partition_quadrature`` on the final partition.  u is evaluated once
+    per split candidate.
 
     Raises DomainError unless ``tol > 0``, ``max_cells >= 1`` and f, g
     and u share one domain.

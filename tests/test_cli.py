@@ -690,6 +690,38 @@ def test_quad_rejects_malformed_counts(option, capsys):
     assert captured.err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("option, cap", [
+    (["--partition", "uniform:4097"], []),
+    (["--sweep", "4:4097"], []),
+    (["--sweep", "4097:8192"], []),
+    (["--partition", "uniform:9"], ["--max-cells", "8"]),
+    (["--sweep", "4:16"], ["--max-cells", "8"]),
+])
+def test_quad_partition_above_the_cell_budget_is_a_schema_error(
+        option, cap, monkeypatch, capsys):
+    # --max-cells (default 4096) caps every quad mode; an n or nmax above
+    # it is refused before any partition is built
+    def refuse(*args):
+        raise AssertionError("Partition.uniform called")
+    monkeypatch.setattr(quadrature.Partition, "uniform", refuse)
+    code = run(["quad", *option, *cap, "--json", json.dumps(QUAD_SPEC)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ")
+    assert "exceeds --max-cells" in captured.err
+
+
+@pytest.mark.parametrize("option", [
+    ["--partition", "uniform:8"], ["--sweep", "4:8"], ["--sweep", "8:8"],
+])
+def test_quad_partition_at_the_cell_budget_runs(option, capsys):
+    code = run(["quad", *option, "--max-cells", "8",
+                "--json", json.dumps(QUAD_SPEC)])
+    capsys.readouterr()
+    assert code == 0
+
+
 @pytest.mark.parametrize("option", [
     ["--tol", "nan"], ["--max-cells", "0"], ["--max-cells", "-3"],
 ])
@@ -726,10 +758,14 @@ def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
     # partition
     assert assert_derived_once(derived, in_result) == [
         t for n in ns for t in quadrature.Partition.uniform(0.0, 1.0, n).points]
-    # the cells' integrals read the solve's product map, not rs_integral
+    # the cells' integrals read the solve's product map, not rs_integral:
+    # in the closed form, of g du on those 33 cells and of f du on the 28
+    # that hold a breakpoint of f or u (the cells at 0 and 1 and the ones
+    # holding 0.4 and 0.6: 4 per partition, as no uniform point of a
+    # power-of-two partition is 0.4 or 0.6)
     assert counts["rs_integral"] == 0
     assert sum(len(args) > 2 and args[2] is not None
-               for args in derived.args["_product_core"]) == cells + 33
+               for args in derived.args["_product_core"]) == 33 + 28
 
 
 def test_quad_sweep_work_budget(count_calls, capsys):
@@ -741,7 +777,7 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     from grusskit import poly
     counts = count_calls(poly.proots, poly.pderiv, poly.pmul,
                          funcrep.PiecewiseFunction.restrict,
-                         stieltjes._product_core)
+                         stieltjes._product_core, stieltjes._piece_integral)
     assert run(["quad", "--sweep", "4:256",
                 "--json", json.dumps(QUAD_SPEC_HOLDER)]) == 0
     capsys.readouterr()
@@ -750,11 +786,15 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     assert counts["pderiv"] == 7 + 48
     assert counts["pmul"] == 50
     # and of the cell work over the 508 cells: f and u restricted on each,
-    # g on the 33 that hold a breakpoint of g or u; one integral of f du
-    # per cell, one of g du per cell that restricts g, and the report's
-    # exact integral of f g du
+    # g on the 33 that hold a breakpoint of g or u.  Closed-form integrals
+    # (_product_core): of g du on those 33 cells, of f du on the 28 that
+    # hold a breakpoint of f or u (4 per partition: the cells at 0 and 1
+    # and the ones holding 0.4 and 0.6), and the report's exact integral of
+    # f g du.  Integrals read from the pieces: of g du on the other
+    # 508 - 33 cells and of f du on the other 508 - 28
     assert counts["restrict"] == 2 * 508 + 33
-    assert counts["_product_core"] == 508 + 33 + 1
+    assert counts["_product_core"] == 33 + 28 + 1
+    assert counts["_piece_integral"] == (508 - 33) + (508 - 28)
 
 
 @pytest.mark.parametrize("option", [["--partition", "uniform:4"], []])

@@ -11,7 +11,8 @@ from grusskit import (battery, funcrep, instances, poly, quadrature,
 from grusskit.bounds import bound_quadrature_remainder
 from grusskit.errors import (DegenerateCell, DomainError,
                              ToleranceUnreachable)
-from grusskit.funcrep import PiecewiseFunction, RegularityCertificate
+from grusskit.funcrep import (PiecewiseFunction, RegularityCertificate,
+                              sup_norm_on)
 from grusskit.functionals import cheby_T
 from grusskit.quadrature import (Partition, _cell_state, adaptive_quadrature,
                                  composite_S, oscillation_v,
@@ -454,12 +455,13 @@ DERIVE_U = PiecewiseFunction((0.0, 0.6, 1.0), ((0.0, 1.0), (1.0, 0.5)),
 
 def derive_once_counts(count_calls, monkeypatch, solve):
     """Run ``solve()`` with restrict, eval_sided, _sided_table,
-    _solve_cell and _product_core counted; returns the counts, one
-    (restrict calls, _product_core calls, "ok" cells) triple per
-    ``_result`` call, made inside it, and what ``solve()`` returned."""
+    _solve_cell, _product_core and _piece_integral counted; returns the
+    counts, one (restrict calls, _product_core calls, (lo, hi) of each
+    "ok" cell) triple per ``_result`` call, made inside it, and what
+    ``solve()`` returned."""
     counts = count_calls(PiecewiseFunction.restrict, funcrep.eval_sided,
                          funcrep._sided_table, quadrature._solve_cell,
-                         stieltjes._product_core)
+                         stieltjes._product_core, stieltjes._piece_integral)
     in_result = []
     inner = quadrature._result
 
@@ -468,7 +470,7 @@ def derive_once_counts(count_calls, monkeypatch, solve):
         out = inner(u, cells, products)
         in_result.append((counts["restrict"] - restricts,
                           counts["_product_core"] - cores,
-                          sum(c.state == "ok" for c in cells)))
+                          [(c.lo, c.hi) for c in cells if c.state == "ok"]))
         return out
     monkeypatch.setattr(quadrature, "_result", result)
     out = solve()
@@ -488,6 +490,10 @@ def assert_derived_once(counts, in_result) -> list[float]:
         return [args[1:3] for args in counts.args["restrict"]
                 if id(args[0]) in copies]
     cells = [args[3:5] for args in solved]
+    (f,), (u,) = {args[0] for args in solved}, {args[2] for args in solved}
+
+    def holds_f_or_u_breakpoint(lo, hi):
+        return any(lo <= t <= hi for t in f.breakpoints + u.breakpoints)
     # g's side falls back to restricting g only on a cell that holds a
     # breakpoint of g or u
     fallback = [(lo, hi) for _, g, u, lo, hi, *_ in solved
@@ -497,12 +503,20 @@ def assert_derived_once(counts, in_result) -> list[float]:
     assert restricted(1) == fallback
     assert counts["restrict"] == 2 * len(cells) + len(fallback)
     # integrals that read a solve's product map: of g du on each fallback
-    # cell, and of f du on each final "ok" cell, summed in _result
-    assert in_result and all(restricts == 0 and cores == ok
-                             for restricts, cores, ok in in_result)
+    # cell, and of f du on each final "ok" cell that holds a breakpoint of
+    # f or u, summed in _result from the restricted f and u it kept
+    f_fallback = [[cell for cell in ok if holds_f_or_u_breakpoint(*cell)]
+                  for *_, ok in in_result]
+    assert in_result and all(
+        restricts == 0 and cores == len(kept)
+        for (restricts, cores, _), kept in zip(in_result, f_fallback))
     against_u = [args for args in counts.args["_product_core"]
                  if len(args) > 2 and args[2] is not None]
-    assert len(against_u) == len(fallback) + sum(ok for *_, ok in in_result)
+    assert len(against_u) == len(fallback) + sum(map(len, f_fallback))
+    # and from the pieces: of g du on every other solved cell, and of f du
+    # on every solved cell that holds no breakpoint of f or u
+    assert counts["_piece_integral"] == len(cells) - len(fallback) + sum(
+        not holds_f_or_u_breakpoint(*cell) for cell in cells)
     # at most one sided table per function instance
     built = [id(args[0]) for args in counts.args["_sided_table"]]
     assert len(built) == len(set(built))
@@ -581,16 +595,45 @@ def test_g_side_equals_the_general_path(seed, kind):
                                  + u.breakpoints)
     if side is None:
         return
-    # the general path, and the side without a map and from the map the
-    # first call filled
-    g_cell = g.restrict(lo, hi)
-    i_g = rs_integral(g_cell, u.restrict(lo, hi)).value
-    want = (i_g, quadrature._centred_sup(
-        g, g_cell.breakpoints, g_cell.pieces, g_cell.point_values, i_g / du))
+    # the definitions, on restricted and shifted functions, and the side
+    # without a map and from the map the first call filled
+    i_g = rs_integral(g.restrict(lo, hi), u.restrict(lo, hi)).value
+    want = (i_g, sup_norm_on((g - i_g / du).restrict(lo, hi)).hi)
     assert len(products) == 1
     for got in (side, quadrature._g_side(g, u, lo, hi, du),
                 quadrature._g_side(g, u, lo, hi, du, products)):
         assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["inside", "touching", "end", "any"]))
+@settings(max_examples=300, deadline=None)
+def test_inside_f_integral_equals_the_general_path(seed, kind):
+    # f may jump; the cell's integral of f du is read from the pieces
+    # exactly when the cell holds no breakpoint of f or u
+    rng = random.Random(seed)
+    a, b = instances.rand_interval(rng)
+    f = instances.rand_piecewise(rng, a, b, jumps=True)
+    g = instances.rand_continuous(rng, a, b)
+    u = instances.ensure_span(rng, lambda: instances.rand_monotone(rng, a, b))
+    cell = _draw_cell(rng, kind, f, u)
+    if cell is None:
+        return
+    lo, hi = cell
+    u_lo, u_hi = u(lo), u(hi)
+    if _cell_state(u, lo, hi, u_lo, u_hi) != "ok":
+        return
+    products = {}
+    solved = [quadrature._solve_cell(f, g, u, lo, hi, u_lo, u_hi, "ok", m)
+              for m in (products, None, products)]
+    inside = not any(lo <= t <= hi for t in f.breakpoints + u.breakpoints)
+    for c in solved:
+        assert (c.i_f is not None) == inside
+        assert (c.f_u_cells is None) == inside
+    if not inside:
+        return
+    want = rs_integral(f.restrict(lo, hi), u.restrict(lo, hi)).value
+    assert [float.hex(c.i_f) for c in solved] == 3 * [float.hex(want)]
 
 
 def test_g_side_falls_back_where_g_restricts():
