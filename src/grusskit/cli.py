@@ -98,15 +98,19 @@ def _cmd_bound(args) -> int:
 
 
 def _counts(option: str, text: str, k: int, form: str, cap: int) -> list[int]:
-    """``k`` colon-separated cell counts from an option value, none above
-    ``cap``, the cell budget of ``--max-cells``; checked before any
-    partition is built."""
+    """``k`` colon-separated cell counts from an option value, each at
+    least 1 and none above ``cap``, the cell budget of ``--max-cells``
+    (itself at least 1); checked before any partition is built."""
+    if cap < 1:
+        raise SchemaError("max-cells", f"must be >= 1, got {cap}")
     try:
         counts = [int(x) for x in text.split(":")]
     except ValueError:
         counts = []
     if len(counts) != k:
         raise SchemaError(option, f"expected {form}, got {text!r}")
+    if min(counts) < 1:
+        raise SchemaError(option, f"cell counts must be >= 1, got {text!r}")
     if max(counts) > cap:
         raise SchemaError(option, f"{text!r} exceeds --max-cells {cap}")
     return counts

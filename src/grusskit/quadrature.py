@@ -6,20 +6,24 @@ cell increment of u.  ``partition_quadrature`` (fixed partitions) and
 ``adaptive_quadrature`` solve each cell once and return one
 ``QuadratureResult``; ``composite_S`` and the oscillation and Holder
 remainder estimates are views of it.  Every cell quantity is computed on
-the cell alone: f and u are restricted to it once, for the oscillation of
-f and the variation of u.  g's side of a cell, its integral against u and
-its centred sup, is read from the pieces of g and u when the closed cell
+the cell alone: u is restricted to it once, for the variation of u.  The
+oscillation of f is read from f's one piece when the closed cell holds no
+breakpoint of f (``_f_side``): the piece's values at the cell ends and
+critical points, padded as ``inf_sup_on`` pads them, with no restricted f
+and no enclosure.  g's side of a cell, its integral against u and its
+centred sup, is read from the pieces of g and u when the closed cell
 holds no breakpoint of either (``_g_side``): one antiderivative
 difference and the shifted piece's values at the cell ends and critical
 points, each formed once, with no restricted g, no integral wrapper and
 no enclosure.  A cell that holds a breakpoint, or on which a number of
-that path is not finite, restricts g and takes the general path, the
-closed-form integral of ``rs_integral``; both give the same floats.  On
-either path the centred sup comes from g's shifted pieces
-(``_centred_sup``), with no shifted copy of g.  The integral of f du is
-read from the pieces in the same way when the closed cell holds no
-breakpoint of f or u; only the other cells keep their restricted f and u
-for the closed form in ``_result``.  Nothing is derived twice:
+those paths is not finite, restricts f or g and takes the general path,
+``inf_sup_on`` and the closed-form integral of ``rs_integral``; both give
+the same floats.  On either path the centred sup comes from g's shifted
+pieces (``_centred_sup``), with no shifted copy of g.  The integral of f
+du is read from the pieces in the same way when the closed cell holds no
+breakpoint of f or u; only the other cells restrict f and keep their
+restricted f and u for the closed form in ``_result``.  Nothing is
+derived twice:
 
 - each solve keeps one map of product antiderivatives per pair of pieces
   of (f or g, u), which every cell's integral against u reads;
@@ -48,9 +52,9 @@ import numpy as np
 
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
-from .funcrep import (PiecewiseFunction, RegularityCertificate, _inf_sup,
-                      _sup_norm, _sup_norm_hi, inf_sup_on,
-                      require_certificate, total_variation)
+from .funcrep import (PiecewiseFunction, RegularityCertificate,
+                      _extreme_ends, _inf_sup, _sup_norm, _sup_norm_hi,
+                      inf_sup_on, require_certificate, total_variation)
 from .stieltjes import _piece_integral, _product_core, _same_domain
 
 
@@ -141,17 +145,29 @@ def _cell_state(u: PiecewiseFunction, lo: float, hi: float, u_lo: float,
 
 
 def oscillation_v(f: PiecewiseFunction, partition: Partition) -> float:
-    """max over cells of (sup f - inf f), certified from above."""
+    """max over cells of (sup f - inf f), certified from above: each cell's
+    oscillation as ``_solve_cell`` takes it."""
     worst = 0.0
     for lo, hi in partition.cells():
-        inf_e, sup_e = inf_sup_on(f.restrict(lo, hi))
-        worst = max(worst, sup_e.hi - inf_e.lo)
+        side = _f_side(f, lo, hi, None)
+        worst = max(worst, _osc(f.restrict(lo, hi)) if side is None
+                    else side[0])
     return worst
+
+
+def _osc(f_cell: PiecewiseFunction) -> float:
+    """sup f - inf f over the cell f is restricted to, certified from
+    above: the general path of a cell's oscillation."""
+    inf_e, sup_e = inf_sup_on(f_cell)
+    return sup_e.hi - inf_e.lo
 
 
 class _Cell(NamedTuple):
     """One cell of a solve, solved once when it is made; the record lives
-    until the solve returns."""
+    until the solve returns.  It keeps numbers, and functions only where
+    the integral of f du is left to ``_result``: on a cell inside one
+    piece of f the oscillation of f is read from that piece, and on one
+    inside one piece of f and one of u the integral of f du too."""
     lo: float
     hi: float
     term: float    # 0.5 * osc * sup_g * var_u; inf forces a split
@@ -212,23 +228,52 @@ def _inner_piece(h: PiecewiseFunction, lo: float,
     return h.pieces[i] if bp[i] < lo and hi < bp[i + 1] else None
 
 
-def _g_side(g: PiecewiseFunction, u: PiecewiseFunction, lo: float,
-            hi: float, du: float,
+def _f_side(f: PiecewiseFunction, lo: float, hi: float,
+            u_piece: tuple | None,
+            products: dict | None = None) -> tuple[float, float | None] | None:
+    """(oscillation of f, integral of f du) over the cell [lo, hi], read
+    from the one piece of f whose open interval holds [lo, hi]; u_piece is
+    ``_inner_piece(u, lo, hi)``.  The oscillation is ``_osc(f.restrict(lo,
+    hi))`` in the same floats: the restriction's end values are the
+    piece's values at lo and hi, so its min and max are those of the
+    piece at lo, at hi and at its critical points, padded by
+    ``funcrep._extreme_ends``, with no restricted f and no enclosure.  The
+    integral is ``stieltjes._piece_integral`` of the two pieces, with the
+    solve's ``products`` map when given, or None where u_piece is None or
+    the integral is not finite.
+
+    None, for the general path, when [lo, hi] holds a breakpoint of f, or
+    when one of the piece's values is not finite; restricting f, or
+    ``_osc``, then raises where the inputs overflow."""
+    piece = _inner_piece(f, lo, hi)
+    if piece is None:
+        return None
+    vals = poly._extreme_values(piece, lo, hi)
+    if not all(map(math.isfinite, vals)):
+        return None
+    (inf_lo, _), (_, sup_hi) = _extreme_ends(min(vals), max(vals))
+    i_f = None if u_piece is None \
+        else _piece_integral(piece, u_piece, lo, hi, products)
+    return sup_hi - inf_lo, i_f
+
+
+def _g_side(g: PiecewiseFunction, lo: float, hi: float, du: float,
+            u_piece: tuple | None,
             products: dict | None = None) -> tuple[float, float] | None:
     """(integral of g du, sup |g - m|) over the cell [lo, hi], where m is
     that integral over ``du = u(hi) - u(lo)``, read from the pieces of g
-    and u when [lo, hi] holds no breakpoint of g and none of u.  The cell
-    then lies inside one piece of each, and the two floats come from the
-    same operations in the same order as ``rs_integral(g.restrict(lo, hi),
-    u.restrict(lo, hi)).value`` and ``_centred_sup`` of that restriction:
-    the antiderivative, from the solve's ``products`` map when given
-    (``stieltjes._piece_integral``), then ``_centred_sup`` on the one
-    piece, with no restricted g.
+    and u when [lo, hi] holds no breakpoint of g and none of u; u_piece is
+    ``_inner_piece(u, lo, hi)``.  The cell then lies inside one piece of
+    each, and the two floats come from the same operations in the same
+    order as ``rs_integral(g.restrict(lo, hi), u.restrict(lo, hi)).value``
+    and ``_centred_sup`` of that restriction: the antiderivative, from the
+    solve's ``products`` map when given (``stieltjes._piece_integral``),
+    then ``_centred_sup`` on the one piece, with no restricted g.
 
     None, for the general path, when [lo, hi] holds a breakpoint, or when
     a number that path forms is not finite; that path then raises where
     the inputs overflow."""
-    piece, u_piece = _inner_piece(g, lo, hi), _inner_piece(u, lo, hi)
+    piece = _inner_piece(g, lo, hi)
     if piece is None or u_piece is None:
         return None
     # the end values g.restrict(lo, hi) checks
@@ -246,30 +291,33 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
                 products: dict | None = None) -> _Cell:
     """Every quantity of the cell [lo, hi] whose ``_cell_state`` is
     ``state``, given u_lo = u(lo) and u_hi = u(hi); constant and
-    degenerate cells get zero terms.  f and u are restricted to the cell
-    once, for the oscillation of f and the variation of u.  g's side, its
+    degenerate cells get zero terms.  u's piece is looked up once and u is
+    restricted to the cell once, for the variation of u.  f's side, its
+    oscillation and its integral against u, is read from the pieces by
+    ``_f_side`` when the cell holds no breakpoint of f (the integral only
+    when it holds none of u either); otherwise, or when ``_f_side``
+    declines, f is restricted, at the same point, and the oscillation
+    comes from ``_osc``, bit-identical where both apply.  g's side, its
     integral against u and its centred sup, is read from the pieces by
     ``_g_side`` when the cell holds no breakpoint of g or u; otherwise, or
-    when ``_g_side`` declines, g is restricted too, at the same point, and
-    the side comes from the closed-form integral and ``_centred_sup``,
-    bit-identical where both apply.  The integral of f du is read from the
-    pieces likewise (``stieltjes._piece_integral``) when the cell holds no
-    breakpoint of f or u, and equals ``rs_integral(f.restrict(lo, hi),
-    u.restrict(lo, hi)).value``; otherwise, or when that integral is not
-    finite, the record keeps the restricted f and u, and ``_result``
-    integrates them.  Integrals against u read and fill the solve's
-    ``products`` map, if given.  Raises DomainError when an "ok" cell's
-    term or integral of g du is not finite."""
+    when ``_g_side`` declines, g is restricted too, and the side comes
+    from the closed-form integral and ``_centred_sup``, likewise
+    bit-identical.  Where the integral of f du is not read from the
+    pieces, or is not finite, the record keeps the restricted f and u,
+    and ``_result`` integrates them.  Integrals against u read and fill
+    the solve's ``products`` map, if given.  Raises DomainError when an
+    "ok" cell's term or integral of g du is not finite."""
     if state != "ok":
         return _Cell(lo, hi, 0.0 if state == "constant" else math.inf,
                      state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, None, None)
-    f_cell = f.restrict(lo, hi)
-    g_side = _g_side(g, u, lo, hi, u_hi - u_lo, products)
+    u_piece = _inner_piece(u, lo, hi)
+    f_side = _f_side(f, lo, hi, u_piece, products)
+    f_cell = f.restrict(lo, hi) if f_side is None else None
+    g_side = _g_side(g, lo, hi, u_hi - u_lo, u_piece, products)
     g_cell = g.restrict(lo, hi) if g_side is None else None
     u_cell = u.restrict(lo, hi)
     var_u = total_variation(u_cell).hi
-    inf_e, sup_e = inf_sup_on(f_cell)
-    osc = sup_e.hi - inf_e.lo
+    osc, i_f = (_osc(f_cell), None) if f_side is None else f_side
     if g_side is None:
         i_g = _product_core([g_cell], u_cell, products).value
         sup_g = _centred_sup(g, g_cell.breakpoints, g_cell.pieces,
@@ -281,8 +329,8 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"cell [{lo!r}, {hi!r}]: term {term!r} or "
                           f"integral of g du {i_g!r} is not finite: the "
                           f"inputs overflow")
-    fu = _inner_piece(f, lo, hi), _inner_piece(u, lo, hi)
-    i_f = None if None in fu else _piece_integral(*fu, lo, hi, products)
+    if i_f is None and f_cell is None:
+        f_cell = f.restrict(lo, hi)    # finite ends: _f_side read them
     return _Cell(lo, hi, term, state, (osc, sup_g, var_u), i_g, u_lo, u_hi,
                  i_f, (f_cell, u_cell) if i_f is None else None)
 

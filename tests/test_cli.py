@@ -712,6 +712,29 @@ def test_quad_partition_above_the_cell_budget_is_a_schema_error(
     assert "exceeds --max-cells" in captured.err
 
 
+@pytest.mark.parametrize("option, name", [
+    (["--partition", "uniform:0"], "partition"),
+    (["--partition", "uniform:-1"], "partition"),
+    (["--sweep", "0:4"], "sweep"),
+    (["--sweep=-2:4"], "sweep"),
+    (["--partition", "uniform:4", "--max-cells", "-5"], "max-cells"),
+    (["--sweep", "4:8", "--max-cells", "0"], "max-cells"),
+])
+def test_quad_counts_below_one_are_a_schema_error(option, name, monkeypatch,
+                                                  capsys):
+    # a cell count or cell budget below 1 is refused, naming its option,
+    # before any partition is built
+    def refuse(*args):
+        raise AssertionError("Partition.uniform called")
+    monkeypatch.setattr(quadrature.Partition, "uniform", refuse)
+    code = run(["quad", *option, "--json", json.dumps(QUAD_SPEC)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {name}: ")
+    assert "must be >= 1" in captured.err
+
+
 @pytest.mark.parametrize("option", [
     ["--partition", "uniform:8"], ["--sweep", "4:8"], ["--sweep", "8:8"],
 ])
@@ -751,11 +774,11 @@ def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
     assert counts["_cell_state"] == cells
     solved = derived.args["_solve_cell"]
     assert len(solved) == cells
-    # f and u restricted once per cell and g on the 33 cells that hold a
-    # breakpoint of g or u (the cells at 0 and 1, the two meeting at 0.5
-    # and, from n = 16 on, the one holding 0.6: 4 + 4 + 5 * 5), one sided
-    # table per function, and u evaluated once per cell end of each
-    # partition
+    # u restricted once per cell, g on the 33 cells that hold a breakpoint
+    # of g or u (the cells at 0 and 1, the two meeting at 0.5 and, from
+    # n = 16 on, the one holding 0.6: 4 + 4 + 5 * 5) and f on the 28 below,
+    # one sided table per function, and u evaluated once per cell end of
+    # each partition
     assert assert_derived_once(derived, in_result) == [
         t for n in ns for t in quadrature.Partition.uniform(0.0, 1.0, n).points]
     # the cells' integrals read the solve's product map, not rs_integral:
@@ -785,14 +808,14 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     assert counts["proots"] == 0
     assert counts["pderiv"] == 7 + 48
     assert counts["pmul"] == 50
-    # and of the cell work over the 508 cells: f and u restricted on each,
-    # g on the 33 that hold a breakpoint of g or u.  Closed-form integrals
-    # (_product_core): of g du on those 33 cells, of f du on the 28 that
-    # hold a breakpoint of f or u (4 per partition: the cells at 0 and 1
-    # and the ones holding 0.4 and 0.6), and the report's exact integral of
-    # f g du.  Integrals read from the pieces: of g du on the other
-    # 508 - 33 cells and of f du on the other 508 - 28
-    assert counts["restrict"] == 2 * 508 + 33
+    # and of the cell work over the 508 cells: u restricted on each, g on
+    # the 33 that hold a breakpoint of g or u, and f on the 28 that hold a
+    # breakpoint of f or u (4 per partition: the cells at 0 and 1 and the
+    # ones holding 0.4 and 0.6).  Closed-form integrals (_product_core): of
+    # g du on those 33 cells, of f du on those 28, and the report's exact
+    # integral of f g du.  Integrals read from the pieces: of g du on the
+    # other 508 - 33 cells and of f du on the other 508 - 28
+    assert counts["restrict"] == 508 + 33 + 28
     assert counts["_product_core"] == 33 + 28 + 1
     assert counts["_piece_integral"] == (508 - 33) + (508 - 28)
 

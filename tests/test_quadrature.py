@@ -498,10 +498,13 @@ def assert_derived_once(counts, in_result) -> list[float]:
     # breakpoint of g or u
     fallback = [(lo, hi) for _, g, u, lo, hi, *_ in solved
                 if any(lo <= t <= hi for t in g.breakpoints + u.breakpoints)]
-    # f and u restricted once per solved cell, never when summing
-    assert restricted(0) == cells and restricted(2) == cells
+    # u restricted once per solved cell, f only on a solved cell that holds
+    # a breakpoint of f or u (its oscillation is read from f's piece on
+    # every cell inside one), never when summing
+    f_cells = [cell for cell in cells if holds_f_or_u_breakpoint(*cell)]
+    assert restricted(0) == f_cells and restricted(2) == cells
     assert restricted(1) == fallback
-    assert counts["restrict"] == 2 * len(cells) + len(fallback)
+    assert counts["restrict"] == len(cells) + len(fallback) + len(f_cells)
     # integrals that read a solve's product map: of g du on each fallback
     # cell, and of f du on each final "ok" cell that holds a breakpoint of
     # f or u, summed in _result from the restricted f and u it kept
@@ -589,7 +592,8 @@ def test_g_side_equals_the_general_path(seed, kind):
     if du == 0.0:
         return
     products = {}
-    side = quadrature._g_side(g, u, lo, hi, du, products)
+    u_piece = quadrature._inner_piece(u, lo, hi)
+    side = quadrature._g_side(g, lo, hi, du, u_piece, products)
     # declines exactly on a cell holding a breakpoint of g or u
     assert (side is None) == any(lo <= t <= hi for t in g.breakpoints
                                  + u.breakpoints)
@@ -600,9 +604,67 @@ def test_g_side_equals_the_general_path(seed, kind):
     i_g = rs_integral(g.restrict(lo, hi), u.restrict(lo, hi)).value
     want = (i_g, sup_norm_on((g - i_g / du).restrict(lo, hi)).hi)
     assert len(products) == 1
-    for got in (side, quadrature._g_side(g, u, lo, hi, du),
-                quadrature._g_side(g, u, lo, hi, du, products)):
+    for got in (side, quadrature._g_side(g, lo, hi, du, u_piece),
+                quadrature._g_side(g, lo, hi, du, u_piece, products)):
         assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["inside", "touching", "end", "any"]))
+@settings(max_examples=300, deadline=None)
+def test_f_side_equals_the_general_path(seed, kind):
+    # f may jump; the cell's oscillation of f is read from f's piece
+    # exactly when the cell holds no breakpoint of f (its integral of f du
+    # is checked through _solve_cell below)
+    rng = random.Random(seed)
+    a, b = instances.rand_interval(rng)
+    f = instances.rand_piecewise(rng, a, b, jumps=True)
+    u = instances.ensure_span(rng, lambda: instances.rand_monotone(rng, a, b))
+    cell = _draw_cell(rng, kind, f, u)
+    if cell is None:
+        return
+    lo, hi = cell
+    side = quadrature._f_side(f, lo, hi, quadrature._inner_piece(u, lo, hi))
+    assert (side is None) == any(lo <= t <= hi for t in f.breakpoints)
+    if side is None:
+        return
+    inf_e, sup_e = funcrep.inf_sup_on(f.restrict(lo, hi))
+    assert float.hex(side[0]) == float.hex(sup_e.hi - inf_e.lo)
+
+
+# f on [0, 2] with one piece 1.77e308 + 8e307 t - 4e307 t^2: finite at
+# 0.02 and 1.98 (1.786e308) but not at its critical point t = 1, and near
+# enough the largest float on [0.01, 0.02] that the inf/sup pad overflows
+OVER_F = PiecewiseFunction((0.0, 2.0), ((1.77e308, 8e307, -4e307),),
+                           (1.77e308, 1.77e308))
+
+
+@pytest.mark.parametrize("f, cell, declines, message", [
+    # the piece overflows at both ends of the cell: restricting f raises
+    (PiecewiseFunction((0.0, 5.0), ((0.0, 0.0, 1e307),), (0.0, 0.0)),
+     (4.4, 4.6), True, "non-finite point value"),
+    # and at its critical point only: inf_sup_on raises
+    (OVER_F, (0.02, 1.98), True, "enclosure lo nan > hi inf"),
+    # its values are finite, the padded oscillation is not: the term is
+    (OVER_F, (0.01, 0.02), False,
+     "cell [0.01, 0.02]: term inf or integral of g du "
+     "0.00015000000000000001 is not finite: the inputs overflow"),
+])
+def test_f_side_overflow_raises_as_the_general_path(f, cell, declines,
+                                                   message):
+    lo, hi = cell
+    u = PiecewiseFunction.from_coeffs((0.0, 1.0), *f.domain)
+    side = quadrature._f_side(f, lo, hi, quadrature._inner_piece(u, lo, hi))
+    assert (side is None) == declines
+    with pytest.raises(DomainError) as info:
+        quadrature._solve_cell(f, u, u, lo, hi, u(lo), u(hi), "ok", {})
+    assert str(info.value) == message
+    if not declines:
+        assert side[0] == oscillation_v(f, Partition(cell)) == math.inf
+        return
+    with pytest.raises(DomainError) as info:
+        oscillation_v(f, Partition(cell))
+    assert str(info.value) == message
 
 
 @given(st.integers(min_value=0, max_value=10 ** 9),
@@ -643,7 +705,9 @@ def test_g_side_falls_back_where_g_restricts():
     # was read from the tables
     g = PiecewiseFunction((0.0, 5.0), ((0.0, 0.0, 1e307),), (0.0, 0.0))
     u = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 5.0)
-    assert quadrature._g_side(g, u, 4.4, 4.6, u(4.6) - u(4.4), {}) is None
+    assert quadrature._g_side(g, 4.4, 4.6, u(4.6) - u(4.4),
+                              quadrature._inner_piece(u, 4.4, 4.6),
+                              {}) is None
     with pytest.raises(DomainError, match="non-finite point value"):
         quadrature._solve_cell(u, g, u, 4.4, 4.6, u(4.4), u(4.6), "ok",
                                {})    # f = u = t
