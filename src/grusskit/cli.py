@@ -99,10 +99,8 @@ def _cmd_bound(args) -> int:
 
 def _counts(option: str, text: str, k: int, form: str, cap: int) -> list[int]:
     """``k`` colon-separated cell counts from an option value, each at
-    least 1 and none above ``cap``, the cell budget of ``--max-cells``
-    (itself at least 1); checked before any partition is built."""
-    if cap < 1:
-        raise SchemaError("max-cells", f"must be >= 1, got {cap}")
+    least 1 and none above ``cap``, the cell budget of ``--max-cells``;
+    checked before any partition is built."""
     try:
         counts = [int(x) for x in text.split(":")]
     except ValueError:
@@ -120,6 +118,8 @@ def _cmd_quad(args) -> int:
     spec = _load_spec(args)
     f, g, u = spec.require("f"), spec.require("g"), spec.require("u")
     a, b = spec.domain
+    if args.max_cells < 1:
+        raise SchemaError("max-cells", f"must be >= 1, got {args.max_cells}")
     results: dict = {}
     if args.sweep:
         lo_n, hi_n = _counts("sweep", args.sweep, 2, "<nmin>:<nmax>",

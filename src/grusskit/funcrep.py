@@ -597,8 +597,14 @@ def total_variation(u: PiecewiseFunction) -> Enclosure:
         total += poly.pvariation_on(coeffs, lo, hi)
     for _, left, v, right in u.jumps():
         total += abs(v - left) + abs(right - v)
-    pad = 64.0 * _EPS * (1.0 + total) + u.jump_slack()
-    return Enclosure(total - pad, total + pad)
+    return Enclosure(*_variation_ends(total, u.jump_slack()))
+
+
+def _variation_ends(total: float, slack: float) -> tuple[float, float]:
+    """The ends of ``total_variation`` of a function whose computed
+    variation is total and whose jump slack is slack."""
+    pad = 64.0 * _EPS * (1.0 + total) + slack
+    return total - pad, total + pad
 
 
 def p_norm(f: PiecewiseFunction, p: float) -> Enclosure:

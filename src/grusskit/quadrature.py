@@ -6,23 +6,28 @@ cell increment of u.  ``partition_quadrature`` (fixed partitions) and
 ``adaptive_quadrature`` solve each cell once and return one
 ``QuadratureResult``; ``composite_S`` and the oscillation and Holder
 remainder estimates are views of it.  Every cell quantity is computed on
-the cell alone: u is restricted to it once, for the variation of u.  The
-oscillation of f is read from f's one piece when the closed cell holds no
-breakpoint of f (``_f_side``): the piece's values at the cell ends and
-critical points, padded as ``inf_sup_on`` pads them, with no restricted f
-and no enclosure.  g's side of a cell, its integral against u and its
-centred sup, is read from the pieces of g and u when the closed cell
-holds no breakpoint of either (``_g_side``): one antiderivative
-difference and the shifted piece's values at the cell ends and critical
-points, each formed once, with no restricted g, no integral wrapper and
-no enclosure.  A cell that holds a breakpoint, or on which a number of
-those paths is not finite, restricts f or g and takes the general path,
-``inf_sup_on`` and the closed-form integral of ``rs_integral``; both give
-the same floats.  On either path the centred sup comes from g's shifted
-pieces (``_centred_sup``), with no shifted copy of g.  The integral of f
-du is read from the pieces in the same way when the closed cell holds no
-breakpoint of f or u; only the other cells restrict f and keep their
-restricted f and u for the closed form in ``_result``.  Nothing is
+the cell alone.  The variation of u is read from u's one piece when the
+closed cell holds no breakpoint of u (``_piece_variation``): the piece's
+variation, padded as ``total_variation`` pads it, with no restricted u
+and no enclosure.  The oscillation of f is read from f's one piece when
+the closed cell holds no breakpoint of f (``_f_side``): the piece's
+values at the cell ends and critical points, padded as ``inf_sup_on``
+pads them, with no restricted f and no enclosure.  g's side of a cell,
+its integral against u and its centred sup, is read from the pieces of g
+and u when the closed cell holds no breakpoint of either (``_g_side``):
+one antiderivative difference and the shifted piece's values at the cell
+ends and critical points, each formed once, with no restricted g, no
+integral wrapper and no enclosure.  A cell that holds a breakpoint, or on
+which a number of those paths is not finite, restricts f, g or u and
+takes the general path, ``inf_sup_on``, ``total_variation`` and the
+closed-form integral of ``rs_integral``; both give the same floats.  On
+either path the centred sup comes from g's shifted pieces
+(``_centred_sup``), with no shifted copy of g.  The integral of f du is
+read from the pieces in the same way when the closed cell holds no
+breakpoint of f or u; on the other cells ``_result`` restricts f and u,
+final cells only, for the closed form.  So u is restricted only on a cell
+that holds a breakpoint of f, g or u, or on which a piece path declines,
+and a cell inside one piece of each builds no function.  Nothing is
 derived twice:
 
 - each solve keeps one map of product antiderivatives per pair of pieces
@@ -32,9 +37,8 @@ derived twice:
   share them;
 - u is evaluated once at each cell end, and the value is shared by the
   cell state test, the split search and the cell increment;
-- a cell record keeps its integral of f du, or, on a cell that holds a
-  breakpoint of f or u, its restricted f and u until the result is
-  summed; restricted functions are validated by construction
+- a cell record keeps numbers only: its terms, its integrals and u at
+  its ends; restricted functions are validated by construction
   (``PiecewiseFunction._trusted``).
 
 A cell whose term or integral of g du overflows, or a result whose value
@@ -52,9 +56,10 @@ import numpy as np
 
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
-from .funcrep import (PiecewiseFunction, RegularityCertificate,
+from .funcrep import (Enclosure, PiecewiseFunction, RegularityCertificate,
                       _extreme_ends, _inf_sup, _sup_norm, _sup_norm_hi,
-                      inf_sup_on, require_certificate, total_variation)
+                      _variation_ends, inf_sup_on, require_certificate,
+                      total_variation)
 from .stieltjes import _piece_integral, _product_core, _same_domain
 
 
@@ -139,7 +144,9 @@ def _cell_state(u: PiecewiseFunction, lo: float, hi: float, u_lo: float,
     scale = 1.0 + max(abs(u_lo), abs(u_hi))
     if abs(u_hi - u_lo) > 1e-12 * scale:
         return "ok"
-    if total_variation(u.restrict(lo, hi)).mid <= 1e-10 * scale:
+    ends = _piece_variation(_inner_piece(u, lo, hi), lo, hi)
+    var = Enclosure(*ends) if ends else total_variation(u.restrict(lo, hi))
+    if var.mid <= 1e-10 * scale:
         return "constant"
     return "degenerate"
 
@@ -164,10 +171,7 @@ def _osc(f_cell: PiecewiseFunction) -> float:
 
 class _Cell(NamedTuple):
     """One cell of a solve, solved once when it is made; the record lives
-    until the solve returns.  It keeps numbers, and functions only where
-    the integral of f du is left to ``_result``: on a cell inside one
-    piece of f the oscillation of f is read from that piece, and on one
-    inside one piece of f and one of u the integral of f du too."""
+    until the solve returns and keeps numbers only."""
     lo: float
     hi: float
     term: float    # 0.5 * osc * sup_g * var_u; inf forces a split
@@ -177,11 +181,9 @@ class _Cell(NamedTuple):
     u_lo: float    # u(lo)
     u_hi: float    # u(hi)
     # integral of f du on an "ok" cell inside one piece of f and one of u,
-    # read from the pieces; else None, as where that integral overflows
+    # read from the pieces; else None, as where that integral overflows,
+    # and _result integrates the restricted f and u
     i_f: float | None
-    # (f.restrict(lo, hi), u.restrict(lo, hi)) on any other "ok" cell, for
-    # _result to integrate; else None
-    f_u_cells: tuple[PiecewiseFunction, PiecewiseFunction] | None
 
 
 def _centred_sup(g: PiecewiseFunction, bp: tuple, pieces: tuple,
@@ -226,6 +228,20 @@ def _inner_piece(h: PiecewiseFunction, lo: float,
     [lo, hi] holds a breakpoint of h."""
     i, bp = h._piece_index(lo), h.breakpoints
     return h.pieces[i] if bp[i] < lo and hi < bp[i + 1] else None
+
+
+def _piece_variation(u_piece: tuple | None, lo: float,
+                     hi: float) -> tuple[float, float] | None:
+    """The ends of ``total_variation(u.restrict(lo, hi))``, read from
+    u_piece = ``_inner_piece(u, lo, hi)``: that restriction has one piece,
+    no jump and no slack, so the ends are the piece's variation padded by
+    ``funcrep._variation_ends``, in the same floats.  None, for the general
+    path, where u_piece is None or the variation is not finite; restricting
+    u, or ``total_variation``, then raises where u overflows."""
+    if u_piece is None:
+        return None
+    total = poly.pvariation_on(u_piece, lo, hi)
+    return _variation_ends(total, 0.0) if math.isfinite(total) else None
 
 
 def _f_side(f: PiecewiseFunction, lo: float, hi: float,
@@ -291,8 +307,11 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
                 products: dict | None = None) -> _Cell:
     """Every quantity of the cell [lo, hi] whose ``_cell_state`` is
     ``state``, given u_lo = u(lo) and u_hi = u(hi); constant and
-    degenerate cells get zero terms.  u's piece is looked up once and u is
-    restricted to the cell once, for the variation of u.  f's side, its
+    degenerate cells get zero terms.  u's piece is looked up once.  The
+    variation of u is read from it by ``_piece_variation`` when the cell
+    holds no breakpoint of u; otherwise, or when that declines, u is
+    restricted and the variation comes from ``total_variation``,
+    bit-identical where both apply.  f's side, its
     oscillation and its integral against u, is read from the pieces by
     ``_f_side`` when the cell holds no breakpoint of f (the integral only
     when it holds none of u either); otherwise, or when ``_f_side``
@@ -300,23 +319,25 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
     comes from ``_osc``, bit-identical where both apply.  g's side, its
     integral against u and its centred sup, is read from the pieces by
     ``_g_side`` when the cell holds no breakpoint of g or u; otherwise, or
-    when ``_g_side`` declines, g is restricted too, and the side comes
+    when ``_g_side`` declines, g and u are restricted, and the side comes
     from the closed-form integral and ``_centred_sup``, likewise
     bit-identical.  Where the integral of f du is not read from the
-    pieces, or is not finite, the record keeps the restricted f and u,
-    and ``_result`` integrates them.  Integrals against u read and fill
-    the solve's ``products`` map, if given.  Raises DomainError when an
-    "ok" cell's term or integral of g du is not finite."""
+    pieces, or is not finite, the record keeps None, and ``_result``
+    integrates f and u restricted to the cell, if it is final.  Integrals
+    against u read and fill the solve's ``products`` map, if given.
+    Raises DomainError when an "ok" cell's term or integral of g du is not
+    finite."""
     if state != "ok":
         return _Cell(lo, hi, 0.0 if state == "constant" else math.inf,
-                     state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, None, None)
+                     state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, None)
     u_piece = _inner_piece(u, lo, hi)
     f_side = _f_side(f, lo, hi, u_piece, products)
     f_cell = f.restrict(lo, hi) if f_side is None else None
     g_side = _g_side(g, lo, hi, u_hi - u_lo, u_piece, products)
     g_cell = g.restrict(lo, hi) if g_side is None else None
-    u_cell = u.restrict(lo, hi)
-    var_u = total_variation(u_cell).hi
+    var_ends = _piece_variation(u_piece, lo, hi)
+    u_cell = None if g_side and var_ends else u.restrict(lo, hi)
+    var_u = total_variation(u_cell).hi if var_ends is None else var_ends[1]
     osc, i_f = (_osc(f_cell), None) if f_side is None else f_side
     if g_side is None:
         i_g = _product_core([g_cell], u_cell, products).value
@@ -329,25 +350,25 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
         raise DomainError(f"cell [{lo!r}, {hi!r}]: term {term!r} or "
                           f"integral of g du {i_g!r} is not finite: the "
                           f"inputs overflow")
-    if i_f is None and f_cell is None:
-        f_cell = f.restrict(lo, hi)    # finite ends: _f_side read them
     return _Cell(lo, hi, term, state, (osc, sup_g, var_u), i_g, u_lo, u_hi,
-                 i_f, (f_cell, u_cell) if i_f is None else None)
+                 i_f)
 
 
-def _result(u: PiecewiseFunction, cells: list[_Cell],
+def _result(f: PiecewiseFunction, u: PiecewiseFunction, cells: list[_Cell],
             products: dict | None = None) -> QuadratureResult:
     """The result of solved cells, none degenerate, summed in cell order;
     the integral of f du of an "ok" cell is its ``i_f``, or, where that is
-    None, the closed form on its restricted f and u, with the solve's
-    ``products`` map if given.  The stated bound is (1/2) max osc *
+    None, the closed form on f and u restricted to the cell, with the
+    solve's ``products`` map if given.  ``_solve_cell`` has restricted f
+    and u to such a cell, or read their finite ends from the pieces, so
+    these restrictions raise nothing.  The stated bound is (1/2) max osc *
     max sup_g * Var(u).  Raises DomainError when the value or a bound is
     not finite."""
     value = 0.0
     for c in cells:
         if c.state == "ok":
-            i_f = c.i_f if c.f_u_cells is None else _product_core(
-                [c.f_u_cells[0]], c.f_u_cells[1], products).value
+            i_f = c.i_f if c.i_f is not None else _product_core(
+                [f.restrict(*c[:2])], u.restrict(*c[:2]), products).value
             value += i_f * c.i_g / (c.u_hi - c.u_lo)
     stated = 0.5 * max(c.terms[0] for c in cells) \
         * max(c.terms[1] for c in cells) * total_variation(u).hi
@@ -387,7 +408,7 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
             raise DegenerateCell(i, (lo, hi))
         cells.append(_solve_cell(f, g, u, lo, hi, u_lo, u_hi, state,
                                  products))
-    return _result(u, cells, products)
+    return _result(f, u, cells, products)
 
 
 def composite_S(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -442,9 +463,9 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
     Bisection points where u would repeat a cell-end value are shifted by a
     quarter cell; cells on which u is constant are frozen with a zero term.
     Each cell is solved once, when it is made, and keeps its terms, its
-    integral of g du, u at its ends and either its integral of f du, read
-    from the pieces, or, on a cell that holds a breakpoint of f or u, its
-    restricted f and u, whose integral is taken only if the cell is final.
+    integral of g du, u at its ends and its integral of f du, read from
+    the pieces; on a cell that holds a breakpoint of f or u, that integral
+    is taken on the restricted f and u only if the cell is final.
     The result is built from the final cells' records, so it equals
     ``partition_quadrature`` on the final partition.  u is evaluated once
     per split candidate.
@@ -505,4 +526,4 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         terms[idx:idx + 1] = (cells[idx].term, cells[idx + 1].term)
 
     # the loop ends with no degenerate cell left
-    return _result(u, cells, products)
+    return _result(f, u, cells, products)

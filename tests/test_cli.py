@@ -719,11 +719,13 @@ def test_quad_partition_above_the_cell_budget_is_a_schema_error(
     (["--sweep=-2:4"], "sweep"),
     (["--partition", "uniform:4", "--max-cells", "-5"], "max-cells"),
     (["--sweep", "4:8", "--max-cells", "0"], "max-cells"),
+    (["--max-cells", "0"], "max-cells"),
+    (["--max-cells", "-3"], "max-cells"),
 ])
 def test_quad_counts_below_one_are_a_schema_error(option, name, monkeypatch,
                                                   capsys):
     # a cell count or cell budget below 1 is refused, naming its option,
-    # before any partition is built
+    # before any partition is built; the budget in every mode
     def refuse(*args):
         raise AssertionError("Partition.uniform called")
     monkeypatch.setattr(quadrature.Partition, "uniform", refuse)
@@ -746,7 +748,7 @@ def test_quad_partition_at_the_cell_budget_runs(option, capsys):
 
 
 @pytest.mark.parametrize("option", [
-    ["--tol", "nan"], ["--max-cells", "0"], ["--max-cells", "-3"],
+    ["--tol", "nan"],
 ])
 def test_quad_rejects_a_bad_tolerance_or_budget(option, capsys):
     code = run(["quad", *option, "--json", json.dumps(QUAD_SPEC)])
@@ -774,11 +776,11 @@ def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
     assert counts["_cell_state"] == cells
     solved = derived.args["_solve_cell"]
     assert len(solved) == cells
-    # u restricted once per cell, g on the 33 cells that hold a breakpoint
-    # of g or u (the cells at 0 and 1, the two meeting at 0.5 and, from
-    # n = 16 on, the one holding 0.6: 4 + 4 + 5 * 5) and f on the 28 below,
-    # one sided table per function, and u evaluated once per cell end of
-    # each partition
+    # g and u restricted on the 33 cells that hold a breakpoint of g or u
+    # (the cells at 0 and 1, the two meeting at 0.5 and, from n = 16 on,
+    # the one holding 0.6: 4 + 4 + 5 * 5), f on those that hold one of f,
+    # f and u again when summing the 28 below, one sided table per
+    # function, and u evaluated once per cell end of each partition
     assert assert_derived_once(derived, in_result) == [
         t for n in ns for t in quadrature.Partition.uniform(0.0, 1.0, n).points]
     # the cells' integrals read the solve's product map, not rs_integral:
@@ -800,6 +802,7 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     from grusskit import poly
     counts = count_calls(poly.proots, poly.pderiv, poly.pmul,
                          funcrep.PiecewiseFunction.restrict,
+                         funcrep.total_variation,
                          stieltjes._product_core, stieltjes._piece_integral)
     assert run(["quad", "--sweep", "4:256",
                 "--json", json.dumps(QUAD_SPEC_HOLDER)]) == 0
@@ -808,14 +811,23 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     assert counts["proots"] == 0
     assert counts["pderiv"] == 7 + 48
     assert counts["pmul"] == 50
-    # and of the cell work over the 508 cells: u restricted on each, g on
-    # the 33 that hold a breakpoint of g or u, and f on the 28 that hold a
-    # breakpoint of f or u (4 per partition: the cells at 0 and 1 and the
-    # ones holding 0.4 and 0.6).  Closed-form integrals (_product_core): of
-    # g du on those 33 cells, of f du on those 28, and the report's exact
-    # integral of f g du.  Integrals read from the pieces: of g du on the
-    # other 508 - 33 cells and of f du on the other 508 - 28
-    assert counts["restrict"] == 508 + 33 + 28
+    # and of the cell work over the 508 cells.  While solving: f restricted
+    # on the 21 that hold a breakpoint of f (3 per partition: the cells at
+    # 0 and 1 and the one holding 0.4), g and u on the 33 that hold a
+    # breakpoint of g or u (the cells at 0 and 1, the two meeting at 0.5
+    # and, from n = 16 on, the one holding 0.6).  When summing: f and u on
+    # the 28 that hold a breakpoint of f or u (4 per partition: the cells
+    # at 0 and 1 and the ones holding 0.4 and 0.6).  No other cell builds
+    # a function.  The variation of a restricted u only on the 21 cells
+    # that hold a breakpoint of u (3 per partition); the whole u's is read
+    # by the stated and the Holder bounds.  Closed-form integrals
+    # (_product_core): of g du on those 33 cells, of f du on those 28, and
+    # the report's exact integral of f g du.  Integrals read from the
+    # pieces: of g du on the other 508 - 33 cells and of f du on the other
+    # 508 - 28
+    assert counts["restrict"] == 21 + 2 * 33 + 2 * 28
+    assert sum(args[0].domain != (0.0, 1.0)
+               for args in counts.args["total_variation"]) == 21
     assert counts["_product_core"] == 33 + 28 + 1
     assert counts["_piece_integral"] == (508 - 33) + (508 - 28)
 

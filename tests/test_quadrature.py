@@ -11,8 +11,9 @@ from grusskit import (battery, funcrep, instances, poly, quadrature,
 from grusskit.bounds import bound_quadrature_remainder
 from grusskit.errors import (DegenerateCell, DomainError,
                              ToleranceUnreachable)
-from grusskit.funcrep import (PiecewiseFunction, RegularityCertificate,
-                              sup_norm_on)
+from grusskit.funcrep import (Enclosure, PiecewiseFunction,
+                              RegularityCertificate, sup_norm_on,
+                              total_variation)
 from grusskit.functionals import cheby_T
 from grusskit.quadrature import (Partition, _cell_state, adaptive_quadrature,
                                  composite_S, oscillation_v,
@@ -454,21 +455,22 @@ DERIVE_U = PiecewiseFunction((0.0, 0.6, 1.0), ((0.0, 1.0), (1.0, 0.5)),
 
 
 def derive_once_counts(count_calls, monkeypatch, solve):
-    """Run ``solve()`` with restrict, eval_sided, _sided_table,
-    _solve_cell, _product_core and _piece_integral counted; returns the
-    counts, one (restrict calls, _product_core calls, (lo, hi) of each
-    "ok" cell) triple per ``_result`` call, made inside it, and what
-    ``solve()`` returned."""
-    counts = count_calls(PiecewiseFunction.restrict, funcrep.eval_sided,
-                         funcrep._sided_table, quadrature._solve_cell,
-                         stieltjes._product_core, stieltjes._piece_integral)
+    """Run ``solve()`` with restrict, total_variation, eval_sided,
+    _sided_table, _solve_cell, _product_core and _piece_integral counted;
+    returns the counts, one (arguments of the restrict calls, number of
+    _product_core calls, (lo, hi) of each "ok" cell) triple per
+    ``_result`` call, made inside it, and what ``solve()`` returned."""
+    counts = count_calls(PiecewiseFunction.restrict, funcrep.total_variation,
+                         funcrep.eval_sided, funcrep._sided_table,
+                         quadrature._solve_cell, stieltjes._product_core,
+                         stieltjes._piece_integral)
     in_result = []
     inner = quadrature._result
 
-    def result(u, cells, products=None):
+    def result(f, u, cells, products=None):
         restricts, cores = counts["restrict"], counts["_product_core"]
-        out = inner(u, cells, products)
-        in_result.append((counts["restrict"] - restricts,
+        out = inner(f, u, cells, products)
+        in_result.append((counts.args["restrict"][restricts:],
                           counts["_product_core"] - cores,
                           [(c.lo, c.hi) for c in cells if c.state == "ok"]))
         return out
@@ -478,48 +480,63 @@ def derive_once_counts(count_calls, monkeypatch, solve):
 
 
 def assert_derived_once(counts, in_result) -> list[float]:
-    """Check the restrict, _product_core and sided-table counts of
-    ``derive_once_counts`` and return the points at which u was evaluated,
-    in call order; f, g and u are the ones that the solve passes to
-    ``_solve_cell``."""
+    """Check the restrict, total_variation, _product_core and sided-table
+    counts of ``derive_once_counts`` and return the points at which u was
+    evaluated, in call order; f, g and u are the ones that the solve
+    passes to ``_solve_cell``."""
     solved = counts.args["_solve_cell"]
     assert solved and all(args[7] == "ok" for args in solved)
+    summing = {id(args) for restricts, *_ in in_result for args in restricts}
 
     def restricted(slot):
+        # (lo, hi) of each restriction made while solving, in call order
         copies = {id(args[slot]) for args in solved}
         return [args[1:3] for args in counts.args["restrict"]
-                if id(args[0]) in copies]
+                if id(args[0]) in copies and id(args) not in summing]
     cells = [args[3:5] for args in solved]
     (f,), (u,) = {args[0] for args in solved}, {args[2] for args in solved}
 
-    def holds_f_or_u_breakpoint(lo, hi):
-        return any(lo <= t <= hi for t in f.breakpoints + u.breakpoints)
-    # g's side falls back to restricting g only on a cell that holds a
-    # breakpoint of g or u
+    def holds_breakpoint(lo, hi, *fns):
+        return any(lo <= t <= hi for h in fns for t in h.breakpoints)
+    # g's side falls back to restricting g, and u for its integral against
+    # u, only on a cell that holds a breakpoint of g or u
     fallback = [(lo, hi) for _, g, u, lo, hi, *_ in solved
-                if any(lo <= t <= hi for t in g.breakpoints + u.breakpoints)]
-    # u restricted once per solved cell, f only on a solved cell that holds
-    # a breakpoint of f or u (its oscillation is read from f's piece on
-    # every cell inside one), never when summing
-    f_cells = [cell for cell in cells if holds_f_or_u_breakpoint(*cell)]
-    assert restricted(0) == f_cells and restricted(2) == cells
-    assert restricted(1) == fallback
-    assert counts["restrict"] == len(cells) + len(fallback) + len(f_cells)
-    # integrals that read a solve's product map: of g du on each fallback
-    # cell, and of f du on each final "ok" cell that holds a breakpoint of
-    # f or u, summed in _result from the restricted f and u it kept
-    f_fallback = [[cell for cell in ok if holds_f_or_u_breakpoint(*cell)]
+                if holds_breakpoint(lo, hi, g, u)]
+    # f restricted on a solved cell that holds a breakpoint of f (its
+    # oscillation is read from f's piece on every cell inside one), u only
+    # on a fallback cell: its variation is read from u's piece on every
+    # cell inside one, and a cell holding a breakpoint of u falls back
+    f_cells = [cell for cell in cells if holds_breakpoint(*cell, f)]
+    assert restricted(0) == f_cells
+    assert restricted(1) == fallback and restricted(2) == fallback
+    # total_variation of a restricted u only on a cell holding a breakpoint
+    # of u (the whole u's is taken for the stated bound, and on a cell
+    # spanning the domain, to which u restricts as itself)
+    assert [args[0].domain for args in counts.args["total_variation"]
+            if args[0].domain != u.domain] == [
+                cell for cell in cells
+                if cell != u.domain and holds_breakpoint(*cell, u)]
+    # when summing, f and u restricted to each final "ok" cell that holds
+    # a breakpoint of f or u, and its integral of f du taken in the closed
+    # form, reading the solve's product map
+    f_fallback = [[cell for cell in ok if holds_breakpoint(*cell, f, u)]
                   for *_, ok in in_result]
     assert in_result and all(
-        restricts == 0 and cores == len(kept)
+        [(args[0], *args[1:3]) for args in restricts]
+        == [(h, *cell) for cell in kept for h in (f, u)]
+        and cores == len(kept)
         for (restricts, cores, _), kept in zip(in_result, f_fallback))
+    assert counts["restrict"] == len(f_cells) + 2 * len(fallback) \
+        + 2 * sum(map(len, f_fallback))
+    # integrals that read a solve's product map: of g du on each fallback
+    # cell and of f du on each final cell above
     against_u = [args for args in counts.args["_product_core"]
                  if len(args) > 2 and args[2] is not None]
     assert len(against_u) == len(fallback) + sum(map(len, f_fallback))
     # and from the pieces: of g du on every other solved cell, and of f du
     # on every solved cell that holds no breakpoint of f or u
     assert counts["_piece_integral"] == len(cells) - len(fallback) + sum(
-        not holds_f_or_u_breakpoint(*cell) for cell in cells)
+        not holds_breakpoint(*cell, f, u) for cell in cells)
     # at most one sided table per function instance
     built = [id(args[0]) for args in counts.args["_sided_table"]]
     assert len(built) == len(set(built))
@@ -670,6 +687,72 @@ def test_f_side_overflow_raises_as_the_general_path(f, cell, declines,
 @given(st.integers(min_value=0, max_value=10 ** 9),
        st.sampled_from(["inside", "touching", "end", "any"]))
 @settings(max_examples=300, deadline=None)
+def test_piece_variation_equals_the_general_path(seed, kind):
+    # u may jump and have flat pieces; the cell's variation of u is read
+    # from u's piece exactly when the cell holds no breakpoint of u
+    rng = random.Random(seed)
+    a, b = instances.rand_interval(rng)
+    jumping = instances.rand_piecewise(rng, a, b, jumps=True)
+    u = PiecewiseFunction(jumping.breakpoints, tuple(
+        (c[0],) if rng.random() < 0.4 else c for c in jumping.pieces),
+        jumping.point_values)
+    cell = _draw_cell(rng, kind, u, u)
+    if cell is None:
+        return
+    lo, hi = cell
+    ends = quadrature._piece_variation(quadrature._inner_piece(u, lo, hi),
+                                       lo, hi)
+    assert (ends is None) == any(lo <= t <= hi for t in u.breakpoints)
+    want = total_variation(u.restrict(lo, hi))
+    if ends is not None:
+        # the ends _solve_cell reads and the .mid _cell_state reads
+        assert float.hex(ends[1]) == float.hex(want.hi)
+        assert float.hex(Enclosure(*ends).mid) == float.hex(want.mid)
+    # the flat-cell test, forced by equal end values of u, on either path
+    scale = 1.0 + abs(u(lo))
+    assert _cell_state(u, lo, hi, u(lo), u(lo)) == (
+        "constant" if want.mid <= 1e-10 * scale else "degenerate")
+
+
+@pytest.mark.parametrize("u, cell, declines, message, state", [
+    # the piece overflows at both ends of the cell: restricting u raises
+    (PiecewiseFunction((0.0, 5.0), ((0.0, 0.0, 1e307),), (0.0, 0.0)),
+     (4.4, 4.6), True, "non-finite point value", "non-finite point value"),
+    # and at its critical point only (OVER_F as u): total_variation raises
+    (OVER_F, (0.02, 1.97), True, "enclosure lo nan > hi inf",
+     "enclosure lo nan > hi inf"),
+    # its variation is finite, the padded variation is not: the term is
+    (PiecewiseFunction((0.0, 1.0), ((-8.98846567431158e307,
+                                     1.7976931348623157e308),), (0.0, 0.0)),
+     (1e-300, 1.0 - 2.0 ** -53), False,
+     "cell [1e-300, 0.9999999999999999]: term inf or integral of g du "
+     "8.988465674311577e+307 is not finite: the inputs overflow",
+     "degenerate"),
+])
+def test_piece_variation_overflow_raises_as_the_general_path(
+        u, cell, declines, message, state):
+    # the messages and the flat-cell state are those of the general path
+    lo, hi = cell
+    ends = quadrature._piece_variation(quadrature._inner_piece(u, lo, hi),
+                                       lo, hi)
+    assert (ends is None) == declines
+    if not declines:
+        assert math.isfinite(ends[0]) and ends[1] == math.inf
+    f = PiecewiseFunction.from_coeffs((0.0, 1.0), *u.domain)
+    with pytest.raises(DomainError) as info:
+        quadrature._solve_cell(f, f, u, lo, hi, u(lo), u(hi), "ok", {})
+    assert str(info.value) == message
+    if state == "degenerate":
+        assert _cell_state(u, lo, hi, 1.0, 1.0) == state
+        return
+    with pytest.raises(DomainError) as info:
+        _cell_state(u, lo, hi, 1.0, 1.0)
+    assert str(info.value) == state
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["inside", "touching", "end", "any"]))
+@settings(max_examples=300, deadline=None)
 def test_inside_f_integral_equals_the_general_path(seed, kind):
     # f may jump; the cell's integral of f du is read from the pieces
     # exactly when the cell holds no breakpoint of f or u
@@ -691,7 +774,6 @@ def test_inside_f_integral_equals_the_general_path(seed, kind):
     inside = not any(lo <= t <= hi for t in f.breakpoints + u.breakpoints)
     for c in solved:
         assert (c.i_f is not None) == inside
-        assert (c.f_u_cells is None) == inside
     if not inside:
         return
     want = rs_integral(f.restrict(lo, hi), u.restrict(lo, hi)).value
@@ -757,7 +839,7 @@ def _list_order_adaptive(f, g, u, tol, max_cells):
                                             u_cand, left)
         cells.insert(idx + 1, quadrature._solve_cell(
             f, g, u, split, hi, u_cand, u_hi, right))
-    return quadrature._result(u, cells)
+    return quadrature._result(f, u, cells)
 
 
 def _outcome(solve):
