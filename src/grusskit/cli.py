@@ -120,6 +120,8 @@ def _cmd_quad(args) -> int:
     a, b = spec.domain
     if args.max_cells < 1:
         raise SchemaError("max-cells", f"must be >= 1, got {args.max_cells}")
+    if not args.tol > 0:
+        raise SchemaError("tol", f"must be > 0, got {args.tol}")
     results: dict = {}
     if args.sweep:
         lo_n, hi_n = _counts("sweep", args.sweep, 2, "<nmin>:<nmax>",

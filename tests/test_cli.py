@@ -748,14 +748,22 @@ def test_quad_partition_at_the_cell_budget_runs(option, capsys):
 
 
 @pytest.mark.parametrize("option", [
-    ["--tol", "nan"],
+    ["--tol", "nan"], ["--tol", "0"], ["--tol", "-1"],
+    ["--tol", "nan", "--sweep", "4:8"],
+    ["--tol", "-1", "--partition", "uniform:4"],
 ])
-def test_quad_rejects_a_bad_tolerance_or_budget(option, capsys):
+def test_quad_tolerance_not_above_zero_is_a_schema_error(option, monkeypatch,
+                                                         capsys):
+    # --tol is checked in every mode, as --max-cells is, before any
+    # partition is built; the fixed-partition modes do not read it
+    def refuse(*args):
+        raise AssertionError("Partition.uniform called")
+    monkeypatch.setattr(quadrature.Partition, "uniform", refuse)
     code = run(["quad", *option, "--json", json.dumps(QUAD_SPEC)])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err.startswith("error: DomainError: ")
+    assert captured.err.startswith("input error: tol: must be > 0, got ")
 
 
 def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):

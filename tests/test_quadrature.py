@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from grusskit import (battery, funcrep, instances, poly, quadrature,
                       stieltjes)
 from grusskit.bounds import bound_quadrature_remainder
-from grusskit.errors import (DegenerateCell, DomainError,
+from grusskit.errors import (DegenerateCell, DomainError, SharedDiscontinuity,
                              ToleranceUnreachable)
 from grusskit.funcrep import (Enclosure, PiecewiseFunction,
                               RegularityCertificate, sup_norm_on,
@@ -442,6 +442,66 @@ class TestOverflow:
         f = PiecewiseFunction.constant(1e160, 0.0, 1.0)
         with pytest.raises(DomainError, match="quadrature value"):
             partition_quadrature(f, f, IDENT, Partition.uniform(0.0, 1.0, 2))
+
+
+def _step_at_03(value: float) -> PiecewiseFunction:
+    """0 before 0.3, 1 after it, and ``value`` at it."""
+    return PiecewiseFunction((0.0, 0.3, 1.0), ((0.0,), (1.0,)),
+                             (0.0, value, 1.0))
+
+
+def _u_jump_at_03(value: float) -> PiecewiseFunction:
+    """t before 0.3 and 1 + t after it (left limit 0.3, right limit 1.3),
+    with ``value`` at it."""
+    return PiecewiseFunction((0.0, 0.3, 1.0), ((0.0, 1.0), (1.0, 1.0)),
+                             (0.0, value, 2.0))
+
+
+class TestSharedJumps:
+    """A factor that jumps where u jumps, inside a cell or at one of its
+    ends, makes the cell's integral against u undefined: the solve raises
+    SharedDiscontinuity with the point, for g and for f alike."""
+
+    @pytest.mark.parametrize("slot", ["f", "g"])
+    @pytest.mark.parametrize("points", [(0.0, 0.25, 0.5, 0.75, 1.0),
+                                        (0.0, 0.3, 1.0)])
+    @pytest.mark.parametrize("g_value, u_value", [(0.5, 0.8), (0.0, 0.8),
+                                                  (1.0, 0.8), (0.5, 0.3)])
+    def test_partition_raises(self, slot, points, g_value, u_value):
+        # inside the cell [0.25, 0.5], or at the end of the cells of
+        # (0, 0.3, 1) where both inward halves are nonzero
+        step = _step_at_03(g_value)
+        fg = (step, IDENT) if slot == "f" else (IDENT, step)
+        with pytest.raises(SharedDiscontinuity) as info:
+            partition_quadrature(*fg, _u_jump_at_03(u_value),
+                                 Partition(points))
+        assert info.value.point == 0.3
+
+    @pytest.mark.parametrize("slot", ["f", "g"])
+    @pytest.mark.parametrize("g_value, u_value", [(0.0, 1.3), (1.0, 0.3)])
+    def test_one_inward_half_each_at_a_cell_end(self, slot, g_value,
+                                                u_value):
+        # at the end 0.3 of (0, 0.3, 1) the step and u jump on opposite
+        # sides: each cell sees one of them jump at its end, and neither
+        # cell holds a shared jump; the rule sums the two cells
+        step, u = _step_at_03(g_value), _u_jump_at_03(u_value)
+        fg = (step, IDENT) if slot == "f" else (IDENT, step)
+        res = partition_quadrature(*fg, u, Partition((0.0, 0.3, 1.0)))
+        assert res.value == sum(
+            rs_integral(step.restrict(lo, hi), u.restrict(lo, hi)).value
+            * rs_integral(IDENT.restrict(lo, hi), u.restrict(lo, hi)).value
+            / (u(hi) - u(lo)) for lo, hi in ((0.0, 0.3), (0.3, 1.0)))
+
+    @pytest.mark.parametrize("slot", ["f", "g"])
+    @pytest.mark.parametrize("g_value, u_value", [(0.5, 0.8), (0.0, 1.3),
+                                                  (1.0, 0.3)])
+    def test_adaptive_raises(self, slot, g_value, u_value):
+        # no bisection point of [0, 1] is 0.3, so some cell always holds it
+        step = _step_at_03(g_value)
+        fg = (step, IDENT) if slot == "f" else (IDENT, step)
+        with pytest.raises(SharedDiscontinuity) as info:
+            adaptive_quadrature(*fg, _u_jump_at_03(u_value), 1e-3)
+        assert info.value.point == 0.3
 
 
 # QUAD_SPEC of tests/test_cli.py: f and g with interior breakpoints,
