@@ -188,13 +188,10 @@ class PiecewiseFunction:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def _trusted(cls, breakpoints, pieces, point_values,
-                 new_values=()) -> "PiecewiseFunction":
+    def _trusted(cls, breakpoints, pieces, point_values) -> "PiecewiseFunction":
         """A function assembled from the fields of a validated function,
-        built without ``__post_init__``.  Only the numbers the caller formed
-        itself are checked: ``new_values`` must be finite, else
-        DomainError("non-finite point value"), as the dataclass constructor
-        would report them.
+        built without ``__post_init__``: the fields of a ``_view``, which
+        checks the only two numbers it forms, the end values.
 
         Every other invariant holds by construction, from slices of a
         validated function: breakpoints taken in order from it, between
@@ -202,10 +199,7 @@ class PiecewiseFunction:
         pieces and interior point values are sliced one per open interval
         and one per breakpoint, so the counts still match; a copied
         coefficient tuple is non-empty, finite and within the degree cap
-        because it was when it was validated.  Caller: ``restrict`` (new
-        end values)."""
-        if not all(math.isfinite(v) for v in new_values):
-            raise DomainError("non-finite point value")
+        because it was when it was validated.  Caller: ``restrict``."""
         f = object.__new__(cls)
         f.__dict__.update(breakpoints=breakpoints, pieces=pieces,
                           point_values=point_values)
@@ -279,12 +273,6 @@ class PiecewiseFunction:
         i = (bisect_left if prefer_left else bisect_right)(bp, t) - 1
         return min(max(i, 0), len(bp) - 2)
 
-    def _bp_index(self, t: float) -> int | None:
-        j = bisect_left(self.breakpoints, t)
-        if j < len(self.breakpoints) and self.breakpoints[j] == t:
-            return j
-        return None
-
     def __call__(self, t: float) -> float:
         return eval_sided(self, t, "at")
 
@@ -344,29 +332,16 @@ class PiecewiseFunction:
         values at c and d are f(c) and f(d), so a jump there counts only
         its inward half (``jump_masses``).
 
-        The result is validated by construction (``_trusted``): it slices
-        this function's breakpoints, pieces and point values, and only the
-        two new end values are checked; a non-finite one, such as a piece
-        whose Horner evaluation overflows at c or d, raises DomainError."""
+        The result is validated by construction (``_trusted``) from the
+        fields of ``_view(self, c, d)``, which checks the two end values it
+        forms; a non-finite one, such as a piece whose Horner evaluation
+        overflows at c or d, raises DomainError."""
         if not (self.a <= c < d <= self.b):
             raise DomainError(f"[{c!r}, {d!r}] is not a subinterval of "
                               f"{self.domain!r}")
         if c == self.a and d == self.b:
             return self    # immutable, and equal to what the slicing builds
-        # breakpoints first + 1 .. last - 1 lie strictly inside (c, d), and
-        # pieces first .. last - 1 cover it; f(c) and f(d) are read as
-        # eval_sided(self, ., "at") reads them
-        bp, values = self.breakpoints, self.point_values
-        first = bisect_right(bp, c) - 1
-        last = bisect_left(bp, d)
-        at_c = values[first] if bp[first] == c \
-            else poly.pvalue(self.pieces[first], c)
-        at_d = values[last] if bp[last] == d \
-            else poly.pvalue(self.pieces[last - 1], d)
-        return PiecewiseFunction._trusted(
-            (c,) + bp[first + 1:last] + (d,), self.pieces[first:last],
-            (at_c,) + values[first + 1:last] + (at_d,),
-            new_values=(at_c, at_d))
+        return PiecewiseFunction._trusted(*_view(self, c, d)[:3])
 
     def antiderivative(self) -> "PiecewiseFunction":
         """Continuous F with F(a) = 0 and F' = f off the breakpoints."""
@@ -391,7 +366,8 @@ class PiecewiseFunction:
         ``discontinuity_points`` and ``is_continuous`` all read it."""
         table = self.__dict__.get("_sided")
         if table is None:
-            table = self.__dict__["_sided"] = _sided_table(self)
+            table = self.__dict__["_sided"] = _sided_table(
+                self.breakpoints, self.pieces, self.point_values)
         return table
 
     def jumps(self) -> list[tuple[float, float, float, float]]:
@@ -443,20 +419,28 @@ class PiecewiseFunction:
         return out
 
 
-def _sided_table(f: PiecewiseFunction) -> tuple[tuple[tuple[float, ...],
-                                                      ...], float]:
-    """(jumps, slack) from the left limit, value and right limit at every
-    breakpoint; the left slot at a and the right slot at b repeat the point
-    value.  A breakpoint whose sided values differ by more than
+def _sided_table(bp: tuple, pieces: tuple, values: tuple, lo_bp: bool = True,
+                 hi_bp: bool = True) -> tuple[tuple[tuple[float, ...], ...],
+                                              float]:
+    """(jumps, slack) of the function with these fields, from the left
+    limit, value and right limit at every breakpoint; the left slot at the
+    first and the right slot at the last repeat the point value.  A
+    breakpoint whose sided values differ by more than
     1e-12 * (1 + their largest magnitude) is a jump row
     (t, left, value, right); the gaps of every other breakpoint are
-    rounding noise and add up to ``slack``."""
-    bp, pieces, values = f.breakpoints, f.pieces, f.point_values
+    rounding noise and add up to ``slack``.
+
+    For a ``_view``, ``lo_bp`` and ``hi_bp`` say whether its ends are
+    breakpoints of the function; an end that is not one holds the piece's
+    own value, whose gaps are exactly 0, so it forms no row, and a view
+    of one piece whose ends are neither has no row at all."""
     last = len(bp) - 1
+    if last == 1 and not (lo_bp or hi_bp):
+        return (), 0.0
     jumps = []
     slack = 0.0
-    for i, t in enumerate(bp):
-        v = values[i]
+    for i in range(0 if lo_bp else 1, last + 1 if hi_bp else last):
+        t, v = bp[i], values[i]
         left = v if i == 0 else poly.pvalue(pieces[i - 1], t)
         right = v if i == last else poly.pvalue(pieces[i], t)
         tol = 1e-12 * (1.0 + max(abs(left), abs(v), abs(right)))
@@ -465,6 +449,41 @@ def _sided_table(f: PiecewiseFunction) -> tuple[tuple[tuple[float, ...],
         else:
             slack += abs(v - left) + abs(right - v)
     return tuple(jumps), slack
+
+
+def _view(f: PiecewiseFunction, lo: float, hi: float,
+          at_lo: float | None = None, at_hi: float | None = None) -> tuple:
+    """What ``f.restrict(lo, hi)`` slices, as plain fields: (breakpoints,
+    pieces, point values, whether lo is a breakpoint of f, whether hi is
+    one), for lo < hi in f's domain, with no validation and no function.
+    The end values are f(lo) and f(hi), read as ``eval_sided(f, ., "at")``
+    reads them, or ``at_lo`` and ``at_hi`` when the caller has them; they
+    are the only numbers formed here, and a non-finite one raises
+    DomainError("non-finite point value"), as the dataclass constructor
+    would."""
+    bp, pieces, values = f.breakpoints, f.pieces, f.point_values
+    # breakpoints first + 1 .. last - 1 lie strictly inside (lo, hi), and
+    # pieces first .. last - 1 cover it
+    first = bisect_right(bp, lo) - 1
+    last = first + 1 if hi <= bp[first + 1] else bisect_left(bp, hi)
+    lo_bp, hi_bp = bp[first] == lo, bp[last] == hi
+    if at_lo is None:
+        at_lo = values[first] if lo_bp else poly.pvalue(pieces[first], lo)
+    if at_hi is None:
+        at_hi = values[last] if hi_bp else poly.pvalue(pieces[last - 1], hi)
+    if not (math.isfinite(at_lo) and math.isfinite(at_hi)):
+        raise DomainError("non-finite point value")
+    if last == first + 1:    # one piece: no concatenation
+        return (lo, hi), pieces[first:last], (at_lo, at_hi), lo_bp, hi_bp
+    return ((lo,) + bp[first + 1:last] + (hi,), pieces[first:last],
+            (at_lo,) + values[first + 1:last] + (at_hi,), lo_bp, hi_bp)
+
+
+def _value_at(bp: tuple, pieces: tuple, values: tuple, t: float) -> float:
+    """The point value at t in [bp[0], bp[-1]] of the function with these
+    fields: its point value at a breakpoint, else its piece's value."""
+    j = bisect_left(bp, t)
+    return values[j] if bp[j] == t else poly.pvalue(pieces[j - 1], t)
 
 
 def _scalar_op(op, x: float, y: float) -> float:
@@ -482,17 +501,31 @@ def aligned_pieces(*fns: PiecewiseFunction, splits=()) -> list[tuple]:
     if splits:
         a, b = fns[0].domain
         splits = [s for s in splits if a < s < b]
-    grid = sorted({float(t) for f in fns for t in f.breakpoints}
+    return _aligned([(f.breakpoints, f.pieces) for f in fns], splits)
+
+
+def _aligned(columns: list, splits=()) -> list[tuple]:
+    """``aligned_pieces`` of the functions whose breakpoints and pieces are
+    the first two fields of each of ``columns``, cut at the ``splits``
+    inside their common interval."""
+    if not splits:
+        for c in columns:
+            if len(c[0]) > 2:
+                break
+        else:    # one piece each: the one cell of the grid below
+            lo, hi = columns[0][0]
+            return [(float(lo), float(hi), *[c[1][0] for c in columns])]
+    grid = sorted({float(t) for c in columns for t in c[0]}
                   .union(map(float, splits)))
-    columns = []
-    for f in fns:
-        bp, i, column = f.breakpoints, 0, []
+    cells = []
+    for bp, pieces, *_ in columns:
+        i, column = 0, []
         for lo in grid[:-1]:
             while bp[i + 1] <= lo:
                 i += 1
-            column.append(f.pieces[i])
-        columns.append(column)
-    return list(zip(grid, grid[1:], *columns))
+            column.append(pieces[i])
+        cells.append(column)
+    return list(zip(grid, grid[1:], *cells))
 
 
 def sign_segments(c, lo: float, hi: float, splits=()) -> list[tuple]:
@@ -517,10 +550,7 @@ def eval_sided(f: PiecewiseFunction, t: float, side: Side) -> float:
     if not (a <= t <= b):
         raise DomainError(f"t={t!r} outside [{a!r}, {b!r}]")
     if side == "at":
-        j = f._bp_index(t)
-        if j is not None:
-            return f.point_values[j]
-        return poly.pvalue(f.pieces[f._piece_index(t)], t)
+        return _value_at(f.breakpoints, f.pieces, f.point_values, t)
     if side == "left":
         if t <= a:
             raise DomainError("left limit needs t > a")
@@ -541,17 +571,30 @@ def inf_sup_on(f: PiecewiseFunction) -> tuple[Enclosure, Enclosure]:
 def _inf_sup(bp: tuple, pieces: tuple,
              point_values: tuple) -> tuple[Enclosure, Enclosure]:
     """``inf_sup_on`` of the function with these fields."""
+    inf_ends, sup_ends = _extreme_ends(*_min_max(bp, pieces, point_values))
+    return Enclosure(*inf_ends), Enclosure(*sup_ends)
+
+
+def _min_max(bp: tuple, pieces: tuple,
+             point_values: tuple) -> tuple[float, float]:
+    """The computed min and max of the function with these fields: of its
+    pieces over their closed intervals, then of the point values given.
+    The one loop behind ``inf_sup_on`` and a quadrature cell's
+    oscillation and centred sup."""
     lo = math.inf
     hi = -math.inf
-    for x0, x1, coeffs in zip(bp, bp[1:], pieces):
-        mn, mx = poly.pminmax_on(coeffs, x0, x1)
-        lo = min(lo, mn)
-        hi = max(hi, mx)
+    for i, coeffs in enumerate(pieces):
+        mn, mx = poly.pminmax_on(coeffs, bp[i], bp[i + 1])
+        if mn < lo:
+            lo = mn
+        if mx > hi:
+            hi = mx
     for v in point_values:
-        lo = min(lo, v)
-        hi = max(hi, v)
-    inf_ends, sup_ends = _extreme_ends(lo, hi)
-    return Enclosure(*inf_ends), Enclosure(*sup_ends)
+        if v < lo:
+            lo = v
+        if v > hi:
+            hi = v
+    return lo, hi
 
 
 def _extreme_ends(lo: float, hi: float) -> tuple[tuple[float, float], ...]:
@@ -578,26 +621,27 @@ def _norm_ends(inf_mid: float, sup_mid: float) -> tuple[float, float]:
     return _padded(value, value)
 
 
-def _sup_norm_hi(lo: float, hi: float) -> float:
-    """``_sup_norm(*_inf_sup(...)).hi`` of a function whose computed min
-    and max are lo and hi, in floats: no enclosure is built, so nothing
-    is checked, and the caller passes finite lo and hi."""
-    (a, b), (c, d) = _extreme_ends(lo, hi)
-    return _norm_ends(0.5 * (a + b), 0.5 * (c + d))[1]    # the .mid of each
-
-
 def total_variation(u: PiecewiseFunction) -> Enclosure:
     """Total variation over the domain: per-piece polynomial variation plus
     both half-jumps (left-limit -> value and value -> right-limit) at every
     breakpoint; at the domain ends the outward half is zero by the
     ``_sided_table`` convention."""
+    return Enclosure(*_variation(u.breakpoints, u.pieces, u._sided_values()))
+
+
+def _variation(bp: tuple, pieces: tuple, table: tuple) -> tuple[float, float]:
+    """The ends of ``total_variation`` of the function with these
+    breakpoints and pieces and this jump table (jumps, slack): the
+    pieces' variation, then both half-jumps of every jump row, padded with
+    the slack.  The one loop behind ``total_variation`` and a quadrature
+    cell's variation of u."""
     total = 0.0
-    bp = u.breakpoints
-    for lo, hi, coeffs in zip(bp, bp[1:], u.pieces):
-        total += poly.pvariation_on(coeffs, lo, hi)
-    for _, left, v, right in u.jumps():
+    for i, coeffs in enumerate(pieces):
+        total += poly.pvariation_on(coeffs, bp[i], bp[i + 1])
+    jumps, slack = table
+    for _, left, v, right in jumps:
         total += abs(v - left) + abs(right - v)
-    return Enclosure(*_variation_ends(total, u.jump_slack()))
+    return _variation_ends(total, slack)
 
 
 def _variation_ends(total: float, slack: float) -> tuple[float, float]:

@@ -226,8 +226,8 @@ def _window(raw: tuple[float, ...], lo: float, hi: float) -> list[float]:
     if len(raw) == 1:
         span = 1e-12 * max(1.0, abs(lo), abs(hi))
         return [r for r in raw if lo - span <= r <= hi + span]
-    return _dedupe(sorted(r for r in raw if lo - 1e-12 <= r <= hi + 1e-12),
-                   lo, hi)
+    near = [r for r in raw if lo - 1e-12 <= r <= hi + 1e-12]
+    return _dedupe(near, lo, hi) if near else near    # _dedupe sorts
 
 
 def _dedupe(xs: list[float], lo: float, hi: float) -> list[float]:

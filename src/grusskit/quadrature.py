@@ -2,47 +2,44 @@
 
 The rule approximates the integral of f*g du over [a, b] by summing, per
 partition cell, the product of the two cell integrals normalised by the
-cell increment of u.  ``partition_quadrature`` (fixed partitions) and
-``adaptive_quadrature`` solve each cell once and return one
-``QuadratureResult``; ``composite_S`` and the oscillation and Holder
-remainder estimates are views of it.  Every cell quantity is computed on
-the cell alone.  The variation of u is read from u's one piece when the
-closed cell holds no breakpoint of u (``_piece_variation``): the piece's
-variation, padded as ``total_variation`` pads it, with no restricted u
-and no enclosure.  The oscillation of f is read from f's one piece when
-the closed cell holds no breakpoint of f (``_f_side``): the piece's
-values at the cell ends and critical points, padded as ``inf_sup_on``
-pads them, with no restricted f and no enclosure.  g's side of a cell,
-its integral against u and its centred sup, is read from the pieces of g
-and u when the closed cell holds no breakpoint of either (``_g_side``):
-one antiderivative difference and the shifted piece's values at the cell
-ends and critical points, each formed once, with no restricted g, no
-integral wrapper and no enclosure.  A cell that holds a breakpoint, or on
-which a number of those paths is not finite, restricts f, g or u and
-takes the general path, ``inf_sup_on``, ``total_variation`` and the
-closed-form integral of ``rs_integral``; both give the same floats.  On
-either path the centred sup comes from g's shifted pieces
-(``_centred_sup``), with no shifted copy of g.  The integral of f du is
-read from the pieces in the same way when the closed cell holds no
-breakpoint of f or u; on the other cells ``_result`` restricts f and u,
-final cells only, for the closed form.  So u is restricted only on a cell
-that holds a breakpoint of f, g or u, or on which a piece path declines,
-and a cell inside one piece of each builds no function.  Nothing is
-derived twice:
+cell increment of u; its remainder on a cell is bounded by
+(1/2) osc(f) * sup |g - cell mean| * Var(u).  ``partition_quadrature``
+(fixed partitions) and ``adaptive_quadrature`` solve each cell once and
+return one ``QuadratureResult``; ``composite_S`` and the oscillation and
+Holder remainder estimates are views of it.
+
+Every cell quantity is computed on the cell alone, by the one loop that
+the whole-function operation runs, on the fields of f, g and u on the cell
+(``funcrep._view``: what ``restrict`` slices, with no function built) and
+the jump rows of their breakpoints in the closed cell:
+
+- osc(f) and sup |g - mean|: the min and max of the pieces and point
+  values (``funcrep._min_max``, as in ``inf_sup_on``), the latter on g's
+  pieces shifted by the mean (``_centred_sup``), with no shifted copy of
+  g;
+- Var(u): the pieces' variation and u's jump rows (``funcrep._variation``,
+  as in ``total_variation``);
+- the integrals of g du and f du: the closed form of ``rs_integral``
+  (``stieltjes._integral``), whose shared-jump check and overflow check
+  raise as ``rs_integral`` of the restricted functions would.
+
+So each quantity is bit for bit the whole-function operation on the
+functions restricted to the cell, whether the cell holds breakpoints or
+not.  Nothing is derived twice:
 
 - each solve keeps one map of product antiderivatives per pair of pieces
   of (f or g, u), which every cell's integral against u reads;
 - derivatives and closed-form critical points come from ``poly``'s memo,
-  keyed by the coefficients, so a piece, its restrictions and its shifts
-  share them;
+  keyed by the coefficients, so a piece, its cells and its shifts share
+  them;
 - u is evaluated once at each cell end, and the value is shared by the
-  cell state test, the split search and the cell increment;
+  cell state test, the split search, the cell's fields and the cell
+  increment;
 - a cell record keeps numbers only: its terms, its integrals and u at
-  its ends; restricted functions are validated by construction
-  (``PiecewiseFunction._trusted``).
+  its ends.
 
-A cell whose term or integral of g du overflows, or a result whose value
-or bound does, raises DomainError, so an infinite term only ever marks a
+A cell whose term or integral overflows, or a result whose value or bound
+does, raises DomainError, so an infinite term only ever marks a
 degenerate cell.
 """
 
@@ -57,10 +54,10 @@ import numpy as np
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
 from .funcrep import (Enclosure, PiecewiseFunction, RegularityCertificate,
-                      _extreme_ends, _inf_sup, _sup_norm, _sup_norm_hi,
-                      _variation_ends, inf_sup_on, require_certificate,
+                      _extreme_ends, _inf_sup, _min_max, _norm_ends,
+                      _sided_table, _variation, _view, require_certificate,
                       total_variation)
-from .stieltjes import _piece_integral, _product_core, _same_domain
+from .stieltjes import _integral, _same_domain
 
 
 @dataclass(frozen=True)
@@ -140,12 +137,14 @@ class QuadratureResult:
 def _cell_state(u: PiecewiseFunction, lo: float, hi: float, u_lo: float,
                 u_hi: float) -> str:
     """'ok', 'constant' (u flat on the cell) or 'degenerate', given
-    u_lo = u(lo) and u_hi = u(hi)."""
+    u_lo = u(lo) and u_hi = u(hi); a cell whose u increment vanishes is
+    told apart by its variation of u, the enclosure ``total_variation``
+    gives on u restricted to it."""
     scale = 1.0 + max(abs(u_lo), abs(u_hi))
     if abs(u_hi - u_lo) > 1e-12 * scale:
         return "ok"
-    ends = _piece_variation(_inner_piece(u, lo, hi), lo, hi)
-    var = Enclosure(*ends) if ends else total_variation(u.restrict(lo, hi))
+    view = _view(u, lo, hi, u_lo, u_hi)
+    var = Enclosure(*_variation(view[0], view[1], _sided_table(*view)))
     if var.mid <= 1e-10 * scale:
         return "constant"
     return "degenerate"
@@ -153,20 +152,13 @@ def _cell_state(u: PiecewiseFunction, lo: float, hi: float, u_lo: float,
 
 def oscillation_v(f: PiecewiseFunction, partition: Partition) -> float:
     """max over cells of (sup f - inf f), certified from above: each cell's
-    oscillation as ``_solve_cell`` takes it."""
+    oscillation from the enclosures ``inf_sup_on`` gives on f restricted
+    to it, taken from f's fields on the cell."""
     worst = 0.0
     for lo, hi in partition.cells():
-        side = _f_side(f, lo, hi, None)
-        worst = max(worst, _osc(f.restrict(lo, hi)) if side is None
-                    else side[0])
+        inf_e, sup_e = _inf_sup(*_view(f, lo, hi)[:3])
+        worst = max(worst, sup_e.hi - inf_e.lo)
     return worst
-
-
-def _osc(f_cell: PiecewiseFunction) -> float:
-    """sup f - inf f over the cell f is restricted to, certified from
-    above: the general path of a cell's oscillation."""
-    inf_e, sup_e = inf_sup_on(f_cell)
-    return sup_e.hi - inf_e.lo
 
 
 class _Cell(NamedTuple):
@@ -180,125 +172,29 @@ class _Cell(NamedTuple):
     i_g: float     # integral of g du over the cell
     u_lo: float    # u(lo)
     u_hi: float    # u(hi)
-    # integral of f du on an "ok" cell inside one piece of f and one of u,
-    # read from the pieces; else None, as where that integral overflows,
-    # and _result integrates the restricted f and u
-    i_f: float | None
+    i_f: float     # integral of f du over the cell
 
 
-def _centred_sup(g: PiecewiseFunction, bp: tuple, pieces: tuple,
-                 point_values: tuple | None, m: float) -> float | None:
-    """sup |g - m| over [bp[0], bp[-1]], given the fields of
-    ``g.restrict(bp[0], bp[-1])`` (its breakpoints, pieces and point
-    values): ``sup_norm_on((g - m).restrict(bp[0], bp[-1])).hi`` without
+def _centred_sup(view: tuple, m: float) -> float:
+    """sup |g - m| over a cell, given g's ``_view`` of it:
+    ``sup_norm_on((g - m).restrict(lo, hi)).hi``, from the min and max of
+    g's shifted pieces and point values (``funcrep._min_max``), without
     forming g - m, its restriction or any function.  A cell end that is
-    not a breakpoint of g takes the value of its shifted piece there.
-    Only the numbers the shift forms are checked, the constant terms and
-    then the point values, and they raise the DomainError the constructor
-    would.  The general path of ``_solve_cell`` passes a restricted g's
-    fields.
-
-    ``_g_side`` passes bp = (lo, hi), the one piece of g whose open
-    interval holds [lo, hi] and no point values: neither end is then a
-    breakpoint of g, so the shifted piece at lo, at hi and at its
-    critical points gives every value, each formed once, and the sup
-    comes from their min and max in floats (``funcrep._sup_norm_hi``),
-    with no enclosure.  It returns None, for the general path to decide,
-    where one of those values or the sup is not finite."""
-    shifted = tuple(poly.psub(c, (m,)) for c in pieces)
-    if point_values is None:
-        vals = poly._extreme_values(shifted[0], bp[0], bp[-1])
-        vals.append(_sup_norm_hi(min(vals), max(vals)))
-        return vals[-1] if all(map(math.isfinite, vals)) else None
-    values = [v - m for v in point_values]
-    if g._bp_index(bp[0]) is None:
-        values[0] = poly.pvalue(shifted[0], bp[0])
-    if g._bp_index(bp[-1]) is None:
-        values[-1] = poly.pvalue(shifted[-1], bp[-1])
+    not a breakpoint of g holds the value of its shifted piece there,
+    which the piece's min and max take bit for bit, so only the point
+    values at breakpoints of g are read.  Only the numbers the shift forms
+    are checked, the constant terms and then those point values, and they
+    raise the DomainError the constructor would."""
+    values, lo_bp, hi_bp = view[2:]
+    shifted = tuple([poly.psub(c, (m,)) for c in view[1]])
+    values = [v - m for v in values[0 if lo_bp else 1:
+                                    len(values) if hi_bp else -1]]
     if not all(math.isfinite(c[0]) for c in shifted):
         raise DomainError("non-finite coefficient")
     if not all(map(math.isfinite, values)):
         raise DomainError("non-finite point value")
-    return _sup_norm(*_inf_sup(bp, shifted, values)).hi
-
-
-def _inner_piece(h: PiecewiseFunction, lo: float,
-                 hi: float) -> tuple | None:
-    """The piece of h whose open interval holds [lo, hi], or None when
-    [lo, hi] holds a breakpoint of h."""
-    i, bp = h._piece_index(lo), h.breakpoints
-    return h.pieces[i] if bp[i] < lo and hi < bp[i + 1] else None
-
-
-def _piece_variation(u_piece: tuple | None, lo: float,
-                     hi: float) -> tuple[float, float] | None:
-    """The ends of ``total_variation(u.restrict(lo, hi))``, read from
-    u_piece = ``_inner_piece(u, lo, hi)``: that restriction has one piece,
-    no jump and no slack, so the ends are the piece's variation padded by
-    ``funcrep._variation_ends``, in the same floats.  None, for the general
-    path, where u_piece is None or the variation is not finite; restricting
-    u, or ``total_variation``, then raises where u overflows."""
-    if u_piece is None:
-        return None
-    total = poly.pvariation_on(u_piece, lo, hi)
-    return _variation_ends(total, 0.0) if math.isfinite(total) else None
-
-
-def _f_side(f: PiecewiseFunction, lo: float, hi: float,
-            u_piece: tuple | None,
-            products: dict | None = None) -> tuple[float, float | None] | None:
-    """(oscillation of f, integral of f du) over the cell [lo, hi], read
-    from the one piece of f whose open interval holds [lo, hi]; u_piece is
-    ``_inner_piece(u, lo, hi)``.  The oscillation is ``_osc(f.restrict(lo,
-    hi))`` in the same floats: the restriction's end values are the
-    piece's values at lo and hi, so its min and max are those of the
-    piece at lo, at hi and at its critical points, padded by
-    ``funcrep._extreme_ends``, with no restricted f and no enclosure.  The
-    integral is ``stieltjes._piece_integral`` of the two pieces, with the
-    solve's ``products`` map when given, or None where u_piece is None or
-    the integral is not finite.
-
-    None, for the general path, when [lo, hi] holds a breakpoint of f, or
-    when one of the piece's values is not finite; restricting f, or
-    ``_osc``, then raises where the inputs overflow."""
-    piece = _inner_piece(f, lo, hi)
-    if piece is None:
-        return None
-    vals = poly._extreme_values(piece, lo, hi)
-    if not all(map(math.isfinite, vals)):
-        return None
-    (inf_lo, _), (_, sup_hi) = _extreme_ends(min(vals), max(vals))
-    i_f = None if u_piece is None \
-        else _piece_integral(piece, u_piece, lo, hi, products)
-    return sup_hi - inf_lo, i_f
-
-
-def _g_side(g: PiecewiseFunction, lo: float, hi: float, du: float,
-            u_piece: tuple | None,
-            products: dict | None = None) -> tuple[float, float] | None:
-    """(integral of g du, sup |g - m|) over the cell [lo, hi], where m is
-    that integral over ``du = u(hi) - u(lo)``, read from the pieces of g
-    and u when [lo, hi] holds no breakpoint of g and none of u; u_piece is
-    ``_inner_piece(u, lo, hi)``.  The cell then lies inside one piece of
-    each, and the two floats come from the same operations in the same
-    order as ``rs_integral(g.restrict(lo, hi), u.restrict(lo, hi)).value``
-    and ``_centred_sup`` of that restriction: the antiderivative, from the
-    solve's ``products`` map when given (``stieltjes._piece_integral``),
-    then ``_centred_sup`` on the one piece, with no restricted g.
-
-    None, for the general path, when [lo, hi] holds a breakpoint, or when
-    a number that path forms is not finite; that path then raises where
-    the inputs overflow."""
-    piece = _inner_piece(g, lo, hi)
-    if piece is None or u_piece is None:
-        return None
-    # the end values g.restrict(lo, hi) checks
-    if not all(math.isfinite(poly.pvalue(piece, t)) for t in (lo, hi)):
-        return None
-    i_g = _piece_integral(piece, u_piece, lo, hi, products)
-    sup_g = None if i_g is None \
-        else _centred_sup(g, (lo, hi), (piece,), None, i_g / du)
-    return None if sup_g is None else (i_g, sup_g)
+    (a, b), (c, d) = _extreme_ends(*_min_max(view[0], shifted, values))
+    return _norm_ends(0.5 * (a + b), 0.5 * (c + d))[1]    # the .mid of each
 
 
 def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -307,46 +203,36 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
                 products: dict | None = None) -> _Cell:
     """Every quantity of the cell [lo, hi] whose ``_cell_state`` is
     ``state``, given u_lo = u(lo) and u_hi = u(hi); constant and
-    degenerate cells get zero terms.  u's piece is looked up once.  The
-    variation of u is read from it by ``_piece_variation`` when the cell
-    holds no breakpoint of u; otherwise, or when that declines, u is
-    restricted and the variation comes from ``total_variation``,
-    bit-identical where both apply.  f's side, its
-    oscillation and its integral against u, is read from the pieces by
-    ``_f_side`` when the cell holds no breakpoint of f (the integral only
-    when it holds none of u either); otherwise, or when ``_f_side``
-    declines, f is restricted, at the same point, and the oscillation
-    comes from ``_osc``, bit-identical where both apply.  g's side, its
-    integral against u and its centred sup, is read from the pieces by
-    ``_g_side`` when the cell holds no breakpoint of g or u; otherwise, or
-    when ``_g_side`` declines, g and u are restricted, and the side comes
-    from the closed-form integral and ``_centred_sup``, likewise
-    bit-identical.  Where the integral of f du is not read from the
-    pieces, or is not finite, the record keeps None, and ``_result``
-    integrates f and u restricted to the cell, if it is final.  Integrals
-    against u read and fill the solve's ``products`` map, if given.
-    Raises DomainError when an "ok" cell's term or integral of g du is not
-    finite."""
+    degenerate cells get zero terms.  Each quantity is the one loop that
+    the whole-function operation runs, on the fields of f, g and u on the
+    cell (``funcrep._view``, which reuses u_lo and u_hi) and the jump rows
+    of their breakpoints in the closed cell: the oscillation of f as
+    ``inf_sup_on`` of the restricted f gives it (``funcrep._min_max``),
+    the integrals of g du and f du as ``rs_integral`` of the restricted
+    functions (``stieltjes._integral``, reading and filling the solve's
+    ``products`` map, if given), sup |g - mean| by ``_centred_sup`` and
+    the variation of u as ``total_variation`` (``funcrep._variation``).
+    No function is built.
+
+    Raises what those operations raise on the restricted functions: a
+    shared jump of f or g with u, an end value or integral that is not
+    finite; and DomainError when the term is not finite."""
     if state != "ok":
         return _Cell(lo, hi, 0.0 if state == "constant" else math.inf,
-                     state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, None)
-    u_piece = _inner_piece(u, lo, hi)
-    f_side = _f_side(f, lo, hi, u_piece, products)
-    f_cell = f.restrict(lo, hi) if f_side is None else None
-    g_side = _g_side(g, lo, hi, u_hi - u_lo, u_piece, products)
-    g_cell = g.restrict(lo, hi) if g_side is None else None
-    var_ends = _piece_variation(u_piece, lo, hi)
-    u_cell = None if g_side and var_ends else u.restrict(lo, hi)
-    var_u = total_variation(u_cell).hi if var_ends is None else var_ends[1]
-    osc, i_f = (_osc(f_cell), None) if f_side is None else f_side
-    if g_side is None:
-        i_g = _product_core([g_cell], u_cell, products).value
-        sup_g = _centred_sup(g, g_cell.breakpoints, g_cell.pieces,
-                             g_cell.point_values, i_g / (u_hi - u_lo))
-    else:
-        i_g, sup_g = g_side
+                     state, (0.0, 0.0, 0.0), 0.0, u_lo, u_hi, 0.0)
+    f_view, g_view = _view(f, lo, hi), _view(g, lo, hi)
+    u_view = _view(u, lo, hi, u_lo, u_hi)
+    u_table = _sided_table(*u_view)
+    (inf_lo, _), (_, sup_hi) = _extreme_ends(*_min_max(*f_view[:3]))
+    i_g = _integral((g_view, u_view), (_sided_table(*g_view), u_table),
+                    products)[0]
+    sup_g = _centred_sup(g_view, i_g / (u_hi - u_lo))
+    var_u = _variation(u_view[0], u_view[1], u_table)[1]
+    i_f = _integral((f_view, u_view), (_sided_table(*f_view), u_table),
+                    products)[0]
+    osc = sup_hi - inf_lo
     term = 0.5 * osc * sup_g * var_u
-    if not (math.isfinite(term) and math.isfinite(i_g)):
+    if not math.isfinite(term):
         raise DomainError(f"cell [{lo!r}, {hi!r}]: term {term!r} or "
                           f"integral of g du {i_g!r} is not finite: the "
                           f"inputs overflow")
@@ -354,22 +240,15 @@ def _solve_cell(f: PiecewiseFunction, g: PiecewiseFunction,
                  i_f)
 
 
-def _result(f: PiecewiseFunction, u: PiecewiseFunction, cells: list[_Cell],
-            products: dict | None = None) -> QuadratureResult:
-    """The result of solved cells, none degenerate, summed in cell order;
-    the integral of f du of an "ok" cell is its ``i_f``, or, where that is
-    None, the closed form on f and u restricted to the cell, with the
-    solve's ``products`` map if given.  ``_solve_cell`` has restricted f
-    and u to such a cell, or read their finite ends from the pieces, so
-    these restrictions raise nothing.  The stated bound is (1/2) max osc *
-    max sup_g * Var(u).  Raises DomainError when the value or a bound is
-    not finite."""
+def _result(u: PiecewiseFunction, cells: list[_Cell]) -> QuadratureResult:
+    """The result of solved cells, none degenerate, summed in cell order:
+    value = sum of i_f * i_g / (u(hi) - u(lo)) over the "ok" cells, tight
+    = sum of the terms, stated = (1/2) max osc * max sup_g * Var(u).
+    Raises DomainError when the value or a bound is not finite."""
     value = 0.0
     for c in cells:
         if c.state == "ok":
-            i_f = c.i_f if c.i_f is not None else _product_core(
-                [f.restrict(*c[:2])], u.restrict(*c[:2]), products).value
-            value += i_f * c.i_g / (c.u_hi - c.u_lo)
+            value += c.i_f * c.i_g / (c.u_hi - c.u_lo)
     stated = 0.5 * max(c.terms[0] for c in cells) \
         * max(c.terms[1] for c in cells) * total_variation(u).hi
     tight = sum(c.term for c in cells)
@@ -408,7 +287,7 @@ def partition_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
             raise DegenerateCell(i, (lo, hi))
         cells.append(_solve_cell(f, g, u, lo, hi, u_lo, u_hi, state,
                                  products))
-    return _result(f, u, cells, products)
+    return _result(u, cells)
 
 
 def composite_S(f: PiecewiseFunction, g: PiecewiseFunction,
@@ -463,12 +342,9 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
     Bisection points where u would repeat a cell-end value are shifted by a
     quarter cell; cells on which u is constant are frozen with a zero term.
     Each cell is solved once, when it is made, and keeps its terms, its
-    integral of g du, u at its ends and its integral of f du, read from
-    the pieces; on a cell that holds a breakpoint of f or u, that integral
-    is taken on the restricted f and u only if the cell is final.
-    The result is built from the final cells' records, so it equals
-    ``partition_quadrature`` on the final partition.  u is evaluated once
-    per split candidate.
+    integrals of g du and f du and u at its ends.  The result is built
+    from the final cells' records, so it equals ``partition_quadrature``
+    on the final partition.  u is evaluated once per split candidate.
 
     Raises DomainError unless ``tol > 0``, ``max_cells >= 1`` and f, g
     and u share one domain.
@@ -526,4 +402,4 @@ def adaptive_quadrature(f: PiecewiseFunction, g: PiecewiseFunction,
         terms[idx:idx + 1] = (cells[idx].term, cells[idx + 1].term)
 
     # the loop ends with no degenerate cell left
-    return _result(f, u, cells, products)
+    return _result(u, cells)

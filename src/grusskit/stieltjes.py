@@ -9,8 +9,11 @@ the functions restricted by ``PiecewiseFunction.restrict(c, d)``.  Jump
 bookkeeping at the domain ends follows the half-jump convention: at the
 left end only the (value -> right-limit) half counts, at the right end only
 (left-limit -> value), so integrals over adjacent sub-intervals add up.
-``_product_core`` takes an optional map of cell antiderivatives, which one
-quadrature solve keeps for all its cells; without one it forms each afresh.
+``_integral`` is the one loop of the closed form: ``_product_core`` runs
+it on the functions' fields and memoized jump tables, and a quadrature
+cell on the fields of ``funcrep._view`` and the jump rows of the cell,
+with the map of cell antiderivatives that one solve keeps for all its
+cells.
 ``rs_oracle`` is a slow independent check based on midpoint-tagged
 Stieltjes sums with the jump part split off exactly.
 """
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import poly
 from .errors import DomainError, SharedDiscontinuity
-from .funcrep import PiecewiseFunction, aligned_pieces
+from .funcrep import PiecewiseFunction, _aligned, _value_at
 
 _EPS = 2.220446049250313e-16
 
@@ -47,103 +50,104 @@ def _same_domain(f: PiecewiseFunction, u: PiecewiseFunction) -> None:
                           f"{f.domain!r} vs {u.domain!r}")
 
 
-def _check_shared_jumps(fs: list[PiecewiseFunction],
-                        u: PiecewiseFunction) -> None:
-    u_disc = set(u.discontinuity_points())
-    if not u_disc:
-        return
-    for f in fs:
-        for t in f.discontinuity_points():
+def _check_shared_jumps(factor_tables: list, u_jumps) -> None:
+    """Raise SharedDiscontinuity at the first jump row of a factor, in
+    factor order, where u has a jump row too, given the factors' jump
+    tables and u's jump rows."""
+    u_disc = {t for t, *_ in u_jumps}
+    for jumps, _ in factor_tables:
+        for t, *_ in jumps:
             if t in u_disc:
                 raise SharedDiscontinuity(t)
 
 
-def _cell_antiderivative(pcs: list, integrator: bool,
+def _cell_antiderivative(pcs: tuple, integrator: bool,
                          products: dict | None) -> tuple:
     """The antiderivative of one aligned cell's integrand: the product of
-    the pieces in the list ``pcs``, the last one differentiated (in place)
-    when ``integrator``.  With a product map it is looked up there by the
+    the pieces in the tuple ``pcs``, the last one differentiated when
+    ``integrator``.  With a product map it is looked up there by the
     pieces and formed only on the first miss."""
     if products is not None:
-        key = tuple(pcs)
-        prim = products.get(key)
+        prim = products.get(pcs)
         if prim is not None:
             return prim
-    if integrator:
-        pcs[-1] = poly.pderiv(pcs[-1])
-    prim = poly.pinteg(reduce(poly.pmul, pcs))
+    factors = pcs[:-1] + (poly.pderiv(pcs[-1]),) if integrator else pcs
+    prim = poly.pinteg(reduce(poly.pmul, factors))
     if products is not None:
-        products[key] = prim
+        products[pcs] = prim
     return prim
 
 
-def _error_bound(value: float, scale: float, fv_worst: float,
-                 slack: float) -> float:
-    """The certified error of a closed-form integral ``value`` whose terms
-    sum to ``scale`` in magnitude, with jump slack ``slack`` weighted by
-    the largest factor value ``fv_worst`` at a jump."""
-    return 64.0 * _EPS * (scale + abs(value) + 1.0) + fv_worst * slack
-
-
-def _piece_integral(f_piece: tuple, u_piece: tuple, lo: float, hi: float,
-                    products: dict | None = None) -> float | None:
-    """``rs_integral(f, u).value`` for f and u that are each one piece on
-    [lo, hi] with no breakpoint there, such as two functions restricted to
-    a cell inside a piece of each: the same floats ``_product_core`` forms
-    for that one aligned cell, with no jump of u and no slack, and the
-    antiderivative from ``products`` as there.  None where
-    ``_product_core`` raises: when the value or its error bound is not
-    finite."""
-    prim = _cell_antiderivative([f_piece, u_piece], True, products)
-    term = poly.pvalue(prim, hi) - poly.pvalue(prim, lo)
-    value = 0.0 + term
-    if math.isfinite(value) and \
-            math.isfinite(_error_bound(value, abs(term), 1.0, 0.0)):
-        return value
-    return None
-
-
 def _product_core(factors: list[PiecewiseFunction],
-                  u: PiecewiseFunction | None,
-                  products: dict | None = None) -> IntegralResult:
+                  u: PiecewiseFunction | None) -> IntegralResult:
     """Closed-form integral of (prod factors) du over the domain, or of
-    (prod factors) dt when u is None: the product is formed on the
-    coefficients of each aligned cell and integrated exactly, and every
-    jump of u adds the factors' point values times its mass.  With a
-    product map, kept by the caller for integrals against pieces of one
-    u, each cell's antiderivative is looked up there by its pieces and
-    formed only on the first miss; either way it is evaluated at the cell
-    ends exactly as ``poly.pintegrate`` evaluates it.
+    (prod factors) dt when u is None: ``_integral`` on the functions'
+    fields and memoized jump tables.
 
-    Raises DomainError when the value or its error bound is not finite."""
+    Raises SharedDiscontinuity when a factor jumps where u jumps, and
+    DomainError when the value or its error bound is not finite."""
     ref = factors[0] if u is None else u
     for f in factors:
         _same_domain(f, ref)
-    if u is not None:
-        _check_shared_jumps(factors, u)
+    fns = factors if u is None else [*factors, u]
+    value, err = _integral(
+        [(f.breakpoints, f.pieces, f.point_values) for f in fns],
+        None if u is None else [f._sided_values() for f in fns], None)
+    return IntegralResult(value, err, "closed_form")
+
+
+def _integral(columns: list[tuple], tables: list[tuple] | None,
+              products: dict | None) -> tuple[float, float]:
+    """(value, error) of the closed-form integral of the product of the
+    factors against the last function, u, given the jump tables of all of
+    them in ``tables``; or, when ``tables`` is None, of the product of all
+    of them dt.  Each function is given by its fields, whose first three
+    are its breakpoints, pieces and point values, in ``columns``: the
+    whole functions or ``funcrep._view``s of one cell, over their common
+    interval.  The one loop of the closed form:
+
+    - the product is formed on the coefficients of each aligned cell and
+      integrated exactly; with a product map ``products``, kept by the
+      caller for integrals against pieces of one u, each cell's
+      antiderivative is looked up there by its pieces and formed only on
+      the first miss; either way it is evaluated at the cell ends exactly
+      as ``poly.pintegrate`` evaluates it;
+    - every jump row of u with nonzero mass adds the factors' point values
+      times its mass;
+    - a factor with a jump row where u has one raises SharedDiscontinuity,
+      which signals that the integral need not exist;
+    - the error bound, 64 eps times the terms' magnitude, the value's and
+      1, plus u's jump slack weighed by the largest factor value at a
+      jump; DomainError is raised when the value or the bound is not
+      finite."""
     value = 0.0
     scale = 0.0
-    for lo, hi, *pcs in aligned_pieces(*factors, *([] if u is None else [u])):
-        prim = _cell_antiderivative(pcs, u is not None, products)
-        term = poly.pvalue(prim, hi) - poly.pvalue(prim, lo)
+    for cell in _aligned(columns):
+        prim = _cell_antiderivative(cell[2:], tables is not None, products)
+        term = poly.pvalue(prim, cell[1]) - poly.pvalue(prim, cell[0])
         value += term
         scale += abs(term)
     fv_worst = 1.0
     slack = 0.0
-    if u is not None:
-        for t, mass in u.jump_masses():
+    if tables is not None:
+        u_jumps, slack = tables[-1]
+        for t, left, _, right in u_jumps:
+            if right == left:
+                continue
+            mass = right - left
             fv = 1.0
-            for f in factors:
-                fv *= f(t)
+            for bp, pieces, values, *_ in columns[:-1]:
+                fv *= _value_at(bp, pieces, values, t)
             fv_worst = max(fv_worst, abs(fv))
             value += fv * mass
             scale += abs(fv * mass)
-        slack = u.jump_slack()
-    err = _error_bound(value, scale, fv_worst, slack)
+        if u_jumps:
+            _check_shared_jumps(tables[:-1], u_jumps)
+    err = 64.0 * _EPS * (scale + abs(value) + 1.0) + fv_worst * slack
     if not (math.isfinite(value) and math.isfinite(err)):
         raise DomainError(f"integral is not finite (value {value!r}, "
                           f"error {err!r}): the inputs overflow")
-    return IntegralResult(value, err, "closed_form")
+    return value, err
 
 
 def rs_integral(f: PiecewiseFunction, u: PiecewiseFunction) -> IntegralResult:
@@ -198,7 +202,7 @@ def rs_oracle(f: PiecewiseFunction, u: PiecewiseFunction,
     if n < 1:
         raise DomainError("n must be >= 1")
     _same_domain(f, u)
-    _check_shared_jumps([f], u)
+    _check_shared_jumps([f._sided_values()], u._sided_values()[0])
     jump_total = 0.0
     for t, mass in u.jump_masses():
         jump_total += f(t) * mass

@@ -752,8 +752,7 @@ def test_quad_partition_at_the_cell_budget_runs(option, capsys):
     ["--tol", "nan", "--sweep", "4:8"],
     ["--tol", "-1", "--partition", "uniform:4"],
 ])
-def test_quad_tolerance_not_above_zero_is_a_schema_error(option, monkeypatch,
-                                                         capsys):
+def test_quad_rejects_a_bad_tolerance_or_budget(option, monkeypatch, capsys):
     # --tol is checked in every mode, as --max-cells is, before any
     # partition is built; the fixed-partition modes do not read it
     def refuse(*args):
@@ -766,13 +765,13 @@ def test_quad_tolerance_not_above_zero_is_a_schema_error(option, monkeypatch,
     assert captured.err.startswith("input error: tol: must be > 0, got ")
 
 
-def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
+def test_quad_sweep_solves_each_cell_once(count_calls, capsys):
     from test_quadrature import assert_derived_once, derive_once_counts
     counts = count_calls(funcrep.require_certificate, stieltjes.rs_integral,
                          stieltjes.rs_product_integral,
                          quadrature._cell_state)
-    derived, in_result, code = derive_once_counts(
-        count_calls, monkeypatch,
+    derived, code = derive_once_counts(
+        count_calls,
         lambda: run(["quad", "--sweep", "4:256",
                      "--json", json.dumps(QUAD_SPEC_HOLDER)]))
     assert code == 0
@@ -784,21 +783,17 @@ def test_quad_sweep_solves_each_cell_once(count_calls, monkeypatch, capsys):
     assert counts["_cell_state"] == cells
     solved = derived.args["_solve_cell"]
     assert len(solved) == cells
-    # g and u restricted on the 33 cells that hold a breakpoint of g or u
-    # (the cells at 0 and 1, the two meeting at 0.5 and, from n = 16 on,
-    # the one holding 0.6: 4 + 4 + 5 * 5), f on those that hold one of f,
-    # f and u again when summing the 28 below, one sided table per
-    # function, and u evaluated once per cell end of each partition
-    assert assert_derived_once(derived, in_result) == [
+    # no function restricted, one sided table per function, two integrals
+    # against u per cell reading the solve's product map, and u evaluated
+    # once per cell end of each partition
+    assert assert_derived_once(derived) == [
         t for n in ns for t in quadrature.Partition.uniform(0.0, 1.0, n).points]
-    # the cells' integrals read the solve's product map, not rs_integral:
-    # in the closed form, of g du on those 33 cells and of f du on the 28
-    # that hold a breakpoint of f or u (the cells at 0 and 1 and the ones
-    # holding 0.4 and 0.6: 4 per partition, as no uniform point of a
-    # power-of-two partition is 0.4 or 0.6)
+    # the cells' integrals are the closed-form loop on their fields, not
+    # rs_integral; the one integral without a map is the report's exact
+    # integral of f g du
     assert counts["rs_integral"] == 0
-    assert sum(len(args) > 2 and args[2] is not None
-               for args in derived.args["_product_core"]) == 33 + 28
+    assert sum(args[2] is None
+               for args in derived.args["_integral"]) == 1
 
 
 def test_quad_sweep_work_budget(count_calls, capsys):
@@ -811,7 +806,7 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     counts = count_calls(poly.proots, poly.pderiv, poly.pmul,
                          funcrep.PiecewiseFunction.restrict,
                          funcrep.total_variation,
-                         stieltjes._product_core, stieltjes._piece_integral)
+                         stieltjes._product_core, stieltjes._integral)
     assert run(["quad", "--sweep", "4:256",
                 "--json", json.dumps(QUAD_SPEC_HOLDER)]) == 0
     capsys.readouterr()
@@ -819,25 +814,17 @@ def test_quad_sweep_work_budget(count_calls, capsys):
     assert counts["proots"] == 0
     assert counts["pderiv"] == 7 + 48
     assert counts["pmul"] == 50
-    # and of the cell work over the 508 cells.  While solving: f restricted
-    # on the 21 that hold a breakpoint of f (3 per partition: the cells at
-    # 0 and 1 and the one holding 0.4), g and u on the 33 that hold a
-    # breakpoint of g or u (the cells at 0 and 1, the two meeting at 0.5
-    # and, from n = 16 on, the one holding 0.6).  When summing: f and u on
-    # the 28 that hold a breakpoint of f or u (4 per partition: the cells
-    # at 0 and 1 and the ones holding 0.4 and 0.6).  No other cell builds
-    # a function.  The variation of a restricted u only on the 21 cells
-    # that hold a breakpoint of u (3 per partition); the whole u's is read
-    # by the stated and the Holder bounds.  Closed-form integrals
-    # (_product_core): of g du on those 33 cells, of f du on those 28, and
-    # the report's exact integral of f g du.  Integrals read from the
-    # pieces: of g du on the other 508 - 33 cells and of f du on the other
-    # 508 - 28
-    assert counts["restrict"] == 21 + 2 * 33 + 2 * 28
-    assert sum(args[0].domain != (0.0, 1.0)
-               for args in counts.args["total_variation"]) == 21
-    assert counts["_product_core"] == 33 + 28 + 1
-    assert counts["_piece_integral"] == (508 - 33) + (508 - 28)
+    # and of the cell work over the 508 cells: every cell reads the fields
+    # of f, g and u on it, so no function is restricted, the variation of
+    # u is never taken of a restricted u (the whole u's is read by the
+    # stated and the Holder bounds), and each cell runs the closed-form
+    # loop twice, for g du and f du; the one whole-function integral is
+    # the report's exact integral of f g du
+    assert counts["restrict"] == 0
+    assert all(args[0].domain == (0.0, 1.0)
+               for args in counts.args["total_variation"])
+    assert counts["_product_core"] == 1
+    assert counts["_integral"] == 2 * 508 + 1
 
 
 @pytest.mark.parametrize("option", [["--partition", "uniform:4"], []])

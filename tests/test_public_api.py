@@ -236,3 +236,13 @@ def test_one_verdict_rule_and_one_exponent_rule():
                          and node.comparators[0].value is None):
             compared.add(scope)
     assert not compared
+
+
+def test_quadrature_restricts_no_function():
+    # a quadrature cell reads f, g and u on it as fields (funcrep._view)
+    # and runs the loops of the whole-function operations on them: a
+    # restrict call in quadrature.py would bring a second path back
+    calls = [scope for scope, node in _nodes_by_scope(
+        ROOT / "src" / "grusskit" / "quadrature.py")
+        if isinstance(node, ast.Call) and _call_name(node) == "restrict"]
+    assert not calls

@@ -358,22 +358,15 @@ class TestAdaptive:
         assert res.per_cell.tolist() \
             == partition_quadrature(f, g, u, part).per_cell.tolist()
 
-    def test_each_cell_integrates_g_once_and_f_once_at_the_end(
-            self, monkeypatch):
+    def test_each_cell_integrates_g_once_and_f_once(self, count_calls):
         # every bisection replaces one cell by two, so a result with n
-        # cells evaluated 2n - 1 cells in the loop: one integral of g du
-        # per evaluated cell, then one of f du per final cell
-        calls = [0]
-        counted = quadrature._product_core
-
-        def product_core(*args, **kwargs):
-            calls[0] += 1
-            return counted(*args, **kwargs)
-        monkeypatch.setattr(quadrature, "_product_core", product_core)
+        # cells evaluated 2n - 1 cells in the loop, each "ok" one with one
+        # closed-form integral of g du and one of f du
+        counts = count_calls(stieltjes._integral)
         for f, g, u, tol in ADAPTIVE_PROBLEMS:
-            calls[0] = 0
+            before = counts["_integral"]
             n = adaptive_quadrature(f, g, u, tol, max_cells=128).partition.n
-            assert calls[0] <= (2 * n - 1) + n
+            assert counts["_integral"] - before <= 2 * (2 * n - 1)
 
     def test_results_compare_and_hash_by_value(self, ident, tsq):
         first = adaptive_quadrature(ident, ident, tsq, tol=1e-4)
@@ -503,6 +496,24 @@ class TestSharedJumps:
             adaptive_quadrature(*fg, _u_jump_at_03(u_value), 1e-3)
         assert info.value.point == 0.3
 
+    @pytest.mark.parametrize("slot", ["f", "g"])
+    def test_adaptive_raises_before_a_split_lands_on_the_jump(self, slot):
+        # the first split of [0, 1] is 0.5, where the step (left-continuous)
+        # and u (right-continuous) jump: neither half would see a shared
+        # jump, but the first cell, solved before it is split, holds one;
+        # both integrals of a cell are taken when it is solved, so f and g
+        # raise alike, as rs_product_integral([f, g], u) does
+        step = PiecewiseFunction((0.0, 0.5, 1.0), ((0.0,), (1.0,)),
+                                 (0.0, 0.0, 1.0))
+        u = PiecewiseFunction((0.0, 0.5, 1.0), ((0.0, 1.0), (1.0, 1.0)),
+                              (0.0, 1.5, 2.0))
+        fg = (step, IDENT) if slot == "f" else (IDENT, step)
+        for solve in (lambda: rs_product_integral(list(fg), u),
+                      lambda: adaptive_quadrature(*fg, u, 1e-3)):
+            with pytest.raises(SharedDiscontinuity) as info:
+                solve()
+            assert info.value.point == 0.5
+
 
 # QUAD_SPEC of tests/test_cli.py: f and g with interior breakpoints,
 # u strictly increasing with jumps at 0, 0.6 and 1, so every cell is "ok"
@@ -514,132 +525,80 @@ DERIVE_U = PiecewiseFunction((0.0, 0.6, 1.0), ((0.0, 1.0), (1.0, 0.5)),
                              (-0.5, 0.6, 2.0))
 
 
-def derive_once_counts(count_calls, monkeypatch, solve):
+def derive_once_counts(count_calls, solve):
     """Run ``solve()`` with restrict, total_variation, eval_sided,
-    _sided_table, _solve_cell, _product_core and _piece_integral counted;
-    returns the counts, one (arguments of the restrict calls, number of
-    _product_core calls, (lo, hi) of each "ok" cell) triple per
-    ``_result`` call, made inside it, and what ``solve()`` returned."""
+    _sided_table, _solve_cell and _integral counted; returns the counts and
+    what ``solve()`` returned."""
     counts = count_calls(PiecewiseFunction.restrict, funcrep.total_variation,
                          funcrep.eval_sided, funcrep._sided_table,
-                         quadrature._solve_cell, stieltjes._product_core,
-                         stieltjes._piece_integral)
-    in_result = []
-    inner = quadrature._result
-
-    def result(f, u, cells, products=None):
-        restricts, cores = counts["restrict"], counts["_product_core"]
-        out = inner(f, u, cells, products)
-        in_result.append((counts.args["restrict"][restricts:],
-                          counts["_product_core"] - cores,
-                          [(c.lo, c.hi) for c in cells if c.state == "ok"]))
-        return out
-    monkeypatch.setattr(quadrature, "_result", result)
-    out = solve()
-    return counts, in_result, out
+                         quadrature._solve_cell, stieltjes._integral)
+    return counts, solve()
 
 
-def assert_derived_once(counts, in_result) -> list[float]:
-    """Check the restrict, total_variation, _product_core and sided-table
+def assert_derived_once(counts) -> list[float]:
+    """Check the restrict, total_variation, _integral and sided-table
     counts of ``derive_once_counts`` and return the points at which u was
     evaluated, in call order; f, g and u are the ones that the solve
     passes to ``_solve_cell``."""
     solved = counts.args["_solve_cell"]
     assert solved and all(args[7] == "ok" for args in solved)
-    summing = {id(args) for restricts, *_ in in_result for args in restricts}
-
-    def restricted(slot):
-        # (lo, hi) of each restriction made while solving, in call order
-        copies = {id(args[slot]) for args in solved}
-        return [args[1:3] for args in counts.args["restrict"]
-                if id(args[0]) in copies and id(args) not in summing]
-    cells = [args[3:5] for args in solved]
-    (f,), (u,) = {args[0] for args in solved}, {args[2] for args in solved}
-
-    def holds_breakpoint(lo, hi, *fns):
-        return any(lo <= t <= hi for h in fns for t in h.breakpoints)
-    # g's side falls back to restricting g, and u for its integral against
-    # u, only on a cell that holds a breakpoint of g or u
-    fallback = [(lo, hi) for _, g, u, lo, hi, *_ in solved
-                if holds_breakpoint(lo, hi, g, u)]
-    # f restricted on a solved cell that holds a breakpoint of f (its
-    # oscillation is read from f's piece on every cell inside one), u only
-    # on a fallback cell: its variation is read from u's piece on every
-    # cell inside one, and a cell holding a breakpoint of u falls back
-    f_cells = [cell for cell in cells if holds_breakpoint(*cell, f)]
-    assert restricted(0) == f_cells
-    assert restricted(1) == fallback and restricted(2) == fallback
-    # total_variation of a restricted u only on a cell holding a breakpoint
-    # of u (the whole u's is taken for the stated bound, and on a cell
-    # spanning the domain, to which u restricts as itself)
-    assert [args[0].domain for args in counts.args["total_variation"]
-            if args[0].domain != u.domain] == [
-                cell for cell in cells
-                if cell != u.domain and holds_breakpoint(*cell, u)]
-    # when summing, f and u restricted to each final "ok" cell that holds
-    # a breakpoint of f or u, and its integral of f du taken in the closed
-    # form, reading the solve's product map
-    f_fallback = [[cell for cell in ok if holds_breakpoint(*cell, f, u)]
-                  for *_, ok in in_result]
-    assert in_result and all(
-        [(args[0], *args[1:3]) for args in restricts]
-        == [(h, *cell) for cell in kept for h in (f, u)]
-        and cores == len(kept)
-        for (restricts, cores, _), kept in zip(in_result, f_fallback))
-    assert counts["restrict"] == len(f_cells) + 2 * len(fallback) \
-        + 2 * sum(map(len, f_fallback))
-    # integrals that read a solve's product map: of g du on each fallback
-    # cell and of f du on each final cell above
-    against_u = [args for args in counts.args["_product_core"]
-                 if len(args) > 2 and args[2] is not None]
-    assert len(against_u) == len(fallback) + sum(map(len, f_fallback))
-    # and from the pieces: of g du on every other solved cell, and of f du
-    # on every solved cell that holds no breakpoint of f or u
-    assert counts["_piece_integral"] == len(cells) - len(fallback) + sum(
-        not holds_breakpoint(*cell, f, u) for cell in cells)
-    # at most one sided table per function instance
-    built = [id(args[0]) for args in counts.args["_sided_table"]]
+    (f,), (g,), (u,) = ({id(args[k]): args[k] for args in solved}.values()
+                        for k in range(3))
+    # a cell builds no function: it reads the fields of f, g and u on it
+    assert counts["restrict"] == 0
+    # the variation of u on a cell is the loop of total_variation on u's
+    # fields, so the operation itself runs only on the whole u, for the
+    # stated bound
+    assert all(args[0] is u for args in counts.args["total_variation"])
+    # two closed-form integrals per cell, of g du and f du, each reading
+    # the solve's product map
+    against_u = [args for args in counts.args["_integral"]
+                 if args[2] is not None]
+    assert len(against_u) == 2 * len(solved)
+    # at most one sided table per function; a cell's jump rows are formed
+    # from its fields and never kept
+    built = [id(args[0]) for args in counts.args["_sided_table"]
+             if any(args[0] is h.breakpoints for h in (f, g, u))]
     assert len(built) == len(set(built))
-    us = {id(args[2]) for args in solved}
     u_points = [args[1] for args in counts.args["eval_sided"]
-                if id(args[0]) in us]
+                if args[0] is u]
     assert set(u_points) <= {t for args in solved for t in args[3:5]}
     return u_points
 
 
 class TestDeriveOnce:
-    def test_adaptive_solve(self, count_calls, monkeypatch):
-        counts, in_result, _ = derive_once_counts(
-            count_calls, monkeypatch,
+    def test_adaptive_solve(self, count_calls):
+        counts, _ = derive_once_counts(
+            count_calls,
             lambda: adaptive_quadrature(DERIVE_F, DERIVE_G, DERIVE_U, 1e-5))
         solved = counts.args["_solve_cell"]
         assert len(solved) > 20
-        u_points = assert_derived_once(counts, in_result)
+        u_points = assert_derived_once(counts)
         # once per distinct cell end: both ends, then each split point
         assert sorted(u_points) == sorted({t for args in solved
                                            for t in args[3:5]})
 
-    def test_fixed_partition(self, count_calls, monkeypatch):
-        counts, in_result, _ = derive_once_counts(
-            count_calls, monkeypatch,
+    def test_fixed_partition(self, count_calls):
+        counts, _ = derive_once_counts(
+            count_calls,
             lambda: partition_quadrature(DERIVE_F, DERIVE_G, DERIVE_U,
                                          Partition.uniform(0.0, 1.0, 9)))
-        u_points = assert_derived_once(counts, in_result)
+        u_points = assert_derived_once(counts)
         assert u_points == list(Partition.uniform(0.0, 1.0, 9).points)
 
 
-def _draw_cell(rng, kind, g, u):
-    """A cell [lo, hi] of g's and u's domain: strictly inside one piece of
-    each ("inside"), ending at an interior breakpoint of either
-    ("touching"), from a or to b ("end"), or anywhere ("any")."""
-    a, b = u.domain
+def _draw_cell(rng, kind, *fns):
+    """A cell [lo, hi] of the functions' common domain: strictly inside
+    one piece of each ("inside"), ending at an interior breakpoint of one
+    of them ("touching"), from a or to b ("end"), or anywhere ("any")."""
+    a, b = fns[0].domain
     if kind == "inside":
-        grid = sorted(set(g.breakpoints + u.breakpoints))
+        grid = sorted({t for h in fns for t in h.breakpoints})
         x0, x1 = rng.choice(list(zip(grid, grid[1:])))
         lo, hi = sorted(rng.uniform(x0, x1) for _ in range(2))
         return (lo, hi) if x0 < lo < hi < x1 else None
     if kind == "touching":
-        inner = g.breakpoints[1:-1] + u.breakpoints[1:-1]
+        inner = [t for h in fns for t in h.breakpoints[1:-1]]
         if not inner:
             return None
         t = rng.choice(inner)
@@ -653,60 +612,68 @@ def _draw_cell(rng, kind, g, u):
     return (lo, hi) if lo < hi else None
 
 
+def _hexes(solve):
+    """float.hex of the numbers ``solve()`` returns, or the type and point
+    of the SharedDiscontinuity it raises."""
+    try:
+        return [float.hex(x) for x in solve()]
+    except SharedDiscontinuity as exc:
+        return ["shared", exc.point]
+
+
 @given(st.integers(min_value=0, max_value=10 ** 9),
        st.sampled_from(["inside", "touching", "end", "any"]))
-@settings(max_examples=300, deadline=None)
-def test_g_side_equals_the_general_path(seed, kind):
+@settings(max_examples=400, deadline=None)
+def test_cell_quantities_equal_the_operations_on_restricted_functions(
+        seed, kind):
+    # f and g may jump, also where u jumps; u may jump and have flat
+    # pieces.  A cell's five quantities are those of the public operations
+    # on f, g and u restricted to it, by float.hex, whether the cell holds
+    # breakpoints or not, with and without the solve's product map and
+    # from the map a first solve filled; a shared jump raises alike
     rng = random.Random(seed)
     a, b = instances.rand_interval(rng)
-    g = instances.rand_continuous(rng, a, b)
-    u = instances.ensure_span(rng, lambda: instances.rand_monotone(rng, a, b))
-    cell = _draw_cell(rng, kind, g, u)
+    f = instances.rand_piecewise(rng, a, b, jumps=rng.random() < 0.5)
+    g = instances.rand_piecewise(rng, a, b, jumps=rng.random() < 0.3)
+    if rng.random() < 0.5:
+        jumping = instances.rand_piecewise(rng, a, b, jumps=True)
+        u = PiecewiseFunction(jumping.breakpoints, tuple(
+            (c[0],) if rng.random() < 0.4 else c for c in jumping.pieces),
+            jumping.point_values)
+    else:
+        u = instances.ensure_span(rng,
+                                  lambda: instances.rand_monotone(rng, a, b))
+    cell = _draw_cell(rng, kind, f, g, u)
     if cell is None:
         return
     lo, hi = cell
-    du = u(hi) - u(lo)
-    if du == 0.0:
+    u_lo, u_hi = u(lo), u(hi)
+    # the state, the flat-cell test reading the variation as
+    # total_variation of the restricted u does
+    scale = 1.0 + max(abs(u_lo), abs(u_hi))
+    var = total_variation(u.restrict(lo, hi))
+    state = _cell_state(u, lo, hi, u_lo, u_hi)
+    assert state == ("ok" if abs(u_hi - u_lo) > 1e-12 * scale else
+                     "constant" if var.mid <= 1e-10 * scale else "degenerate")
+    if state != "ok":
         return
+
+    def reference():
+        fr, gr, ur = (h.restrict(lo, hi) for h in (f, g, u))
+        inf_e, sup_e = funcrep.inf_sup_on(fr)
+        i_g = rs_integral(gr, ur).value
+        sup_g = sup_norm_on((g - i_g / (u_hi - u_lo)).restrict(lo, hi)).hi
+        return (sup_e.hi - inf_e.lo, sup_g, total_variation(ur).hi, i_g,
+                rs_integral(fr, ur).value)
+    want = _hexes(reference)
     products = {}
-    u_piece = quadrature._inner_piece(u, lo, hi)
-    side = quadrature._g_side(g, lo, hi, du, u_piece, products)
-    # declines exactly on a cell holding a breakpoint of g or u
-    assert (side is None) == any(lo <= t <= hi for t in g.breakpoints
-                                 + u.breakpoints)
-    if side is None:
-        return
-    # the definitions, on restricted and shifted functions, and the side
-    # without a map and from the map the first call filled
-    i_g = rs_integral(g.restrict(lo, hi), u.restrict(lo, hi)).value
-    want = (i_g, sup_norm_on((g - i_g / du).restrict(lo, hi)).hi)
-    assert len(products) == 1
-    for got in (side, quadrature._g_side(g, lo, hi, du, u_piece),
-                quadrature._g_side(g, lo, hi, du, u_piece, products)):
-        assert list(map(float.hex, got)) == list(map(float.hex, want))
-
-
-@given(st.integers(min_value=0, max_value=10 ** 9),
-       st.sampled_from(["inside", "touching", "end", "any"]))
-@settings(max_examples=300, deadline=None)
-def test_f_side_equals_the_general_path(seed, kind):
-    # f may jump; the cell's oscillation of f is read from f's piece
-    # exactly when the cell holds no breakpoint of f (its integral of f du
-    # is checked through _solve_cell below)
-    rng = random.Random(seed)
-    a, b = instances.rand_interval(rng)
-    f = instances.rand_piecewise(rng, a, b, jumps=True)
-    u = instances.ensure_span(rng, lambda: instances.rand_monotone(rng, a, b))
-    cell = _draw_cell(rng, kind, f, u)
-    if cell is None:
-        return
-    lo, hi = cell
-    side = quadrature._f_side(f, lo, hi, quadrature._inner_piece(u, lo, hi))
-    assert (side is None) == any(lo <= t <= hi for t in f.breakpoints)
-    if side is None:
-        return
-    inf_e, sup_e = funcrep.inf_sup_on(f.restrict(lo, hi))
-    assert float.hex(side[0]) == float.hex(sup_e.hi - inf_e.lo)
+    for m in (products, None, products):
+        got = _hexes(lambda: (
+            lambda c: (*c.terms, c.i_g, c.i_f))(quadrature._solve_cell(
+                f, g, u, lo, hi, u_lo, u_hi, "ok", m)))
+        assert got == want
+    if want[0] != "shared":
+        assert float.hex(oscillation_v(f, Partition(cell))) == want[0]
 
 
 # f on [0, 2] with one piece 1.77e308 + 8e307 t - 4e307 t^2: finite at
@@ -716,7 +683,17 @@ OVER_F = PiecewiseFunction((0.0, 2.0), ((1.77e308, 8e307, -4e307),),
                            (1.77e308, 1.77e308))
 
 
-@pytest.mark.parametrize("f, cell, declines, message", [
+# where a cell raises another DomainError than the operations on the
+# restricted functions: the piece overflows at its critical point only, so
+# the integral of f du overflows (f) or the term does (u)
+F_CELL_MESSAGES = {(0.02, 1.98): "integral is not finite (value inf, error "
+                                 "inf): the inputs overflow"}
+U_CELL_MESSAGES = {(0.02, 1.97): "cell [0.02, 1.97]: term inf or integral "
+                                 "of g du -4.865639999999999e+307 is not "
+                                 "finite: the inputs overflow"}
+
+
+@pytest.mark.parametrize("f, cell, reference_raises, message", [
     # the piece overflows at both ends of the cell: restricting f raises
     (PiecewiseFunction((0.0, 5.0), ((0.0, 0.0, 1e307),), (0.0, 0.0)),
      (4.4, 4.6), True, "non-finite point value"),
@@ -727,54 +704,33 @@ OVER_F = PiecewiseFunction((0.0, 2.0), ((1.77e308, 8e307, -4e307),),
      "cell [0.01, 0.02]: term inf or integral of g du "
      "0.00015000000000000001 is not finite: the inputs overflow"),
 ])
-def test_f_side_overflow_raises_as_the_general_path(f, cell, declines,
+def test_f_side_overflow_raises_as_the_general_path(f, cell,
+                                                   reference_raises,
                                                    message):
+    # where restricting f or inf_sup_on of the restriction raises
+    # (``message``), the cell raises a DomainError too, the same one but
+    # where F_CELL_MESSAGES says; and where its padded oscillation alone
+    # overflows, the cell's term does; oscillation_v raises as inf_sup_on
+    # does
     lo, hi = cell
     u = PiecewiseFunction.from_coeffs((0.0, 1.0), *f.domain)
-    side = quadrature._f_side(f, lo, hi, quadrature._inner_piece(u, lo, hi))
-    assert (side is None) == declines
+    if reference_raises:
+        with pytest.raises(DomainError) as info:
+            funcrep.inf_sup_on(f.restrict(lo, hi))
+        assert str(info.value) == message
+        with pytest.raises(DomainError) as info:
+            oscillation_v(f, Partition(cell))
+        assert str(info.value) == message
+    else:
+        assert oscillation_v(f, Partition(cell)) == math.inf
     with pytest.raises(DomainError) as info:
         quadrature._solve_cell(f, u, u, lo, hi, u(lo), u(hi), "ok", {})
-    assert str(info.value) == message
-    if not declines:
-        assert side[0] == oscillation_v(f, Partition(cell)) == math.inf
-        return
-    with pytest.raises(DomainError) as info:
-        oscillation_v(f, Partition(cell))
-    assert str(info.value) == message
+    assert str(info.value) == F_CELL_MESSAGES.get(cell, message)
+    with pytest.raises(DomainError):
+        partition_quadrature(f, u, u, Partition((f.a, lo, hi, f.b)))
 
 
-@given(st.integers(min_value=0, max_value=10 ** 9),
-       st.sampled_from(["inside", "touching", "end", "any"]))
-@settings(max_examples=300, deadline=None)
-def test_piece_variation_equals_the_general_path(seed, kind):
-    # u may jump and have flat pieces; the cell's variation of u is read
-    # from u's piece exactly when the cell holds no breakpoint of u
-    rng = random.Random(seed)
-    a, b = instances.rand_interval(rng)
-    jumping = instances.rand_piecewise(rng, a, b, jumps=True)
-    u = PiecewiseFunction(jumping.breakpoints, tuple(
-        (c[0],) if rng.random() < 0.4 else c for c in jumping.pieces),
-        jumping.point_values)
-    cell = _draw_cell(rng, kind, u, u)
-    if cell is None:
-        return
-    lo, hi = cell
-    ends = quadrature._piece_variation(quadrature._inner_piece(u, lo, hi),
-                                       lo, hi)
-    assert (ends is None) == any(lo <= t <= hi for t in u.breakpoints)
-    want = total_variation(u.restrict(lo, hi))
-    if ends is not None:
-        # the ends _solve_cell reads and the .mid _cell_state reads
-        assert float.hex(ends[1]) == float.hex(want.hi)
-        assert float.hex(Enclosure(*ends).mid) == float.hex(want.mid)
-    # the flat-cell test, forced by equal end values of u, on either path
-    scale = 1.0 + abs(u(lo))
-    assert _cell_state(u, lo, hi, u(lo), u(lo)) == (
-        "constant" if want.mid <= 1e-10 * scale else "degenerate")
-
-
-@pytest.mark.parametrize("u, cell, declines, message, state", [
+@pytest.mark.parametrize("u, cell, reference_raises, message, state", [
     # the piece overflows at both ends of the cell: restricting u raises
     (PiecewiseFunction((0.0, 5.0), ((0.0, 0.0, 1e307),), (0.0, 0.0)),
      (4.4, 4.6), True, "non-finite point value", "non-finite point value"),
@@ -790,69 +746,47 @@ def test_piece_variation_equals_the_general_path(seed, kind):
      "degenerate"),
 ])
 def test_piece_variation_overflow_raises_as_the_general_path(
-        u, cell, declines, message, state):
-    # the messages and the flat-cell state are those of the general path
+        u, cell, reference_raises, message, state):
+    # where restricting u or total_variation of the restriction raises
+    # (``message``), the cell raises a DomainError too, the same one but
+    # where U_CELL_MESSAGES says; and where its padded variation alone
+    # overflows, the cell's term does; the flat-cell test, forced by equal end values (the cell ends are no
+    # breakpoints of u, so the end values feed only the increment test),
+    # raises as total_variation does or returns ``state``
     lo, hi = cell
-    ends = quadrature._piece_variation(quadrature._inner_piece(u, lo, hi),
-                                       lo, hi)
-    assert (ends is None) == declines
-    if not declines:
-        assert math.isfinite(ends[0]) and ends[1] == math.inf
     f = PiecewiseFunction.from_coeffs((0.0, 1.0), *u.domain)
+    if reference_raises:
+        with pytest.raises(DomainError) as info:
+            total_variation(u.restrict(lo, hi))
+        assert str(info.value) == message
+    else:
+        assert total_variation(u.restrict(lo, hi)).hi == math.inf
     with pytest.raises(DomainError) as info:
         quadrature._solve_cell(f, f, u, lo, hi, u(lo), u(hi), "ok", {})
-    assert str(info.value) == message
+    assert str(info.value) == U_CELL_MESSAGES.get(cell, message)
+    with pytest.raises(DomainError):
+        partition_quadrature(f, f, u, Partition((u.a, lo, hi, u.b)))
     if state == "degenerate":
-        assert _cell_state(u, lo, hi, 1.0, 1.0) == state
+        assert _cell_state(u, lo, hi, u(lo), u(lo)) == state
         return
     with pytest.raises(DomainError) as info:
-        _cell_state(u, lo, hi, 1.0, 1.0)
+        _cell_state(u, lo, hi, u(lo), u(lo))
     assert str(info.value) == state
-
-
-@given(st.integers(min_value=0, max_value=10 ** 9),
-       st.sampled_from(["inside", "touching", "end", "any"]))
-@settings(max_examples=300, deadline=None)
-def test_inside_f_integral_equals_the_general_path(seed, kind):
-    # f may jump; the cell's integral of f du is read from the pieces
-    # exactly when the cell holds no breakpoint of f or u
-    rng = random.Random(seed)
-    a, b = instances.rand_interval(rng)
-    f = instances.rand_piecewise(rng, a, b, jumps=True)
-    g = instances.rand_continuous(rng, a, b)
-    u = instances.ensure_span(rng, lambda: instances.rand_monotone(rng, a, b))
-    cell = _draw_cell(rng, kind, f, u)
-    if cell is None:
-        return
-    lo, hi = cell
-    u_lo, u_hi = u(lo), u(hi)
-    if _cell_state(u, lo, hi, u_lo, u_hi) != "ok":
-        return
-    products = {}
-    solved = [quadrature._solve_cell(f, g, u, lo, hi, u_lo, u_hi, "ok", m)
-              for m in (products, None, products)]
-    inside = not any(lo <= t <= hi for t in f.breakpoints + u.breakpoints)
-    for c in solved:
-        assert (c.i_f is not None) == inside
-    if not inside:
-        return
-    want = rs_integral(f.restrict(lo, hi), u.restrict(lo, hi)).value
-    assert [float.hex(c.i_f) for c in solved] == 3 * [float.hex(want)]
 
 
 def test_g_side_falls_back_where_g_restricts():
     # g's piece overflows at the ends of [4.4, 4.6] (10^307 t^2 > 1.8e308
     # from t = 4.25 on) while its point values at 0 and 5 are finite: the
-    # side declines, and restricting g raises as it did before the side
-    # was read from the tables
+    # cell raises as restricting g does
     g = PiecewiseFunction((0.0, 5.0), ((0.0, 0.0, 1e307),), (0.0, 0.0))
     u = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 5.0)
-    assert quadrature._g_side(g, 4.4, 4.6, u(4.6) - u(4.4),
-                              quadrature._inner_piece(u, 4.4, 4.6),
-                              {}) is None
+    with pytest.raises(DomainError, match="non-finite point value"):
+        g.restrict(4.4, 4.6)
     with pytest.raises(DomainError, match="non-finite point value"):
         quadrature._solve_cell(u, g, u, 4.4, 4.6, u(4.4), u(4.6), "ok",
                                {})    # f = u = t
+    with pytest.raises(DomainError, match="non-finite point value"):
+        partition_quadrature(u, g, u, Partition((0.0, 4.4, 4.6, 5.0)))
 
 
 def _list_order_adaptive(f, g, u, tol, max_cells):
@@ -899,7 +833,7 @@ def _list_order_adaptive(f, g, u, tol, max_cells):
                                             u_cand, left)
         cells.insert(idx + 1, quadrature._solve_cell(
             f, g, u, split, hi, u_cand, u_hi, right))
-    return quadrature._result(f, u, cells)
+    return quadrature._result(u, cells)
 
 
 def _outcome(solve):
