@@ -11,9 +11,8 @@ from grusskit import (battery, funcrep, instances, poly, quadrature,
 from grusskit.bounds import bound_quadrature_remainder
 from grusskit.errors import (DegenerateCell, DomainError, SharedDiscontinuity,
                              ToleranceUnreachable)
-from grusskit.funcrep import (Enclosure, PiecewiseFunction,
-                              RegularityCertificate, sup_norm_on,
-                              total_variation)
+from grusskit.funcrep import (PiecewiseFunction, RegularityCertificate,
+                              sup_norm_on, total_variation)
 from grusskit.functionals import cheby_T
 from grusskit.quadrature import (Partition, _cell_state, adaptive_quadrature,
                                  composite_S, oscillation_v,
