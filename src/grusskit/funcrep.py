@@ -333,12 +333,9 @@ class PiecewiseFunction:
         its inward half (``jump_masses``).
 
         The result is validated by construction (``_trusted``) from the
-        fields of ``_view(self, c, d)``, which checks the two end values it
-        forms; a non-finite one, such as a piece whose Horner evaluation
-        overflows at c or d, raises DomainError."""
-        if not (self.a <= c < d <= self.b):
-            raise DomainError(f"[{c!r}, {d!r}] is not a subinterval of "
-                              f"{self.domain!r}")
+        fields of ``_view(self, c, d)``, which checks [c, d] and the two
+        end values it forms; a non-finite one, such as a piece whose Horner
+        evaluation overflows at c or d, raises DomainError."""
         if c == self.a and d == self.b:
             return self    # immutable, and equal to what the slicing builds
         return PiecewiseFunction._trusted(*_view(self, c, d)[:3])
@@ -455,13 +452,16 @@ def _view(f: PiecewiseFunction, lo: float, hi: float,
           at_lo: float | None = None, at_hi: float | None = None) -> tuple:
     """What ``f.restrict(lo, hi)`` slices, as plain fields: (breakpoints,
     pieces, point values, whether lo is a breakpoint of f, whether hi is
-    one), for lo < hi in f's domain, with no validation and no function.
-    The end values are f(lo) and f(hi), read as ``eval_sided(f, ., "at")``
-    reads them, or ``at_lo`` and ``at_hi`` when the caller has them; they
-    are the only numbers formed here, and a non-finite one raises
-    DomainError("non-finite point value"), as the dataclass constructor
-    would."""
+    one), with no function built.  [lo, hi] must be a subinterval of f's
+    domain, else DomainError.  The end values are f(lo) and f(hi), read as
+    ``eval_sided(f, ., "at")`` reads them, or ``at_lo`` and ``at_hi`` when
+    the caller has them; they are the only numbers formed here, and a
+    non-finite one raises DomainError("non-finite point value"), as the
+    dataclass constructor would."""
     bp, pieces, values = f.breakpoints, f.pieces, f.point_values
+    if not (bp[0] <= lo < hi <= bp[-1]):
+        raise DomainError(f"[{lo!r}, {hi!r}] is not a subinterval of "
+                          f"{f.domain!r}")
     # breakpoints first + 1 .. last - 1 lie strictly inside (lo, hi), and
     # pieces first .. last - 1 cover it
     first = bisect_right(bp, lo) - 1
@@ -508,13 +508,14 @@ def _aligned(columns: list, splits=()) -> list[tuple]:
     """``aligned_pieces`` of the functions whose breakpoints and pieces are
     the first two fields of each of ``columns``, cut at the ``splits``
     inside their common interval."""
-    if not splits:
+    ends = columns[0][0]
+    if not splits and len(ends) == 2:
         for c in columns:
-            if len(c[0]) > 2:
+            if c[0] != ends:
                 break
-        else:    # one piece each: the one cell of the grid below
-            lo, hi = columns[0][0]
-            return [(float(lo), float(hi), *[c[1][0] for c in columns])]
+        else:    # one piece each, on one interval: the one cell of the grid
+            return [(float(ends[0]), float(ends[1]),
+                     *[c[1][0] for c in columns])]
     grid = sorted({float(t) for c in columns for t in c[0]}
                   .union(map(float, splits)))
     cells = []

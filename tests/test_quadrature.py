@@ -145,6 +145,15 @@ class TestOscillation:
         assert oscillation_v(tsq, Partition.uniform(0, 1, 2)) \
             == pytest.approx(0.75, abs=1e-10)
 
+    @pytest.mark.parametrize("points, cell", [
+        ((-1.0, 0.5), "[-1.0, 0.5]"), ((0.5, 2.0), "[0.5, 2.0]"),
+        ((-1.0, 0.2, 0.5), "[-1.0, 0.2]")])
+    def test_cell_outside_the_domain_raises(self, ident, points, cell):
+        # as restricting f to that cell does
+        with pytest.raises(DomainError) as info:
+            oscillation_v(ident, Partition(points))
+        assert str(info.value) == f"{cell} is not a subinterval of (0.0, 1.0)"
+
 
 class TestCompositeRule:
     def test_two_cell_value(self, ident):
