@@ -620,11 +620,11 @@ def _draw_cell(rng, kind, *fns):
     return (lo, hi) if lo < hi else None
 
 
-def _hexes(solve):
-    """float.hex of the numbers ``solve()`` returns, or the type and point
-    of the SharedDiscontinuity it raises."""
+def _hexes(solve, *args):
+    """float.hex of the numbers ``solve(*args)`` returns, or the type and
+    point of the SharedDiscontinuity it raises."""
     try:
-        return [float.hex(x) for x in solve()]
+        return [float.hex(x) for x in solve(*args)]
     except SharedDiscontinuity as exc:
         return ["shared", exc.point]
 
@@ -673,13 +673,14 @@ def test_cell_quantities_equal_the_operations_on_restricted_functions(
         sup_g = sup_norm_on((g - i_g / (u_hi - u_lo)).restrict(lo, hi)).hi
         return (sup_e.hi - inf_e.lo, sup_g, total_variation(ur).hi, i_g,
                 rs_integral(fr, ur).value)
+    def solved(products):
+        c = quadrature._solve_cell(f, g, u, lo, hi, u_lo, u_hi, "ok",
+                                   products)
+        return (*c.terms, c.i_g, c.i_f)
     want = _hexes(reference)
     products = {}
     for m in (products, None, products):
-        got = _hexes(lambda: (
-            lambda c: (*c.terms, c.i_g, c.i_f))(quadrature._solve_cell(
-                f, g, u, lo, hi, u_lo, u_hi, "ok", m)))
-        assert got == want
+        assert _hexes(solved, m) == want
     if want[0] != "shared":
         assert float.hex(oscillation_v(f, Partition(cell))) == want[0]
 
