@@ -629,16 +629,10 @@ def _hexes(solve, *args):
         return ["shared", exc.point]
 
 
-@given(st.integers(min_value=0, max_value=10 ** 9),
-       st.sampled_from(["inside", "touching", "end", "any"]))
-@settings(max_examples=400, deadline=None)
-def test_cell_quantities_equal_the_operations_on_restricted_functions(
-        seed, kind):
-    # f and g may jump, also where u jumps; u may jump and have flat
-    # pieces.  A cell's five quantities are those of the public operations
-    # on f, g and u restricted to it, by float.hex, whether the cell holds
-    # breakpoints or not, with and without the solve's product map and
-    # from the map a first solve filled; a shared jump raises alike
+def _cell_case(seed, kind):
+    """f, g, u and a cell (lo, hi) of their domain drawn from ``seed``, or
+    None where the draw gives no cell: f and g may jump, also where u
+    jumps; u may jump and have flat pieces."""
     rng = random.Random(seed)
     a, b = instances.rand_interval(rng)
     f = instances.rand_piecewise(rng, a, b, jumps=rng.random() < 0.5)
@@ -652,19 +646,20 @@ def test_cell_quantities_equal_the_operations_on_restricted_functions(
         u = instances.ensure_span(rng,
                                   lambda: instances.rand_monotone(rng, a, b))
     cell = _draw_cell(rng, kind, f, g, u)
-    if cell is None:
-        return
-    lo, hi = cell
+    return None if cell is None else (f, g, u, *cell)
+
+
+def _assert_cell_quantities(case, *which):
+    """On an "ok" cell, the entries ``which`` of the five cell quantities
+    (osc(f), g's centred sup, Var(u), the integrals of g du and f du) equal
+    those of the public operations on f, g and u restricted to the cell,
+    by float.hex, with and without the solve's product map and from the
+    map a first solve filled; a shared jump raises alike.  Returns the
+    reference's hexes, or None on a cell that is not "ok"."""
+    f, g, u, lo, hi = case
     u_lo, u_hi = u(lo), u(hi)
-    # the state, the flat-cell test reading the variation as
-    # total_variation of the restricted u does
-    scale = 1.0 + max(abs(u_lo), abs(u_hi))
-    var = total_variation(u.restrict(lo, hi))
-    state = _cell_state(u, lo, hi, u_lo, u_hi)
-    assert state == ("ok" if abs(u_hi - u_lo) > 1e-12 * scale else
-                     "constant" if var.mid <= 1e-10 * scale else "degenerate")
-    if state != "ok":
-        return
+    if _cell_state(u, lo, hi, u_lo, u_hi) != "ok":
+        return None
 
     def reference():
         fr, gr, ur = (h.restrict(lo, hi) for h in (f, g, u))
@@ -673,16 +668,75 @@ def test_cell_quantities_equal_the_operations_on_restricted_functions(
         sup_g = sup_norm_on((g - i_g / (u_hi - u_lo)).restrict(lo, hi)).hi
         return (sup_e.hi - inf_e.lo, sup_g, total_variation(ur).hi, i_g,
                 rs_integral(fr, ur).value)
+
     def solved(products):
         c = quadrature._solve_cell(f, g, u, lo, hi, u_lo, u_hi, "ok",
                                    products)
         return (*c.terms, c.i_g, c.i_f)
+
+    def pick(hexes):
+        return hexes if hexes[0] == "shared" else [hexes[i] for i in which]
     want = _hexes(reference)
     products = {}
     for m in (products, None, products):
-        assert _hexes(solved, m) == want
-    if want[0] != "shared":
-        assert float.hex(oscillation_v(f, Partition(cell))) == want[0]
+        assert pick(_hexes(solved, m)) == pick(want)
+    return want
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["inside", "touching", "end", "any"]))
+@settings(max_examples=400, deadline=None)
+def test_f_side_equals_the_general_path(seed, kind):
+    # a cell's osc(f) is sup - inf of f restricted to it, whether the cell
+    # holds breakpoints or not, and oscillation_v's
+    case = _cell_case(seed, kind)
+    if case is None:
+        return
+    want = _assert_cell_quantities(case, 0)
+    if want is not None and want[0] != "shared":
+        assert float.hex(oscillation_v(case[0], Partition(case[3:]))) \
+            == want[0]
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["inside", "touching", "end", "any"]))
+@settings(max_examples=400, deadline=None)
+def test_g_side_equals_the_general_path(seed, kind):
+    # a cell's integral of g du and sup|g - mean| are those of g and u
+    # restricted to it, and of g shifted by the mean
+    case = _cell_case(seed, kind)
+    if case is not None:
+        _assert_cell_quantities(case, 1, 3)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["inside", "touching", "end", "any"]))
+@settings(max_examples=400, deadline=None)
+def test_piece_variation_equals_the_general_path(seed, kind):
+    # a cell's Var(u) is total_variation of u restricted to it, and the
+    # flat-cell test reads the variation as that total_variation does
+    case = _cell_case(seed, kind)
+    if case is None:
+        return
+    _, _, u, lo, hi = case
+    u_lo, u_hi = u(lo), u(hi)
+    scale = 1.0 + max(abs(u_lo), abs(u_hi))
+    var = total_variation(u.restrict(lo, hi))
+    assert _cell_state(u, lo, hi, u_lo, u_hi) == (
+        "ok" if abs(u_hi - u_lo) > 1e-12 * scale else
+        "constant" if var.mid <= 1e-10 * scale else "degenerate")
+    _assert_cell_quantities(case, 2)
+
+
+@given(st.integers(min_value=0, max_value=10 ** 9),
+       st.sampled_from(["inside", "touching", "end", "any"]))
+@settings(max_examples=400, deadline=None)
+def test_inside_f_integral_equals_the_general_path(seed, kind):
+    # a cell's integral of f du is rs_integral of f and u restricted to
+    # it, on cells inside the pieces of f and u as on every other cell
+    case = _cell_case(seed, kind)
+    if case is not None:
+        _assert_cell_quantities(case, 4)
 
 
 # f on [0, 2] with one piece 1.77e308 + 8e307 t - 4e307 t^2: finite at
