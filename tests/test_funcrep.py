@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from numpy.polynomial import polynomial as nppoly
 
-from grusskit import funcrep
+from grusskit import funcrep, instances
 from grusskit.errors import DomainError, MalformedCertificate
 from grusskit.funcrep import (PiecewiseFunction, RegularityCertificate,
                               eval_sided, inf_sup_on, p_norm, sup_norm_on,
@@ -203,6 +203,25 @@ class TestCertificates:
         assert not chk.ok
         assert chk.witness is None
         assert chk.detail == detail
+
+    @given(st.integers(min_value=0, max_value=10 ** 9),
+           st.booleans(),
+           st.sampled_from([1.0 - 1e-9, 1.0 - 1e-11, 1.0 + 1e-11,
+                            1.0 + 1e-9]))
+    @settings(max_examples=200, deadline=None)
+    def test_lipschitz_and_holder_r1_agree(self, seed, jumps, factor):
+        # lipschitz(L) and holder(L, 1) state one hypothesis, so they pass
+        # or fail together, with one witness; L sits just either side of
+        # sup|f'| so that the slope test's tolerance decides
+        rng = random.Random(seed)
+        a, b = instances.rand_interval(rng)
+        f = instances.rand_piecewise(rng, a, b, continuous=not jumps,
+                                     jumps=jumps)
+        L = funcrep._sup_abs_derivative(funcrep._derivative_ranges(f)) \
+            * factor
+        lip = verify_certificate(f, RegularityCertificate.lipschitz(L))
+        hol = verify_certificate(f, RegularityCertificate.holder(L, 1.0))
+        assert (lip.ok, lip.witness) == (hol.ok, hol.witness)
 
     def test_bv(self, u_jump):
         assert verify_certificate(
