@@ -57,16 +57,19 @@ class BoundReport:
     lhs_error: float = 0.0
 
     def tier(self, label: str) -> float:
-        for name, value in self.tiers:
-            if name == label:
-                return value
-        raise KeyError(label)
+        return _lookup(self.tiers, label)
 
     def extra(self, label: str) -> float:
-        for name, value in self.extras:
-            if name == label:
-                return value
-        raise KeyError(label)
+        return _lookup(self.extras, label)
+
+
+def _lookup(pairs: tuple[tuple[str, float], ...], label: str) -> float:
+    """The value beside ``label`` in (name, value) pairs, else
+    KeyError(label)."""
+    for name, value in pairs:
+        if name == label:
+            return value
+    raise KeyError(label)
 
 
 def _mk_report(theorem_id: str, lhs: float, lhs_err: float,
@@ -264,9 +267,8 @@ def bound_T_bv(f: PiecewiseFunction, g: PiecewiseFunction,
                u: PiecewiseFunction,
                f_bounds: RegularityCertificate) -> BoundReport:
     """|T| <= (1/2)(M-m) |u(b)-u(a)|^-1 ||g - mean|| * Var(u)."""
-    require_certificate(f, f_bounds, "f")
+    m, M = require_certificate(f, f_bounds, "f", "bounds")
     span = integrator_span(u)
-    m, M = f_bounds.params
     T, G = _centred(f, g, u)
     rhs = 0.5 * (M - m) / abs(span) * sup_norm_on(G).hi * total_variation(u).hi
     return _mk_report("thm_2_1a", abs(T.value), T.abs_error,
@@ -278,9 +280,8 @@ def bound_T_monotone(f: PiecewiseFunction, g: PiecewiseFunction,
                      u: PiecewiseFunction,
                      f_bounds: RegularityCertificate) -> BoundReport:
     """|T| <= (1/2)(M-m) (u(b)-u(a))^-1 * integral |g - mean| du."""
-    require_certificate(f, f_bounds, "f")
+    m, M = require_certificate(f, f_bounds, "f", "bounds")
     span = _monotone_span(u)
-    m, M = f_bounds.params
     T, G = _centred(f, g, u)
     rhs = 0.5 * (M - m) / span * abs_integral(G, u)
     return _mk_report("thm_2_2", abs(T.value), T.abs_error,
@@ -293,11 +294,9 @@ def bound_T_lipschitz_u(f: PiecewiseFunction, g: PiecewiseFunction,
                         f_bounds: RegularityCertificate,
                         u_lipschitz: RegularityCertificate) -> BoundReport:
     """|T| <= (1/2) L (M-m) |u(b)-u(a)|^-1 * integral |g - mean| dt."""
-    require_certificate(f, f_bounds, "f")
-    require_certificate(u, u_lipschitz, "u")
+    m, M = require_certificate(f, f_bounds, "f", "bounds")
+    (L,) = require_certificate(u, u_lipschitz, "u", "lipschitz")
     span = integrator_span(u)
-    m, M = f_bounds.params
-    (L,) = u_lipschitz.params
     T, G = _centred(f, g, u)
     rhs = 0.5 * L * (M - m) / abs(span) * abs_integral(G)
     return _mk_report("thm_2_3a", abs(T.value), T.abs_error,
@@ -310,9 +309,8 @@ def bound_T_holder_bv(f: PiecewiseFunction, g: PiecewiseFunction,
                       u: PiecewiseFunction,
                       f_holder: RegularityCertificate) -> BoundReport:
     """|T| <= H (b-a)^r 2^-r |u(b)-u(a)|^-1 ||g - mean|| * Var(u)."""
-    require_certificate(f, f_holder, "f")
+    H, r = require_certificate(f, f_holder, "f", "holder")
     span = integrator_span(u)
-    H, r = f_holder.params
     width = f.b - f.a
     T, G = _centred(f, g, u)
     rhs = H * width ** r / (2.0 ** r) / abs(span) \
@@ -329,9 +327,8 @@ def bound_T_holder_monotone(f: PiecewiseFunction, g: PiecewiseFunction,
     """Two tiers:
     |T| <= (H/(u(b)-u(a))) integral |t-mid|^r |g - mean| du
         <= (H (b-a)^r / (2^r (u(b)-u(a)))) integral |g - mean| du."""
-    require_certificate(f, f_holder, "f")
+    H, r = require_certificate(f, f_holder, "f", "holder")
     span = _monotone_span(u)
-    H, r = f_holder.params
     a, b = f.domain
     m0 = 0.5 * (a + b)
     T, G = _centred(f, g, u)
@@ -351,11 +348,9 @@ def bound_T_holder_lipschitz(f: PiecewiseFunction, g: PiecewiseFunction,
     """First tier plus the sup / L^p / L^1 norm branches; the L^p branch
     runs when p is given, and p must be finite and > 1 (``_conjugate``):
     its ends are the sup and L^1 tiers."""
-    require_certificate(f, f_holder, "f")
-    require_certificate(u, u_lipschitz, "u")
+    H, r = require_certificate(f, f_holder, "f", "holder")
+    (K,) = require_certificate(u, u_lipschitz, "u", "lipschitz")
     span = integrator_span(u)
-    H, r = f_holder.params
-    (K,) = u_lipschitz.params
     a, b = f.domain
     width = b - a
     m0 = 0.5 * (a + b)
@@ -410,17 +405,17 @@ def _weight_checks(w: PiecewiseFunction, nonneg: bool) -> None:
 
 def weighted_bounds(f: PiecewiseFunction, g: PiecewiseFunction,
                     w: PiecewiseFunction, which: str,
-                    f_bounds: RegularityCertificate | None = None,
-                    f_holder: RegularityCertificate | None = None,
+                    f_cert: RegularityCertificate,
                     p: float | None = None) -> BoundReport:
     """Weighted variants realised through u(t) = integral of w over [a, t],
     one row of ``_WEIGHT_ITEMS`` each: item1/item2/item3 need a bounds
-    certificate on f, item4/item5/item6 a Holder certificate, and
-    item2/item5 (monotone u) require w >= 0.  Only item6 reads ``p``.
+    certificate on f, item4/item5/item6 a Holder certificate (the row's
+    bound gates ``f_cert``), and item2/item5 (monotone u) require w >= 0.
+    Only item6 reads ``p``.
     """
     if which not in _WEIGHT_ITEMS:
         raise DomainError(f"unknown weighted item {which!r}")
-    kind, u_class, bound = _WEIGHT_ITEMS[which]
+    _, u_class, bound = _WEIGHT_ITEMS[which]
     _weight_checks(w, u_class == "monotone")
     u = w.antiderivative()
     if u_class == "bv":
@@ -429,7 +424,7 @@ def weighted_bounds(f: PiecewiseFunction, g: PiecewiseFunction,
         if abs(var_u - abs_w) > 1e-9 * (1.0 + abs_w):
             raise GrussKitError("variation of the weight antiderivative "
                                 "does not match integral |w|")
-    args = [f, g, u, f_bounds if kind == "bounds" else f_holder]
+    args = [f, g, u, f_cert]
     if u_class == "lipschitz":
         args.append(RegularityCertificate.lipschitz(sup_norm_on(w).hi))
     rep = bound(*args, p=p) if bound is bound_T_holder_lipschitz \
@@ -454,18 +449,15 @@ def bound_D_prior(f: PiecewiseFunction, u: PiecewiseFunction,
     width = f.b - f.a
     D = functional_D(f, u)
     if f_bounds is not None and u_lipschitz is not None:
-        require_certificate(f, f_bounds, "f")
-        require_certificate(u, u_lipschitz, "u")
-        m, M = f_bounds.params
-        (L,) = u_lipschitz.params
+        m, M = require_certificate(f, f_bounds, "f", "bounds")
+        (L,) = require_certificate(u, u_lipschitz, "u", "lipschitz")
         rhs = 0.5 * L * (M - m) * width
         out.append(_mk_report("thm_a_1", abs(D.value), D.abs_error,
                               [("prior_lipschitz_u", rhs)],
                               [("f", f_bounds.describe()),
                                ("u", u_lipschitz.describe())]))
     if f_lipschitz is not None:
-        require_certificate(f, f_lipschitz, "f")
-        (K,) = f_lipschitz.params
+        (K,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
         rhs = 0.5 * K * width * total_variation(u).hi
         out.append(_mk_report("thm_a_2", abs(D.value), D.abs_error,
                               [("prior_lipschitz_f", rhs)],
@@ -500,8 +492,7 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
     elif f_class == "lipschitz":
         if f_lipschitz is None:
             raise ClassMismatch("lipschitz class needs a certificate")
-        require_certificate(f, f_lipschitz, "f")
-        (L,) = f_lipschitz.params
+        (L,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
         phi_tier = L * abs_integral(phi)
         gam_tier = L / width * abs_integral(gam)
         tid = "thm_a_6_ii"
@@ -571,8 +562,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
     if which == "a13":
         if f_lipschitz is None:
             raise CertificateInvalid("a13 needs a Lipschitz certificate")
-        require_certificate(f, f_lipschitz, "f")
-        (L,) = f_lipschitz.params
+        (L,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
         tier1 = L / width * abs_integral(dnum)
         tiers = [("weighted_l1", tier1),
                  ("sup", L * width ** 2 / 6.0 * sup_abs_delta(dnum))]
@@ -690,9 +680,8 @@ def bound_D_monotone_K(f: PiecewiseFunction, u: PiecewiseFunction,
                        f_lipschitz: RegularityCertificate) -> BoundReport:
     """|D| <= (1/2) L (b-a) [u(b) - u(a) - K(u)] <= (1/2) L (b-a)
     [u(b) - u(a)], with K(u) the first-moment monotonicity correction."""
-    require_certificate(f, f_lipschitz, "f")
+    (L,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
     _require_monotone(u)
-    (L,) = f_lipschitz.params
     a, b = u.domain
     width = b - a
     m0 = 0.5 * (a + b)
@@ -706,7 +695,7 @@ def bound_D_monotone_Q(f: PiecewiseFunction, u: PiecewiseFunction,
                        f_bv: RegularityCertificate) -> BoundReport:
     """|D| <= [u(b) - u(a) - Q(u)] Var(f) <= [u(b) - u(a)] Var(f), with
     Q(u) the signed-mean monotonicity correction."""
-    require_certificate(f, f_bv, "f")
+    require_certificate(f, f_bv, "f", "bv")
     _require_monotone(u)
     a, b = u.domain
     width = b - a
@@ -733,24 +722,17 @@ def bound_quadrature_remainder(f: PiecewiseFunction, g: PiecewiseFunction,
                       mode="refine")
 
 
-def ostrowski_pointwise(f: PiecewiseFunction, x: float, kind: str,
+def ostrowski_pointwise(f: PiecewiseFunction, x: float,
                         cert: RegularityCertificate) -> float:
     """Pointwise deviation bound |f(x) - mean f| for a Lipschitz or
-    bounded-variation function."""
+    bounded-variation function, by the kind of ``cert``."""
     a, b = f.domain
     if not (a <= x <= b):
         raise DomainError("x outside the domain")
     width = b - a
     m0 = 0.5 * (a + b)
-    require_certificate(f, cert, "f")
-    if kind == "lipschitz":
-        if cert.kind != "lipschitz":
-            raise CertificateInvalid("kind/certificate mismatch")
-        (L,) = cert.params
+    params = require_certificate(f, cert, "f", "lipschitz", "bv")
+    if cert.kind == "lipschitz":
+        (L,) = params
         return L * (0.25 + ((x - m0) / width) ** 2) * width
-    if kind == "bv":
-        if cert.kind != "bv":
-            raise CertificateInvalid("kind/certificate mismatch")
-        V = total_variation(f).hi
-        return (0.5 + abs(x - m0) / width) * V
-    raise DomainError(f"unknown kind {kind!r}")
+    return (0.5 + abs(x - m0) / width) * total_variation(f).hi

@@ -136,7 +136,7 @@ def _cmd_quad(args) -> int:
         while n <= hi_n:
             part = Partition.uniform(a, b, n)
             if holder is not None and n == lo_n:
-                require_certificate(f, holder, "f")
+                require_certificate(f, holder, "f", "holder")
             res = partition_quadrature(f, g, u, part)
             bound = res.remainder_bound if holder is None \
                 else holder_remainder(res, u, holder).stated

@@ -292,7 +292,8 @@ class PiecewiseFunction:
         cells = aligned_pieces(self, other)
         grid = tuple([cell[0] for cell in cells] + [self.b])
         pcs = tuple([op(ca, cb) for _, _, ca, cb in cells])
-        vals = tuple(_scalar_op(op, self(t), other(t)) for t in grid)
+        vals = tuple(poly.pvalue(op((self(t),), (other(t),)), 0.0)
+                     for t in grid)
         return PiecewiseFunction(grid, pcs, vals)
 
     def __add__(self, other):
@@ -486,10 +487,6 @@ def _value_at(bp: tuple, pieces: tuple, values: tuple, t: float) -> float:
     return values[j] if bp[j] == t else poly.pvalue(pieces[j - 1], t)
 
 
-def _scalar_op(op, x: float, y: float) -> float:
-    return poly.pvalue(op((x,), (y,)), 0.0)
-
-
 def aligned_pieces(*fns: PiecewiseFunction, splits=()) -> list[tuple]:
     """(lo, hi, piece of fns[0], piece of fns[1], ...) for every cell of
     the common refinement of the breakpoints of ``fns`` (which share one
@@ -642,12 +639,6 @@ def _variation(bp: tuple, pieces: tuple, table: tuple) -> tuple[float, float]:
     jumps, slack = table
     for _, left, v, right in jumps:
         total += abs(v - left) + abs(right - v)
-    return _variation_ends(total, slack)
-
-
-def _variation_ends(total: float, slack: float) -> tuple[float, float]:
-    """The ends of ``total_variation`` of a function whose computed
-    variation is total and whose jump slack is slack."""
     pad = 64.0 * _EPS * (1.0 + total) + slack
     return total - pad, total + pad
 
@@ -1062,12 +1053,14 @@ def verify_certificate(f: PiecewiseFunction,
     """Check a certificate against its function.
 
     Bounds / Lipschitz / BV / monotone checks are certified through the
-    closed-form piece analysis.  Holder with r < 1 is certified when
-    H >= L^r * osc^(1-r), from the Lipschitz constant L = sup|f'| and the
-    oscillation osc = sup f - inf f, both rounded up; the pass carries a
-    ``detail`` starting with "certified".  Otherwise it falls back to a
-    ``_HOLDER_GRID``-point pair grid per piece pair, which is
-    sampling-sound only: it can accept an H just below the true constant.
+    closed-form piece analysis; ``holder(H, 1)`` is checked as
+    ``lipschitz(H)``, by the same jump and slope tests.  Holder with
+    r < 1 is certified when H >= L^r * osc^(1-r), from the Lipschitz
+    constant L = sup|f'| and the oscillation osc = sup f - inf f, both
+    rounded up; the pass carries a ``detail`` starting with "certified".
+    Otherwise it falls back to a ``_HOLDER_GRID``-point pair grid per
+    piece pair, which is sampling-sound only: it can accept an H just
+    below the true constant.
     """
     kind = cert.kind
     if kind == "bounds":
@@ -1081,25 +1074,18 @@ def verify_certificate(f: PiecewiseFunction,
             return CertCheck(False, extremum_point(f, want_min=False),
                              f"sup {sup_e.hi!r} > M {M!r}")
         return CertCheck(True)
-    if kind == "lipschitz":
-        (L,) = cert.params
-        js = f.jumps()
-        if js:
-            return CertCheck(False, js[0][0], "jump breaks the Lipschitz bound")
-        sup_d = _sup_abs_derivative(_derivative_ranges(f))
-        if sup_d > L * (1.0 + 1e-10) + 1e-12:
-            return CertCheck(False, None, f"sup|f'| = {sup_d!r} > L = {L!r}")
-        return CertCheck(True)
-    if kind == "holder":
-        H, r = cert.params
+    if kind in ("lipschitz", "holder"):
+        # lipschitz(L) is holder(L, 1): one jump test and one slope test
+        H, r = cert.params if kind == "holder" else (cert.params[0], 1.0)
         js = f.jumps()
         if js:
             return CertCheck(False, js[0][0], "jump breaks continuity")
         if r == 1.0:
             sup_d = _sup_abs_derivative(_derivative_ranges(f))
             if sup_d > H * (1.0 + 1e-10) + 1e-12:
+                name = "L" if kind == "lipschitz" else "H"
                 return CertCheck(False, None,
-                                 f"sup|f'| = {sup_d!r} > H = {H!r}")
+                                 f"sup|f'| = {sup_d!r} > {name} = {H!r}")
             return CertCheck(True)
         bound = _holder_upper_bound(f, r)
         if bound <= H:
@@ -1131,10 +1117,31 @@ def extremum_point(f: PiecewiseFunction, want_min: bool = True) -> float:
     return best_t
 
 
+def _certificate_params(cert: RegularityCertificate, role: str,
+                       *kinds: str) -> tuple[float, ...]:
+    """The parameters of ``cert``, a certificate of one of ``kinds``; a
+    certificate of another kind, None or any other object raises
+    CertificateInvalid naming the role.  The one kind check: the gate
+    runs it, and a caller that takes a certificate as given runs it
+    alone."""
+    if not isinstance(cert, RegularityCertificate) or cert.kind not in kinds:
+        got = cert.describe() if isinstance(cert, RegularityCertificate) \
+            else repr(cert)
+        raise CertificateInvalid(
+            f"{role} needs a {' or '.join(kinds)} certificate, got {got}")
+    return cert.params
+
+
 def require_certificate(f: PiecewiseFunction, cert: RegularityCertificate,
-                        role: str) -> None:
+                        role: str, *kinds: str) -> tuple[float, ...]:
+    """The one gate a certificate passes before a bound reads it: its kind
+    must be one of ``kinds`` (``_certificate_params``, before any
+    verification), then it must verify against f, else CertificateInvalid
+    with the check's witness.  Returns the certificate's parameters."""
+    params = _certificate_params(cert, role, *kinds)
     chk = verify_certificate(f, cert)
     if not chk.ok:
         raise CertificateInvalid(
             f"{role} certificate {cert.describe()} failed: {chk.detail}",
             witness=chk.witness)
+    return params

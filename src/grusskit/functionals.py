@@ -125,24 +125,26 @@ def functional_E(f: PiecewiseFunction, g: PiecewiseFunction,
 
 def kernel_phi(u: PiecewiseFunction, t: float) -> float:
     """Affine-interpolation defect
-    ((t-a) u(b) + (b-t) u(a)) / (b-a) - u(t), for t in [a, b)."""
+    ((t-a) u(b) + (b-t) u(a)) / (b-a) - u(t), for t in [a, b): the value
+    of ``phi_kernel(u)`` at t."""
     a, b = u.domain
     if not (a <= t < b):
         raise DomainError("phi kernel needs t in [a, b)")
-    return ((t - a) * u(b) + (b - t) * u(a)) / (b - a) - u(t)
+    return phi_kernel(u)(t)
 
 
 def kernel_gamma(u: PiecewiseFunction, t: float) -> float:
-    """(t-a)[u(b) - u(t)] - (b-t)[u(t) - u(a)], for t in [a, b]."""
+    """(t-a)[u(b) - u(t)] - (b-t)[u(t) - u(a)], for t in [a, b]: the value
+    of ``gamma_kernel(u)`` at t."""
     a, b = u.domain
     if not (a <= t <= b):
         raise DomainError("gamma kernel needs t in [a, b]")
-    ut = u(t)
-    return (t - a) * (u(b) - ut) - (b - t) * (ut - u(a))
+    return gamma_kernel(u)(t)
 
 
 def kernel_delta(u: PiecewiseFunction, t: float) -> float:
-    """Divided-difference gap [u; b, t] - [u; t, a], for t in (a, b)."""
+    """Divided-difference gap [u; b, t] - [u; t, a], for t in (a, b), from
+    point values of u: an independent reference for ``gamma_kernel``."""
     a, b = u.domain
     if not (a < t < b):
         raise DomainError("delta kernel needs t in (a, b)")

@@ -278,15 +278,10 @@ def pcritical(c: Coeffs, lo: float, hi: float) -> list[float]:
 
 
 def pminmax_on(c: Coeffs, lo: float, hi: float) -> tuple[float, float]:
-    """Exact min/max of p over the closed interval [lo, hi]."""
-    vals = _extreme_values(c, lo, hi)
+    """Exact min/max of p over the closed interval [lo, hi]: of its values
+    at lo, at hi and at its critical points in (lo, hi)."""
+    vals = [pvalue(c, x) for x in [lo, hi] + pcritical(c, lo, hi)]
     return min(vals), max(vals)
-
-
-def _extreme_values(c: Coeffs, lo: float, hi: float) -> list[float]:
-    """p at lo, at hi and at its critical points in (lo, hi), in that
-    order: the values whose min and max ``pminmax_on`` returns."""
-    return [pvalue(c, x) for x in [lo, hi] + pcritical(c, lo, hi)]
 
 
 def pvariation_on(c: Coeffs, lo: float, hi: float) -> float:

@@ -54,9 +54,9 @@ import numpy as np
 from . import poly
 from .errors import DegenerateCell, DomainError, ToleranceUnreachable
 from .funcrep import (Enclosure, PiecewiseFunction, RegularityCertificate,
-                      _extreme_ends, _inf_sup, _min_max, _norm_ends,
-                      _sided_table, _variation, _view, require_certificate,
-                      total_variation)
+                      _certificate_params, _extreme_ends, _inf_sup, _min_max,
+                      _norm_ends, _sided_table, _variation, _view,
+                      require_certificate, total_variation)
 from .stieltjes import _integral, _same_domain
 
 
@@ -312,8 +312,9 @@ def holder_remainder(res: QuadratureResult, u: PiecewiseFunction,
                      f_holder: RegularityCertificate) -> RemainderBound:
     """Holder-form estimate (H/2^r) mesh^r * max_cell_sup * Var(u) of a
     solved partition, plus the per-cell sum with the individual cell
-    widths.  ``f_holder`` is taken as given, not verified."""
-    H, r = f_holder.params
+    widths.  ``f_holder`` is taken as given, not verified; only its kind
+    is checked."""
+    H, r = _certificate_params(f_holder, "f", "holder")
     rows = res.per_cell.tolist()
     per = tuple(H / (2.0 ** r) * width ** r * sup_g * var_u
                 for width, (_, sup_g, var_u)
@@ -328,7 +329,7 @@ def remainder_bound_holder(f: PiecewiseFunction, g: PiecewiseFunction,
                            f_holder: RegularityCertificate) -> RemainderBound:
     """``holder_remainder`` of ``partition_quadrature``, after verifying
     ``f_holder`` against f."""
-    require_certificate(f, f_holder, "f")
+    require_certificate(f, f_holder, "f", "holder")
     return holder_remainder(partition_quadrature(f, g, u, partition), u,
                             f_holder)
 

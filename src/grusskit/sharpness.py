@@ -2,7 +2,7 @@
 
 Each witness is a concrete (f, g, u) triple on a parametric interval that
 drives one bound operation to its sharp constant: the reported tightness
-ratio must equal the expected value (1 for every attained constant).  The
+ratio must be 1, since the witness attains the constant.  The
 constructions are affine in the interval, so ratios are interval-invariant.
 
 The bounded-variation witness for the monotone-integrator bound uses a
@@ -29,18 +29,17 @@ RAMP_FRACTION = 1e-10  # width of the near-extremal ramp, relative to b - a
 
 @dataclass(frozen=True)
 class Witness:
-    """An extremal instance of one registered theorem.  ``p`` is what the
-    theorem's evaluator takes besides the functions: the L^p exponent (or
-    None), or the Partition for ``thm_3_2a``."""
+    """An extremal instance of the registered theorem ``id``: its report's
+    ratio is 1, since it saturates the bound.  ``p`` is what the theorem's
+    evaluator takes besides the functions: the L^p exponent (or None), or
+    the Partition for ``thm_3_2a``."""
 
     id: str
-    theorem_id: str
     interval: tuple[float, float]
     f: PiecewiseFunction
     g: PiecewiseFunction | None
     u: PiecewiseFunction
     certificates: tuple[tuple[str, RegularityCertificate], ...]
-    expected_ratio: float
     p: float | Partition | None = None
 
     def cert(self, slot: str) -> RegularityCertificate:
@@ -102,36 +101,34 @@ def _make_catalogue() -> dict[str, Callable[[float, float], Witness]]:
         def build(a, b):
             f = _identity(a, b)
             cert = Cert.holder(1.0, 1.0) if holder else Cert.bounds(a, b)
-            return Witness(tid, tid, (a, b), f, f, _endpoint_jump(a, b),
-                           (("f", cert),), 1.0)
+            return Witness(tid, (a, b), f, f, _endpoint_jump(a, b),
+                           (("f", cert),))
         return build
 
     def thm_2_3a(a, b):
         f = _pm_step(a, b)
         certs = (("f", Cert.bounds(-1.0, 1.0)), ("u", Cert.lipschitz(1.0)))
-        return Witness("thm_2_3a", "thm_2_3a", (a, b), f, f, _identity(a, b),
-                       certs, 1.0)
+        return Witness("thm_2_3a", (a, b), f, f, _identity(a, b), certs)
 
     def cor_2_6(a, b):
         certs = (("f", Cert.holder(1.0, 1.0)), ("u", Cert.lipschitz(1.0)))
-        return Witness("cor_2_6", "cor_2_6", (a, b), _centred_line(a, b),
-                       _pm_step(a, b), _identity(a, b), certs, 1.0, p=2.0)
+        return Witness("cor_2_6", (a, b), _centred_line(a, b),
+                       _pm_step(a, b), _identity(a, b), certs, p=2.0)
 
     def thm_b_1(a, b):
-        return Witness("thm_b_1", "thm_b_1", (a, b), _centred_line(a, b),
-                       None, _step_at_right_end(a, b),
-                       (("f", Cert.lipschitz(1.0)),), 1.0)
+        return Witness("thm_b_1", (a, b), _centred_line(a, b), None,
+                       _step_at_right_end(a, b), (("f", Cert.lipschitz(1.0)),))
 
     def thm_b_2(a, b):
         f = _endpoint_ramp(a, b)
         cv = Cert.bounded_variation(total_variation(f).hi)
-        return Witness("thm_b_2", "thm_b_2", (a, b), f, None,
-                       _step_at_right_end(a, b), (("f", cv),), 1.0)
+        return Witness("thm_b_2", (a, b), f, None, _step_at_right_end(a, b),
+                       (("f", cv),))
 
     def thm_3_2a(a, b):
         f = _identity(a, b)
-        return Witness("thm_3_2a", "thm_3_2a", (a, b), f, f,
-                       _endpoint_jump(a, b), (), 1.0, p=Partition((a, b)))
+        return Witness("thm_3_2a", (a, b), f, f, _endpoint_jump(a, b), (),
+                       p=Partition((a, b)))
 
     return {
         "thm_2_1a": endpoint_jump_t("thm_2_1a", holder=False),
@@ -170,7 +167,7 @@ def evaluate_witness(w: Witness) -> BoundReport:
     for slot, cert in w.certificates:
         certificates.setdefault(slot, []).append(cert)
     spec = ParsedSpec(w.interval, functions, certificates)
-    return THEOREMS[w.theorem_id].run(spec, w.p)[0]
+    return THEOREMS[w.id].run(spec, w.p)[0]
 
 
 def sharpness_ratio(w: Witness) -> float:
@@ -191,11 +188,11 @@ def p_branch_constant_estimate(q: float, a: float = 0.0,
 
 def run_catalogue(a: float = 0.0, b: float = 1.0) \
         -> list[tuple[str, str, float, float, bool]]:
-    """(id, theorem, ratio, expected, pass) rows for every witness."""
+    """(id, theorem, ratio, expected, pass) rows for every witness; a
+    witness is named after its theorem and expects the ratio 1."""
     rows = []
     for wid in WITNESS_IDS:
-        w = witness(wid, a, b)
-        ratio = sharpness_ratio(w)
-        ok = math.isfinite(ratio) and abs(ratio - w.expected_ratio) <= 1e-9
-        rows.append((wid, w.theorem_id, ratio, w.expected_ratio, ok))
+        ratio = sharpness_ratio(witness(wid, a, b))
+        ok = math.isfinite(ratio) and abs(ratio - 1.0) <= 1e-9
+        rows.append((wid, wid, ratio, 1.0, ok))
     return rows

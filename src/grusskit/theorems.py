@@ -204,8 +204,8 @@ def _weighted_eval(which: str):
 
     def evaluate(s: ParsedSpec, p):
         f, g, w = s.require("f"), s.require("g"), s.require("w")
-        return [bnd.weighted_bounds(f, g, w, which, p=p,
-                                    **{f"f_{kind}": s.cert("f", kind)})]
+        return [bnd.weighted_bounds(f, g, w, which, s.cert("f", kind),
+                                    p=p)]
     return evaluate
 
 

@@ -27,6 +27,8 @@ from grusskit.bounds import (_delta_integrals, beta_int,
                              positivity_check_D,
                              sup_abs_delta, weighted_bounds)
 from grusskit.functionals import gamma_kernel
+from grusskit.quadrature import (Partition, holder_remainder,
+                                 partition_quadrature, remainder_bound_holder)
 from grusskit.stieltjes import riemann_integral
 from grusskit.theorems import THEOREMS
 
@@ -161,15 +163,15 @@ class TestWeightedItems:
     def test_unknown_item_rejected(self, ident, one):
         with pytest.raises(DomainError,
                            match="^unknown weighted item 'item9'$"):
-            weighted_bounds(ident, ident, one, "item9", f_bounds=B(0, 1))
+            weighted_bounds(ident, ident, one, "item9", B(0, 1))
 
     def test_unit_weight_monotone_item(self, ident, one):
-        rep = weighted_bounds(ident, ident, one, "item2", f_bounds=B(0, 1))
+        rep = weighted_bounds(ident, ident, one, "item2", B(0, 1))
         assert rep.lhs == pytest.approx(1 / 12, abs=1e-12)
         assert rep.rhs == pytest.approx(1 / 8, abs=1e-9)
 
     def test_constant_second_argument(self, ident, one):
-        rep = weighted_bounds(ident, one, one, "item1", f_bounds=B(0, 1))
+        rep = weighted_bounds(ident, one, one, "item1", B(0, 1))
         assert rep.lhs == pytest.approx(0.0, abs=1e-12)
         assert rep.holds
 
@@ -177,24 +179,22 @@ class TestWeightedItems:
         w = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 1.0)
         u = w.antiderivative()
         assert total_variation(u).mid == pytest.approx(0.5, abs=1e-9)
-        rep = weighted_bounds(ident, ident, w, "item1", f_bounds=B(0, 1))
+        rep = weighted_bounds(ident, ident, w, "item1", B(0, 1))
         assert rep.holds
 
     def test_negative_weight_rejected_for_monotone_items(self, ident,
                                                          centred_line):
         with pytest.raises(NegativeWeight):
-            weighted_bounds(ident, ident, centred_line, "item2",
-                            f_bounds=B(0, 1))
+            weighted_bounds(ident, ident, centred_line, "item2", B(0, 1))
 
     def test_zero_mass_rejected(self, ident, centred_line):
         with pytest.raises(DegenerateWeight):
-            weighted_bounds(ident, ident, centred_line, "item1",
-                            f_bounds=B(0, 1))
+            weighted_bounds(ident, ident, centred_line, "item1", B(0, 1))
 
     def test_holder_items_hold(self, ident, tsq, one):
         for which in ("item4", "item5", "item6"):
-            rep = weighted_bounds(ident, tsq, one, which,
-                                  f_holder=H(1.0, 1.0), p=2.0)
+            rep = weighted_bounds(ident, tsq, one, which, H(1.0, 1.0),
+                                  p=2.0)
             assert rep.holds, which
 
 
@@ -624,15 +624,15 @@ class TestMonotoneIntegratorCorrections:
 
 class TestOstrowski:
     def test_midpoint_lipschitz(self, ident):
-        bound = ostrowski_pointwise(ident, 0.5, "lipschitz", L(1.0))
+        bound = ostrowski_pointwise(ident, 0.5, L(1.0))
         assert bound == pytest.approx(0.25)
 
     def test_right_end_bv(self, vee):
-        bound = ostrowski_pointwise(vee, 1.0, "bv", V(1.0))
+        bound = ostrowski_pointwise(vee, 1.0, V(1.0))
         assert bound == pytest.approx(total_variation(vee).mid, abs=1e-9)
 
     def test_left_end_saturates(self, ident):
-        bound = ostrowski_pointwise(ident, 0.0, "lipschitz", L(1.0))
+        bound = ostrowski_pointwise(ident, 0.0, L(1.0))
         mean = riemann_integral(ident).value
         assert abs(ident(0.0) - mean) == pytest.approx(bound, abs=1e-12)
 
@@ -643,10 +643,107 @@ class TestOstrowski:
             f, lip = instances.rand_lipschitz(rng, a, b)
             mean = riemann_integral(f).value / (b - a)
             x = rng.uniform(a, b)
-            bound = ostrowski_pointwise(f, x, "lipschitz", lip)
+            bound = ostrowski_pointwise(f, x, lip)
             assert abs(f(x) - mean) <= bound + 1e-9 * (1.0 + bound)
             g = instances.rand_piecewise(rng, a, b, jumps=True)
             meang = riemann_integral(g).value / (b - a)
-            boundg = ostrowski_pointwise(g, x, "bv",
-                                         instances.rand_bv_cert(g))
+            boundg = ostrowski_pointwise(g, x, instances.rand_bv_cert(g))
             assert abs(g(x) - meang) <= boundg + 1e-9 * (1.0 + boundg)
+
+
+# -- the certificate gate ----------------------------------------------------
+# Every operation that reads a certificate passes it through
+# funcrep.require_certificate (or, taking it as given, through its kind
+# check alone).  Each row names one certificate slot, the kinds it takes
+# and a call with f = t, g = t^2 and u = t or t^2 on [0, 1], for which a
+# certificate of every kind below holds: a slot that verified without
+# checking the kind would read the wrong parameters and report a number.
+
+_T = PiecewiseFunction.from_coeffs((0.0, 1.0), 0.0, 1.0)
+_TSQ = PiecewiseFunction.from_coeffs((0.0, 0.0, 1.0), 0.0, 1.0)
+_ONE = PiecewiseFunction.constant(1.0, 0.0, 1.0)
+_PART = Partition.uniform(0.0, 1.0, 4)
+_EACH_KIND = {"bounds": B(0.0, 1.0), "lipschitz": L(1.0),
+              "holder": H(1.0, 1.0), "bv": V(1.0),
+              "monotone": RegularityCertificate.monotone()}
+_GATED = {
+    "bound_T_bv": (("bounds",), lambda c: bound_T_bv(_T, _TSQ, _T, c)),
+    "bound_T_monotone": (("bounds",),
+                         lambda c: bound_T_monotone(_T, _TSQ, _T, c)),
+    "bound_T_lipschitz_u.f": (("bounds",), lambda c: bound_T_lipschitz_u(
+        _T, _TSQ, _T, c, L(1.0))),
+    "bound_T_lipschitz_u.u": (("lipschitz",), lambda c: bound_T_lipschitz_u(
+        _T, _TSQ, _T, B(0.0, 1.0), c)),
+    "bound_T_holder_bv": (("holder",),
+                          lambda c: bound_T_holder_bv(_T, _TSQ, _T, c)),
+    "bound_T_holder_monotone": (("holder",), lambda c: bound_T_holder_monotone(
+        _T, _TSQ, _T, c)),
+    "bound_T_holder_lipschitz.f": (("holder",),
+                                   lambda c: bound_T_holder_lipschitz(
+                                       _T, _TSQ, _T, c, L(1.0))),
+    "bound_T_holder_lipschitz.u": (("lipschitz",),
+                                   lambda c: bound_T_holder_lipschitz(
+                                       _T, _TSQ, _T, H(1.0, 1.0), c)),
+    "bound_D_prior.f_bounds": (("bounds",), lambda c: bound_D_prior(
+        _T, _TSQ, f_bounds=c, u_lipschitz=L(2.0))),
+    "bound_D_prior.u_lipschitz": (("lipschitz",), lambda c: bound_D_prior(
+        _T, _T, f_bounds=B(0.0, 1.0), u_lipschitz=c)),
+    "bound_D_prior.f_lipschitz": (("lipschitz",), lambda c: bound_D_prior(
+        _T, _TSQ, f_lipschitz=c)),
+    "bound_D_kernel": (("lipschitz",),
+                       lambda c: bound_D_kernel(_T, _TSQ, "lipschitz", c)),
+    "bound_D_corollaries.a13": (("lipschitz",), lambda c: bound_D_corollaries(
+        _T, _TSQ, "a13", f_lipschitz=c)),
+    "bound_D_monotone_K": (("lipschitz",),
+                           lambda c: bound_D_monotone_K(_T, _TSQ, c)),
+    "bound_D_monotone_Q": (("bv",), lambda c: bound_D_monotone_Q(_T, _TSQ, c)),
+    "ostrowski_pointwise": (("lipschitz", "bv"),
+                            lambda c: ostrowski_pointwise(_T, 0.25, c)),
+    **{f"weighted_bounds.{which}": (
+        (kind,), lambda c, which=which: weighted_bounds(
+            _T, _TSQ, _ONE, which, c, p=2.0))
+       for which, kind in (("item1", "bounds"), ("item2", "bounds"),
+                           ("item3", "bounds"), ("item4", "holder"),
+                           ("item5", "holder"), ("item6", "holder"))},
+    "remainder_bound_holder": (("holder",), lambda c: remainder_bound_holder(
+        _T, _TSQ, _T, _PART, c)),
+    "holder_remainder": (("holder",), lambda c: holder_remainder(
+        partition_quadrature(_T, _TSQ, _T, _PART), _T, c)),
+}
+# bound_D_kernel's lipschitz class without a certificate is a ClassMismatch
+# (TestKernelBounds.test_wrong_class); every other slot refuses None too
+_REFUSED = [(slot, kind) for slot, (kinds, _) in _GATED.items()
+            for kind in [*_EACH_KIND, None]
+            if kind not in kinds
+            and (slot, kind) != ("bound_D_kernel", None)]
+
+
+class TestCertificateGate:
+    @pytest.mark.parametrize("slot, kind", _REFUSED,
+                             ids=[f"{s}-{k}" for s, k in _REFUSED])
+    def test_other_kinds_are_refused_before_verification(self, slot, kind,
+                                                         monkeypatch):
+        probe = _EACH_KIND.get(kind)
+        verify = funcrep.verify_certificate
+
+        def verify_all_but_the_probe(f, cert):
+            assert cert is not probe, "the kind is checked first"
+            return verify(f, cert)
+        monkeypatch.setattr(funcrep, "verify_certificate",
+                            verify_all_but_the_probe)
+        with pytest.raises(CertificateInvalid):
+            _GATED[slot][1](probe)
+
+    @pytest.mark.parametrize("slot", list(_GATED))
+    def test_each_kind_taken_is_read(self, slot):
+        kinds, call = _GATED[slot]
+        for kind in kinds:
+            call(_EACH_KIND[kind])
+
+    def test_the_refusal_names_the_slot_and_the_kinds(self):
+        with pytest.raises(CertificateInvalid, match=r"^u needs a lipschitz "
+                           r"certificate, got bv\(1\.0\)$"):
+            bound_T_lipschitz_u(_T, _TSQ, _T, B(0.0, 1.0), V(1.0))
+        with pytest.raises(CertificateInvalid, match=r"^f needs a lipschitz "
+                           r"or bv certificate, got None$"):
+            ostrowski_pointwise(_T, 0.25, None)

@@ -169,6 +169,7 @@ class TestCertificates:
                                  RegularityCertificate.lipschitz(1e6))
         assert not chk.ok
         assert chk.witness == pytest.approx(0.5)
+        assert chk.detail == "jump breaks continuity"
 
     def test_bounds_fail_with_witness(self, tsq):
         chk = verify_certificate(tsq, RegularityCertificate.bounds(0.0, 0.5))

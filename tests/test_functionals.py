@@ -129,7 +129,41 @@ class TestFunctionalE:
             assert e_direct == pytest.approx(d_route, abs=1e-9)
 
 
+def _phi_direct(u, t):
+    """((t-a) u(b) + (b-t) u(a)) / (b-a) - u(t) from point values of u."""
+    a, b = u.domain
+    return ((t - a) * u(b) + (b - t) * u(a)) / (b - a) - u(t)
+
+
+def _gamma_direct(u, t):
+    """(t-a)[u(b) - u(t)] - (b-t)[u(t) - u(a)] from point values of u."""
+    a, b = u.domain
+    ut = u(t)
+    return (t - a) * (u(b) - ut) - (b - t) * (ut - u(a))
+
+
 class TestKernels:
+    def test_pointwise_kernels_equal_the_direct_formulas(self):
+        # kernel_phi and kernel_gamma read phi_kernel(u) and gamma_kernel(u);
+        # the direct formulas on point values of u are the reference, at
+        # breakpoints (point values, jumps) and between them
+        rng = random.Random(25)
+        for _ in range(40):
+            a, b = instances.rand_interval(rng)
+            u = instances.rand_piecewise(rng, a, b, jumps=rng.random() < 0.5)
+            ts = [*u.breakpoints[:-1],
+                  *(rng.uniform(a, b) for _ in range(20))]
+            scale = 1.0 + (b - a) * max(abs(v) for v in
+                                         [*u.point_values,
+                                          *(u(t) for t in ts)])
+            for t in ts:
+                assert abs(kernel_phi(u, t) - _phi_direct(u, t)) \
+                    <= 1e-12 * scale
+                assert abs(kernel_gamma(u, t) - _gamma_direct(u, t)) \
+                    <= 1e-12 * scale
+            assert abs(kernel_gamma(u, b) - _gamma_direct(u, b)) \
+                <= 1e-12 * scale
+
     def test_linear_integrator_kernels_vanish(self, ident):
         for t in (0.1, 0.5, 0.9):
             assert kernel_phi(ident, t) == pytest.approx(0.0, abs=1e-12)

@@ -70,7 +70,7 @@ class TestIds:
             == ["thm_3_2a"]
 
     def test_witnesses_name_registered_theorems(self):
-        assert {witness(w).theorem_id for w in WITNESS_IDS} <= set(THEOREMS)
+        assert {witness(w).id for w in WITNESS_IDS} <= set(THEOREMS)
 
     @pytest.mark.parametrize("theorem", ["thm_3_2a", "no_such_id"])
     def test_bound_refuses_ids_it_cannot_run(self, theorem, capsys):
