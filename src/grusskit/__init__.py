@@ -9,8 +9,8 @@ from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
                      DegenerateCell, DegenerateIntegrator, DegenerateWeight,
                      DomainError, GeneratorExhausted, GrussKitError,
                      HypothesisFailed, MalformedCertificate, NegativeWeight,
-                     NotMonotone, SchemaError, SharedDiscontinuity,
-                     ToleranceUnreachable, UnknownWitness)
+                     SchemaError, SharedDiscontinuity, ToleranceUnreachable,
+                     UnknownWitness)
 from .funcrep import (Enclosure, PiecewiseFunction, RegularityCertificate,
                       eval_sided, inf_sup_on, p_norm, sup_norm_on,
                       total_variation, verify_certificate)

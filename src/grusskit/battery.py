@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import UnknownWitness
+from .errors import DomainError
 from .theorems import THEOREMS as REGISTRY
 
 
@@ -67,7 +67,7 @@ def verify_theorem(theorem_id: str, trials: int = 1000,
     """Run seeded trials of one theorem; any non-holding report or
     unexpected exception is recorded as a violation with a reproducer."""
     if theorem_id not in THEOREMS:
-        raise UnknownWitness(f"unknown theorem id {theorem_id!r}")
+        raise DomainError(f"unknown theorem id {theorem_id!r}")
     make = THEOREMS[theorem_id]
     summary = VerifySummary(theorem_id, trials)
     for k in range(trials):

@@ -3,9 +3,11 @@
 Each operation returns a :class:`BoundReport` with the functional magnitude
 (lhs), the bound value (rhs, tightest tier first), the tightness ratio
 lhs/rhs and a conservative ``holds`` verdict, all decided by the one rule
-``_mk_report``.  Certificates are re-verified against their functions
-before use; integrals with |.| factors are split at certified sign changes
-so that every bound value is a closed form wherever one exists.
+``_mk_report``.  Every certificate an operation is given, and every
+monotone function it needs (as ``monotone()``), passes
+``funcrep.require_certificate`` before use; integrals with |.| factors
+are split at certified sign changes so that every bound value is a closed
+form wherever one exists.
 Divided-difference integrals that have no closed form go through one
 ``funcrep.integrate_against`` call per bound (``_delta_integrals``: the
 substituted Gauss pair over cells split at the breakpoints and in-piece
@@ -28,15 +30,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import poly
-from .errors import (BadExponent, CertificateInvalid, ClassMismatch,
-                     DegenerateIntegrator, DegenerateWeight, DomainError,
-                     GrussKitError, HypothesisFailed, NegativeWeight,
-                     NotMonotone)
+from .errors import (BadExponent, ClassMismatch, DegenerateIntegrator,
+                     DegenerateWeight, DomainError, GrussKitError,
+                     HypothesisFailed, NegativeWeight)
 from .funcrep import (PiecewiseFunction, RegularityCertificate, _coeff_matrix,
                       _horner, _span_lookup, aligned_pieces, extremum_point,
                       inf_sup_on, integrate_against, p_norm,
                       require_certificate, sign_segments, sup_norm_on,
-                      total_variation, verify_certificate)
+                      total_variation)
 from .functionals import (_weight_total, cheby_T, functional_D,
                           gamma_kernel, integrator_span, phi_kernel)
 from .quadrature import Partition, partition_quadrature
@@ -113,11 +114,8 @@ def _mk_report(theorem_id: str, lhs: float, lhs_err: float,
 # shared machinery
 # ---------------------------------------------------------------------------
 
-def _require_monotone(u: PiecewiseFunction) -> None:
-    chk = verify_certificate(u, RegularityCertificate.monotone())
-    if not chk.ok:
-        raise NotMonotone(f"u is not monotone nondecreasing: {chk.detail}",
-                          witness=chk.witness)
+# the monotone class, checked as a certificate through the one gate
+_MONOTONE = RegularityCertificate.monotone()
 
 
 def _require_continuous(u: PiecewiseFunction) -> None:
@@ -128,7 +126,7 @@ def _require_continuous(u: PiecewiseFunction) -> None:
 
 def _monotone_span(u: PiecewiseFunction) -> float:
     """u(b) - u(a) of a monotone nondecreasing u, which must be positive."""
-    _require_monotone(u)
+    require_certificate(u, _MONOTONE, "u", "monotone")
     span = integrator_span(u)
     if span <= 0:
         raise DegenerateIntegrator("need u(b) > u(a)")
@@ -444,11 +442,13 @@ def bound_D_prior(f: PiecewiseFunction, u: PiecewiseFunction,
         -> list[BoundReport]:
     """|D| <= (1/2) L (M-m)(b-a) for Lipschitz u and bounded f, and
     |D| <= (1/2) K (b-a) Var(u) for Lipschitz f; whichever certificates are
-    supplied decide which reports come back."""
+    supplied decide which reports come back.  The first takes f_bounds and
+    u_lipschitz as a pair, and the gate refuses either one alone; with no
+    certificate at all, it refuses the missing f_lipschitz."""
     out: list[BoundReport] = []
     width = f.b - f.a
     D = functional_D(f, u)
-    if f_bounds is not None and u_lipschitz is not None:
+    if f_bounds is not None or u_lipschitz is not None:
         m, M = require_certificate(f, f_bounds, "f", "bounds")
         (L,) = require_certificate(u, u_lipschitz, "u", "lipschitz")
         rhs = 0.5 * L * (M - m) * width
@@ -456,15 +456,13 @@ def bound_D_prior(f: PiecewiseFunction, u: PiecewiseFunction,
                               [("prior_lipschitz_u", rhs)],
                               [("f", f_bounds.describe()),
                                ("u", u_lipschitz.describe())]))
-    if f_lipschitz is not None:
+    if f_lipschitz is not None or not out:
         (K,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
         rhs = 0.5 * K * width * total_variation(u).hi
         out.append(_mk_report("thm_a_2", abs(D.value), D.abs_error,
                               [("prior_lipschitz_f", rhs)],
                               [("f", f_lipschitz.describe()),
                                ("u", "bv(var)")]))
-    if not out:
-        raise CertificateInvalid("no applicable certificate supplied")
     return out
 
 
@@ -476,7 +474,10 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
     weighted divided difference); the smallest is reported as rhs.
 
     f_class: 'bv' (u continuous), 'lipschitz' (certificate required) or
-    'monotone' (u continuous)."""
+    'monotone' (u continuous), else DomainError; an f_lipschitz given with
+    another class passes the gate all the same."""
+    if f_class == "lipschitz" or f_lipschitz is not None:
+        (L,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
     width = f.b - f.a
     phi = phi_kernel(u)
     # gamma is also the divided-difference numerator (t-a)(b-t) delta, so
@@ -490,24 +491,19 @@ def bound_D_kernel(f: PiecewiseFunction, u: PiecewiseFunction,
         tid = "thm_a_6_i"
         digest = [("f", "bv(var)"), ("u", "continuous")]
     elif f_class == "lipschitz":
-        if f_lipschitz is None:
-            raise ClassMismatch("lipschitz class needs a certificate")
-        (L,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
         phi_tier = L * abs_integral(phi)
         gam_tier = L / width * abs_integral(gam)
         tid = "thm_a_6_ii"
         digest = [("f", f_lipschitz.describe()), ("u", "integrable")]
     elif f_class == "monotone":
-        chk = verify_certificate(f, RegularityCertificate.monotone())
-        if not chk.ok:
-            raise ClassMismatch(f"f is not monotone: {chk.detail}")
+        require_certificate(f, _MONOTONE, "f", "monotone")
         _require_continuous(u)
         phi_tier = abs_integral(phi, f)
         gam_tier = abs_integral(gam, f) / width
         tid = "thm_a_6_iii"
         digest = [("f", "monotone()"), ("u", "continuous")]
     else:
-        raise ClassMismatch(f"unknown class {f_class!r}")
+        raise DomainError(f"unknown kernel class {f_class!r}")
     tiers = sorted([("phi", phi_tier), ("gamma", gam_tier),
                     ("delta", gam_tier)], key=lambda kv: kv[1])
     D = functional_D(f, u)
@@ -546,10 +542,13 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
         -> BoundReport:
     """Divided-difference chains for |D|: 'a12' (f of bounded variation),
     'a13' (f Lipschitz, three norm branches), 'a14' (f monotone, integrals
-    against df)."""
+    against df); an f_lipschitz given with another selector passes the
+    gate all the same."""
     a, b = f.domain
     width = b - a
     _require_continuous(u)
+    if which == "a13" or f_lipschitz is not None:
+        (L,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
     dnum = gamma_kernel(u)
     D = functional_D(f, u)
     if which == "a12":
@@ -560,9 +559,6 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
                           [("weighted_sup", tier1), ("plain_sup", tier2)],
                           [("f", "bv(var)"), ("u", "continuous")])
     if which == "a13":
-        if f_lipschitz is None:
-            raise CertificateInvalid("a13 needs a Lipschitz certificate")
-        (L,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
         tier1 = L / width * abs_integral(dnum)
         tiers = [("weighted_l1", tier1),
                  ("sup", L * width ** 2 / 6.0 * sup_abs_delta(dnum))]
@@ -583,9 +579,7 @@ def bound_D_corollaries(f: PiecewiseFunction, u: PiecewiseFunction,
                           [("f", f_lipschitz.describe()),
                            ("u", "continuous")], mode="fan")
     if which == "a14":
-        chk = verify_certificate(f, RegularityCertificate.monotone())
-        if not chk.ok:
-            raise CertificateInvalid(f"a14 needs monotone f: {chk.detail}")
+        require_certificate(f, _MONOTONE, "f", "monotone")
         tier1 = abs_integral(dnum, f) / width
         powers, q = (1.0,), None
         if p is not None:
@@ -614,14 +608,10 @@ def positivity_check_D(f: PiecewiseFunction,
     (t-a)(b-t)(|[u;b,t]| - |[u;t,a]|) df| >= 0, for monotone nondecreasing f
     and nonnegative divided-difference gap delta.  delta >= 0 is decided on
     its numerator N = gamma_kernel(u) from the exact piece minima and the
-    point values, within 1e-10 * (1 + max|N|)."""
+    point values, within 1e-10 * (1 + max|N|), else HypothesisFailed."""
     a, b = f.domain
     width = b - a
-    chk = verify_certificate(f, RegularityCertificate.monotone())
-    if not chk.ok:
-        raise HypothesisFailed(chk.witness if chk.witness is not None else a,
-                               f"f must be monotone nondecreasing: "
-                               f"{chk.detail}")
+    require_certificate(f, _MONOTONE, "f", "monotone")
     N = gamma_kernel(u)
     inf_e, sup_e = inf_sup_on(N)
     if inf_e.lo < -1e-10 * (1.0 + max(abs(inf_e.lo), abs(sup_e.hi))):
@@ -681,7 +671,7 @@ def bound_D_monotone_K(f: PiecewiseFunction, u: PiecewiseFunction,
     """|D| <= (1/2) L (b-a) [u(b) - u(a) - K(u)] <= (1/2) L (b-a)
     [u(b) - u(a)], with K(u) the first-moment monotonicity correction."""
     (L,) = require_certificate(f, f_lipschitz, "f", "lipschitz")
-    _require_monotone(u)
+    require_certificate(u, _MONOTONE, "u", "monotone")
     a, b = u.domain
     width = b - a
     m0 = 0.5 * (a + b)
@@ -696,7 +686,7 @@ def bound_D_monotone_Q(f: PiecewiseFunction, u: PiecewiseFunction,
     """|D| <= [u(b) - u(a) - Q(u)] Var(f) <= [u(b) - u(a)] Var(f), with
     Q(u) the signed-mean monotonicity correction."""
     require_certificate(f, f_bv, "f", "bv")
-    _require_monotone(u)
+    require_certificate(u, _MONOTONE, "u", "monotone")
     a, b = u.domain
     width = b - a
     m0 = 0.5 * (a + b)

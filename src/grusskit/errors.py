@@ -49,21 +49,13 @@ class NegativeWeight(GrussKitError):
         self.point = point
 
 
-class NotMonotone(GrussKitError):
-    """A monotone nondecreasing function was required."""
-
-    def __init__(self, message: str = "function is not monotone nondecreasing",
-                 witness: float | None = None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class BadExponent(GrussKitError):
     """An exponent outside the admissible range was supplied."""
 
 
 class ClassMismatch(GrussKitError):
-    """Inputs do not satisfy the regularity class of the requested bound."""
+    """A bound that needs a continuous integrator u was given one that
+    jumps."""
 
 
 class HypothesisFailed(GrussKitError):

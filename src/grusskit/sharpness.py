@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .bounds import BoundReport
-from .errors import UnknownWitness
+from .errors import BadExponent, DomainError, UnknownWitness
 from .funcrep import PiecewiseFunction, RegularityCertificate, total_variation
 from .jsonio import ParsedSpec
 from .quadrature import Partition
@@ -155,7 +155,7 @@ def witness(witness_id: str, a: float = 0.0, b: float = 1.0) -> Witness:
         raise UnknownWitness(f"no witness registered under {witness_id!r}") \
             from None
     if not (a < b):
-        raise UnknownWitness("need a < b")
+        raise DomainError("need a < b")
     return builder(float(a), float(b))
 
 
@@ -180,7 +180,7 @@ def p_branch_constant_estimate(q: float, a: float = 0.0,
     lhs * (q+1)^(1/q) |u(b)-u(a)| / (L K (b-a)^(1+1/q) ||g - mean||_p).
     Tends to 1/2 as q -> 1+."""
     if q <= 1.0:
-        raise UnknownWitness("q must exceed 1")
+        raise BadExponent("q must exceed 1")
     p = q / (q - 1.0)
     rep = evaluate_witness(replace(witness("cor_2_6", a, b), p=p))
     return 0.5 * _ratio_vs(rep, "p_norm")

@@ -10,10 +10,9 @@ from numpy.polynomial import polynomial as nppoly
 
 from grusskit import battery, funcrep, instances, jsonio, stieltjes
 from grusskit.cli import run
-from grusskit.errors import (BadExponent, CertificateInvalid, ClassMismatch,
+from grusskit.errors import (BadExponent, CertificateInvalid,
                              DegenerateIntegrator, DegenerateWeight,
-                             DomainError, HypothesisFailed, NegativeWeight,
-                             NotMonotone)
+                             DomainError, HypothesisFailed, NegativeWeight)
 from grusskit.funcrep import (PiecewiseFunction, RegularityCertificate,
                               total_variation)
 from grusskit.bounds import (_delta_integrals, beta_int,
@@ -82,7 +81,8 @@ class TestMonotoneBound:
         assert rep.holds
 
     def test_not_monotone_rejected(self, ident, vee):
-        with pytest.raises(NotMonotone):
+        with pytest.raises(CertificateInvalid,
+                           match=r"^u certificate monotone\(\) failed: "):
             bound_T_monotone(ident, ident, vee, B(0.0, 1.0))
 
     @pytest.mark.parametrize("bound, cert", [
@@ -246,22 +246,24 @@ class TestKernelBounds:
         assert rep.holds
 
     def test_wrong_class(self, ident, tsq):
-        with pytest.raises(ClassMismatch):
+        with pytest.raises(DomainError,
+                           match="^unknown kernel class 'unknown'$"):
             bound_D_kernel(ident, tsq, "unknown")
-        with pytest.raises(ClassMismatch):
+        with pytest.raises(CertificateInvalid, match="^f needs a lipschitz "
+                           "certificate, got None$"):
             bound_D_kernel(ident, tsq, "lipschitz")  # certificate missing
 
 
 class TestDividedDifferenceChains:
     def test_a13_needs_a_lipschitz_certificate(self, ident, tsq):
-        with pytest.raises(CertificateInvalid,
-                           match="^a13 needs a Lipschitz certificate$"):
+        with pytest.raises(CertificateInvalid, match="^f needs a lipschitz "
+                           "certificate, got None$"):
             bound_D_corollaries(ident, tsq, "a13")
 
     def test_a14_needs_a_monotone_f(self, tsq):
         down = PiecewiseFunction.from_coeffs((1.0, -1.0), 0.0, 1.0)
-        with pytest.raises(CertificateInvalid,
-                           match="^a14 needs monotone f: derivative "):
+        with pytest.raises(CertificateInvalid, match=r"^f certificate "
+                           r"monotone\(\) failed: derivative "):
             bound_D_corollaries(down, tsq, "a14")
 
     def test_unknown_selector_rejected(self, ident, tsq):
@@ -462,7 +464,8 @@ class TestPositivity:
 
     def test_decreasing_rejected(self, tsq):
         down = PiecewiseFunction.from_coeffs((1.0, -1.0), 0.0, 1.0)
-        with pytest.raises(HypothesisFailed):
+        with pytest.raises(CertificateInvalid,
+                           match=r"^f certificate monotone\(\) failed: "):
             positivity_check_D(down, tsq)
 
     def test_narrow_negative_gap_rejected(self, ident, tent_above_chord):
@@ -710,12 +713,41 @@ _GATED = {
     "holder_remainder": (("holder",), lambda c: holder_remainder(
         partition_quadrature(_T, _TSQ, _T, _PART), _T, c)),
 }
-# bound_D_kernel's lipschitz class without a certificate is a ClassMismatch
-# (TestKernelBounds.test_wrong_class); every other slot refuses None too
+# every slot refuses None too, half of a bound_D_prior pair included
 _REFUSED = [(slot, kind) for slot, (kinds, _) in _GATED.items()
             for kind in [*_EACH_KIND, None]
-            if kind not in kinds
-            and (slot, kind) != ("bound_D_kernel", None)]
+            if kind not in kinds]
+
+
+# the monotone class as a certificate: each call gives 1 - t to a slot
+# (the role) that needs a monotone nondecreasing function
+_DOWN = PiecewiseFunction.from_coeffs((1.0, -1.0), 0.0, 1.0)
+_MONOTONE_SITES = {
+    "bound_T_monotone": ("u", lambda: bound_T_monotone(
+        _T, _TSQ, _DOWN, B(0.0, 1.0))),
+    "bound_T_holder_monotone": ("u", lambda: bound_T_holder_monotone(
+        _T, _TSQ, _DOWN, H(1.0, 1.0))),
+    "bound_D_monotone_K": ("u", lambda: bound_D_monotone_K(_T, _DOWN,
+                                                           L(1.0))),
+    "bound_D_monotone_Q": ("u", lambda: bound_D_monotone_Q(_T, _DOWN,
+                                                           V(1.0))),
+    "bound_D_kernel.monotone": ("f", lambda: bound_D_kernel(_DOWN, _TSQ,
+                                                            "monotone")),
+    "bound_D_corollaries.a14": ("f", lambda: bound_D_corollaries(
+        _DOWN, _TSQ, "a14")),
+    "positivity_check_D": ("f", lambda: positivity_check_D(_DOWN, _TSQ)),
+}
+# a false certificate given where the selector reads none (for f = t,
+# neither lipschitz(0.001) nor bounds(5, 6) holds)
+_UNREAD = {
+    **{f"bound_D_kernel.{c}": lambda c=c: bound_D_kernel(_T, _TSQ, c,
+                                                         L(0.001))
+       for c in ("bv", "monotone")},
+    **{f"bound_D_corollaries.{w}": lambda w=w: bound_D_corollaries(
+        _T, _TSQ, w, f_lipschitz=L(0.001)) for w in ("a12", "a14")},
+    "bound_D_prior.f_bounds": lambda: bound_D_prior(
+        _T, _TSQ, f_bounds=B(5.0, 6.0), f_lipschitz=L(1.0)),
+}
 
 
 class TestCertificateGate:
@@ -731,7 +763,8 @@ class TestCertificateGate:
             return verify(f, cert)
         monkeypatch.setattr(funcrep, "verify_certificate",
                             verify_all_but_the_probe)
-        with pytest.raises(CertificateInvalid):
+        with pytest.raises(CertificateInvalid,
+                           match=r"^[fu] needs an? .+ certificate, got "):
             _GATED[slot][1](probe)
 
     @pytest.mark.parametrize("slot", list(_GATED))
@@ -747,3 +780,25 @@ class TestCertificateGate:
         with pytest.raises(CertificateInvalid, match=r"^f needs a lipschitz "
                            r"or bv certificate, got None$"):
             ostrowski_pointwise(_T, 0.25, None)
+
+    @pytest.mark.parametrize("site", list(_MONOTONE_SITES))
+    def test_the_monotone_class_is_refused_by_the_gate(self, site):
+        role, call = _MONOTONE_SITES[site]
+        with pytest.raises(CertificateInvalid, match=rf"^{role} certificate "
+                           r"monotone\(\) failed: derivative "):
+            call()
+
+    @pytest.mark.parametrize("site", list(_UNREAD))
+    def test_a_certificate_the_selector_does_not_read_is_verified(self, site):
+        with pytest.raises(CertificateInvalid,
+                           match=r"^f certificate \w+\([\d., ]+\) failed: "):
+            _UNREAD[site]()
+
+    @pytest.mark.parametrize("half, refusal", [
+        (dict(f_bounds=B(0.0, 1.0)), "u needs a lipschitz"),
+        (dict(u_lipschitz=L(0.001)), "f needs a bounds"),
+    ], ids=["f_bounds", "u_lipschitz"])
+    def test_half_a_prior_pair_is_refused(self, half, refusal):
+        with pytest.raises(CertificateInvalid,
+                           match=f"^{refusal} certificate, got None$"):
+            bound_D_prior(_T, _TSQ, f_lipschitz=L(1.0), **half)

@@ -394,6 +394,13 @@ class TestCommands:
         rows = doc["results"]["sharpness"]
         assert all(r["pass"] for r in rows)
 
+    def test_sharpness_refuses_an_empty_interval(self, capsys):
+        code = run(["sharpness", "--a", "1", "--b", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: DomainError: need a < b\n"
+
     def test_verify_single(self, capsys):
         code, doc = run_capture(
             ["verify", "--theorem", "thm_2_1a", "--trials", "100",

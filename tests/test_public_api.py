@@ -17,7 +17,7 @@ PUBLIC = [
     'DegenerateCell', 'DegenerateIntegrator', 'DegenerateWeight',
     'DomainError', 'Enclosure', 'FunctionalValue', 'GeneratorExhausted',
     'GrussKitError', 'HypothesisFailed', 'IntegralResult',
-    'MalformedCertificate', 'NegativeWeight', 'NotMonotone', 'Partition',
+    'MalformedCertificate', 'NegativeWeight', 'Partition',
     'PiecewiseFunction', 'QuadratureResult', 'RegularityCertificate',
     'SchemaError', 'SharedDiscontinuity', 'ToleranceUnreachable',
     'UnknownWitness', 'WITNESS_IDS', 'Witness', 'adaptive_quadrature',

@@ -1,6 +1,8 @@
+import math
+
 import pytest
 
-from grusskit.errors import UnknownWitness
+from grusskit.errors import BadExponent, DomainError, UnknownWitness
 from grusskit.funcrep import verify_certificate
 from grusskit.sharpness import (WITNESS_IDS, evaluate_witness,
                                 p_branch_constant_estimate, run_catalogue,
@@ -52,6 +54,11 @@ class TestCatalogue:
         with pytest.raises(UnknownWitness):
             witness("no_such_witness")
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0), (0.0, math.nan)])
+    def test_an_empty_interval_is_a_domain_error(self, a, b):
+        with pytest.raises(DomainError, match=r"^need a < b$"):
+            witness("thm_2_1a", a, b)
+
 
 class TestPBranchTrend:
     def test_monotone_in_q_toward_limit(self):
@@ -62,6 +69,11 @@ class TestPBranchTrend:
     def test_limit_value(self):
         assert p_branch_constant_estimate(1.001) \
             == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, -2.0, math.nan, math.inf])
+    def test_q_outside_the_branch_is_a_bad_exponent(self, q):
+        with pytest.raises(BadExponent):
+            p_branch_constant_estimate(q)
 
     def test_reference_point(self):
         # at q = 2 the estimate is sqrt(3)/4

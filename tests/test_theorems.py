@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from grusskit import battery, funcrep, poly
+from grusskit import battery, funcrep, jsonio, poly
+from grusskit.errors import DomainError
 from grusskit.cli import run
 from grusskit.sharpness import WITNESS_IDS, witness
 from grusskit.theorems import THEOREMS
@@ -72,12 +73,39 @@ class TestIds:
     def test_witnesses_name_registered_theorems(self):
         assert {witness(w).id for w in WITNESS_IDS} <= set(THEOREMS)
 
+    def test_battery_refuses_an_unknown_id(self):
+        with pytest.raises(DomainError, match="^unknown theorem id 'zz'$"):
+            battery.verify_theorem("zz")
+
     @pytest.mark.parametrize("theorem", ["thm_3_2a", "no_such_id"])
     def test_bound_refuses_ids_it_cannot_run(self, theorem, capsys):
         argv = ["bound", "--theorem", theorem, "--json",
                 json.dumps({"domain": [0.0, 1.0]})]
         assert run(argv) == 1
         assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tid", list(THEOREMS))
+def test_each_evaluator_reads_the_certificates_its_sampler_draws(
+        tid, monkeypatch):
+    """Over trials 0..19 at seed 0, the (slot, kind) pairs the evaluator
+    fetches through ``ParsedSpec.cert`` are the ones the sampler drew; as
+    sets, since a corollary reads its holder certificate twice."""
+    fetched = set()
+    cert = jsonio.ParsedSpec.cert
+
+    def recording(spec, slot, kind):
+        fetched.add((slot, kind))
+        return cert(spec, slot, kind)
+    monkeypatch.setattr(jsonio.ParsedSpec, "cert", recording)
+    entry = THEOREMS[tid]
+    for k in range(20):
+        spec, p = entry.sample(random.Random(f"0:{tid}:{k}"))
+        drawn = {(slot, c.kind) for slot, certs in spec.certificates.items()
+                 for c in certs}
+        fetched.clear()
+        entry.evaluate(spec, p)
+        assert fetched == drawn, k
 
 
 class TestGolden:
