@@ -5,7 +5,7 @@ import random
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from grusskit import instances, poly
 from grusskit.bounds import beta_int, bound_T_bv
@@ -238,7 +238,9 @@ def test_kept_jump_data_equals_a_fresh_computation(seed, kind, order):
 # -- the piece derivative memo of poly --------------------------------------
 # proots, pcritical, pminmax_on and pvariation_on as they were before the
 # derivative entries: everything re-derived from the coefficients on each
-# call
+# call.  Degrees 2 and up run on ``poly._unit_scaled(ct)`` as proots does:
+# the power of two drops bits of a subnormal coefficient (a shift by
+# m = 5e-324), so the unscaled polynomial can give roots one ulp apart.
 
 def _fresh_proots(c, lo, hi):
     if hi <= lo:
@@ -247,15 +249,13 @@ def _fresh_proots(c, lo, hi):
     if deg <= 0:
         return []
     ct = tuple(c[:deg + 1])
-    scale = poly._coeff_scale(ct, lo, hi)
-    ztol = 1e-13 * scale
     if deg == 1:
         c0, c1 = ct
         r = -c0 / c1
         span = 1e-12 * max(1.0, abs(lo), abs(hi))
         return [r] if lo - span <= r <= hi + span else []
     if deg == 2:
-        a2, a1, a0 = ct[2], ct[1], ct[0]
+        a2, a1, a0 = reversed(poly._unit_scaled(ct))
         disc = a1 * a1 - 4.0 * a2 * a0
         if disc < 0.0:
             return []
@@ -267,6 +267,8 @@ def _fresh_proots(c, lo, hi):
         r2 = a0 / (a2 * r1) if r1 != 0.0 else -a1 / a2
         out = sorted(r for r in (r1, r2) if lo - 1e-12 <= r <= hi + 1e-12)
         return poly._dedupe(out, lo, hi)
+    ct = poly._unit_scaled(ct)
+    ztol = 1e-13 * poly._coeff_scale(ct, lo, hi)
     crit = _fresh_proots(poly.pderiv(ct), lo, hi)
     nodes = poly._dedupe([lo] + crit + [hi], lo, hi)
     roots = []
@@ -348,6 +350,7 @@ def _hex(xs):
                                "two roots", "near double root"]),
        st.floats(min_value=-3.0, max_value=3.0))
 @settings(max_examples=300, deadline=None)
+@example(806, "any degree", 5e-324)
 def test_derivative_entry_paths_equal_a_fresh_derivation(seed, kind, m):
     """The memoised entry, read by the public critical-point functions,
     gives bit for bit the floats that re-deriving on every sub-interval
